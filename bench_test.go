@@ -57,3 +57,12 @@ func BenchmarkFigPacketsFull(b *testing.B) { runCase(b, "FigPacketsFull") }
 // arrival) — the fixed cost the open-loop generator pays before a trace
 // starts.
 func BenchmarkServeScheduleBuild(b *testing.B) { runCase(b, "ServeScheduleBuild") }
+
+// BenchmarkPlanDistributed times one Algorithm 1 balancing round on a
+// Fig. 13-shaped load, so a Fig. 13 regression can be pinned on the
+// balancer layer.
+func BenchmarkPlanDistributed(b *testing.B) { runCase(b, "PlanDistributed") }
+
+// BenchmarkTraceIndependentSet times the forest trace synthesis the facade
+// runs before every simulation.
+func BenchmarkTraceIndependentSet(b *testing.B) { runCase(b, "TraceIndependentSet") }

@@ -13,14 +13,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"sort"
 	"testing"
 	"time"
 
 	"neofog"
+	"neofog/internal/energytrace"
 	"neofog/internal/experiments"
 	"neofog/internal/loadgen"
+	"neofog/internal/sched"
+	"neofog/internal/units"
 )
 
 // Case is one named benchmark.
@@ -119,6 +123,45 @@ func Cases() []Case {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := experiments.Fig10Independent(experiments.Options{Seed: 1, Parallel: ExperimentParallel}); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}},
+		{"PlanDistributed", func(b *testing.B) {
+			// The Algorithm 1 balancer layer of Fig. 13: one round of the
+			// production path (PlanWith over a warm scratch) on a 50-slot
+			// rainy-day chain with backlogs in the tens, at the 12 000-tick
+			// slot.
+			rng := rand.New(rand.NewSource(1))
+			nodes := make([]sched.NodeLoad, 50)
+			for i := range nodes {
+				capacity := rng.Intn(3)
+				if rng.Intn(5) == 0 {
+					capacity = 20 + rng.Intn(40)
+				}
+				nodes[i] = sched.NodeLoad{
+					Alive:        rng.Float64() < 0.85,
+					Tasks:        10 + rng.Intn(50),
+					Capacity:     capacity,
+					TicksPerTask: rng.Intn(9000) + 1000,
+				}
+			}
+			var s sched.Scratch
+			bal := sched.Distributed{}
+			sched.PlanWith(bal, &s, nodes, 12000, 0.02, rng)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched.PlanWith(bal, &s, nodes, 12000, 0.02, rng)
+			}
+		}},
+		{"TraceIndependentSet", func(b *testing.B) {
+			// The trace-synthesis layer: the facade's forest traces for a
+			// 10-node chain (5-hour sunny day at 1 s, 5-minute segments).
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set := energytrace.IndependentSet(energytrace.SunnyDay(), 10, 5*units.Minute, rand.New(rand.NewSource(int64(i+1))))
+				if len(set) != 10 {
+					b.Fatal("short trace set")
 				}
 			}
 		}},

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"neofog/internal/units"
@@ -32,7 +33,7 @@ func WriteCSV(w io.Writer, tr *Sampled) error {
 
 // ReadCSV decodes a trace written by WriteCSV. The sample step is inferred
 // from the first two rows; a single-row trace is rejected because its step
-// is ambiguous.
+// is ambiguous. Every power must be finite and non-negative.
 func ReadCSV(r io.Reader) (*Sampled, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -69,6 +70,9 @@ func ReadCSV(r io.Reader) (*Sampled, error) {
 		p, err := strconv.ParseFloat(row[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("energytrace: bad power %q: %w", row[1], err)
+		}
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("energytrace: non-finite power %q at row %d", row[1], i+2)
 		}
 		if p < 0 {
 			return nil, fmt.Errorf("energytrace: negative power %g at row %d", p, i+2)

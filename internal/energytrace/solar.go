@@ -79,20 +79,34 @@ func RainyDay() SolarConfig {
 // Generate synthesises one base trace from the config using rng. The result
 // is deterministic for a given rng state.
 func (c SolarConfig) Generate(rng *rand.Rand) *Sampled {
+	env := c.envelope()
+	tr := NewSampled(c.Step, len(env))
+	c.fill(tr.Samples, env, rng)
+	return tr
+}
+
+// envelope is the diurnal half-sine envelope at every sample time. It
+// depends only on the config, so a trace set computes it once for all of
+// its base traces.
+func (c SolarConfig) envelope() []float64 {
 	if c.Step <= 0 || c.DayEnd <= c.DayStart {
 		panic("energytrace: invalid solar config")
 	}
-	n := int((c.DayEnd - c.DayStart) / c.Step)
-	tr := NewSampled(c.Step, n)
-
+	env := make([]float64, int((c.DayEnd-c.DayStart)/c.Step))
 	dayLen := float64(c.DayEnd - c.DayStart)
+	for i := range env {
+		t := float64(i) * float64(c.Step)
+		env[i] = math.Sin(math.Pi * t / dayLen)
+	}
+	return env
+}
+
+// fill draws one base trace over env from rng into samples.
+func (c SolarConfig) fill(samples []units.Power, env []float64, rng *rand.Rand) {
 	covered := rng.Float64() < 0.5
 	dwell := c.nextDwell(rng, covered)
 
-	for i := 0; i < n; i++ {
-		t := float64(i) * float64(c.Step)
-		// Diurnal half-sine envelope.
-		envelope := math.Sin(math.Pi * t / dayLen)
+	for i, envelope := range env {
 		p := float64(c.Peak) * envelope
 
 		// Cloud telegraph process.
@@ -116,9 +130,8 @@ func (c SolarConfig) Generate(rng *rand.Rand) *Sampled {
 		if p < 0 {
 			p = 0
 		}
-		tr.Samples[i] = units.Power(p)
+		samples[i] = units.Power(p)
 	}
-	return tr
 }
 
 func (c SolarConfig) nextDwell(rng *rand.Rand, covered bool) units.Duration {
@@ -138,15 +151,18 @@ func (c SolarConfig) nextDwell(rng *rand.Rand, covered bool) units.Duration {
 // effectively independent. segment is the shuffled-chunk length.
 func IndependentSet(cfg SolarConfig, nodes int, segment units.Duration, rng *rand.Rand) []*Sampled {
 	const poolSize = 8
-	pool := make([]*Sampled, poolSize)
+	env := cfg.envelope()
+	total := len(env)
+	poolBuf := make([]units.Power, poolSize*total)
+	var pool [poolSize][]units.Power
 	for i := range pool {
-		pool[i] = cfg.Generate(rng)
+		pool[i] = poolBuf[i*total : (i+1)*total]
+		cfg.fill(pool[i], env, rng)
 	}
 	segSamples := int(segment / cfg.Step)
 	if segSamples <= 0 {
 		panic("energytrace: segment shorter than step")
 	}
-	total := len(pool[0].Samples)
 	if segSamples > total {
 		segSamples = total
 	}
@@ -154,21 +170,20 @@ func IndependentSet(cfg SolarConfig, nodes int, segment units.Duration, rng *ran
 	// so every drawn segment is full length.
 	maxStart := (total - segSamples) / segSamples
 
+	traces := make([]Sampled, nodes)
 	out := make([]*Sampled, nodes)
-	for n := 0; n < nodes; n++ {
-		parts := make([]*Sampled, 0, total/segSamples+1)
-		have := 0
-		for have < total {
+	for n := range out {
+		samples := make([]units.Power, 0, total)
+		for len(samples) < total {
 			src := pool[rng.Intn(poolSize)]
 			// Pick a random aligned segment from the source so that the
-			// diurnal phase is scrambled between nodes.
+			// diurnal phase is scrambled between nodes; the last one is
+			// cut at the trace length.
 			at := rng.Intn(maxStart+1) * segSamples
-			parts = append(parts, src.Slice(at, at+segSamples))
-			have += segSamples
+			samples = append(samples, src[at:at+min(segSamples, total-len(samples))]...)
 		}
-		tr := Concat(parts...)
-		tr.Samples = tr.Samples[:total]
-		out[n] = tr
+		traces[n] = Sampled{Step: cfg.Step, Samples: samples}
+		out[n] = &traces[n]
 	}
 	return out
 }

@@ -14,7 +14,6 @@
 package energytrace
 
 import (
-	"fmt"
 	"math"
 
 	"neofog/internal/units"
@@ -133,37 +132,6 @@ func (s *Sampled) Scale(k float64) *Sampled {
 	out := NewSampled(s.Step, len(s.Samples))
 	for i, p := range s.Samples {
 		out.Samples[i] = units.Power(float64(p) * k)
-	}
-	return out
-}
-
-// Slice returns the sub-trace covering samples [i, j).
-func (s *Sampled) Slice(i, j int) *Sampled {
-	if i < 0 || j > len(s.Samples) || i > j {
-		panic(fmt.Sprintf("energytrace: slice [%d,%d) out of range (len %d)", i, j, len(s.Samples)))
-	}
-	out := NewSampled(s.Step, j-i)
-	copy(out.Samples, s.Samples[i:j])
-	return out
-}
-
-// Concat joins traces with identical steps into one Sampled trace.
-func Concat(parts ...*Sampled) *Sampled {
-	if len(parts) == 0 {
-		panic("energytrace: Concat of nothing")
-	}
-	step := parts[0].Step
-	n := 0
-	for _, p := range parts {
-		if p.Step != step {
-			panic("energytrace: Concat with mismatched steps")
-		}
-		n += len(p.Samples)
-	}
-	out := NewSampled(step, 0)
-	out.Samples = make([]units.Power, 0, n)
-	for _, p := range parts {
-		out.Samples = append(out.Samples, p.Samples...)
 	}
 	return out
 }

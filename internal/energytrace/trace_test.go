@@ -68,20 +68,12 @@ func TestSampledStats(t *testing.T) {
 	}
 }
 
-func TestScaleAndSliceAndConcat(t *testing.T) {
+func TestScale(t *testing.T) {
 	tr := NewSampled(units.Second, 4)
 	tr.Samples = []units.Power{1, 2, 3, 4}
 	s2 := tr.Scale(2)
 	if s2.Samples[3] != 8 || tr.Samples[3] != 4 {
 		t.Fatal("Scale must not mutate the original")
-	}
-	sl := tr.Slice(1, 3)
-	if len(sl.Samples) != 2 || sl.Samples[0] != 2 || sl.Samples[1] != 3 {
-		t.Fatalf("Slice = %v", sl.Samples)
-	}
-	cat := Concat(sl, sl)
-	if len(cat.Samples) != 4 || cat.Samples[2] != 2 {
-		t.Fatalf("Concat = %v", cat.Samples)
 	}
 }
 
@@ -104,8 +96,9 @@ func TestSolarGenerateShape(t *testing.T) {
 	}
 	// Diurnal shape: middle third must out-power the first and last 5%.
 	n := len(tr.Samples)
-	edge := tr.Slice(0, n/20).Mean() + tr.Slice(n-n/20, n).Mean()
-	mid := tr.Slice(n/3, 2*n/3).Mean()
+	mean := func(i, j int) units.Power { return (&Sampled{Step: tr.Step, Samples: tr.Samples[i:j]}).Mean() }
+	edge := mean(0, n/20) + mean(n-n/20, n)
+	mid := mean(n/3, 2*n/3)
 	if mid <= edge {
 		t.Fatalf("no diurnal envelope: mid %v <= edges %v", mid, edge)
 	}
@@ -228,6 +221,8 @@ func TestCSVRejectsMalformed(t *testing.T) {
 		"time_us,power_mw\n0,1\n1000,-2\n2000,1\n", // negative power
 		"time_us,power_mw\nx,1\ny,1\nz,1\n",        // junk
 		"time_us,power_mw\n1000,1\n0,1\n",          // non-increasing
+		"time_us,power_mw\n0,NaN\n1000000,1\n",     // NaN power
+		"time_us,power_mw\n0,1\n1000000,+Inf\n",    // infinite power
 	}
 	for i, src := range cases {
 		if _, err := ReadCSV(strings.NewReader(src)); err == nil {

@@ -39,6 +39,10 @@ func (s Side) String() string {
 //
 // where OPT(i,k) is the least right-side time to finish the first k tasks
 // with at most i ticks of left-side time.
+//
+// Assign is the general algorithm, for tasks whose times differ. The
+// Distributed balancer's tasks are identical, so it runs the closed form
+// of this recurrence instead (see splitUniform).
 func Assign(a, b []int, maxTime int) ([]Side, int, error) {
 	n := len(a)
 	if len(b) != n {

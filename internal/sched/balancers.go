@@ -116,6 +116,12 @@ func (Distributed) Name() string { return "neofog-distributed" }
 
 // Plan implements Balancer.
 func (d Distributed) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
+	return d.PlanScratch(&Scratch{}, nodes, maxTime, interruption, rng)
+}
+
+// PlanScratch implements ScratchPlanner, with the spare-capacity working
+// array drawn from the scratch.
+func (d Distributed) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
 	rounds := d.MaxRounds
 	if rounds <= 0 {
 		rounds = 3
@@ -123,16 +129,12 @@ func (d Distributed) Plan(nodes []NodeLoad, maxTime int, interruption float64, r
 	p := basePlan(nodes)
 	n := len(nodes)
 
-	// Working copies of load state.
-	spare := make([]int, n)
-	speed := make([]int, n)
+	s.spare = growInts(s.spare, n)
+	spare := s.spare
 	for i, nd := range nodes {
+		spare[i] = 0
 		if nd.Alive {
 			spare[i] = nd.Capacity - nd.Tasks
-		}
-		speed[i] = nd.TicksPerTask
-		if speed[i] <= 0 {
-			speed[i] = 1
 		}
 	}
 
@@ -155,43 +157,62 @@ func (d Distributed) Plan(nodes []NodeLoad, maxTime int, interruption float64, r
 				continue
 			}
 			m := p.Leftover[i]
-			a := make([]int, m)
-			b := make([]int, m)
-			for k := 0; k < m; k++ {
-				a[k] = sideTicks(speed, left)
-				b[k] = sideTicks(speed, right)
-			}
-			// Quantise so the DP table stays small: the assignment only
-			// depends on time ratios, and the interval budget needs no
-			// better than ~1/256 resolution.
-			quantA, quantB, quantMax := quantise(a, b, maxTime, 256)
-			sides, _, err := Assign(quantA, quantB, quantMax)
-			if err != nil {
-				continue
-			}
-			var wantLeft, wantRight int
-			for _, s := range sides {
-				if s == Left {
-					wantLeft++
-				} else {
-					wantRight++
-				}
-			}
-			// One side may be absent: everything fell to the other.
-			if left == -1 {
-				wantRight, wantLeft = wantLeft+wantRight, 0
-			}
-			if right == -1 {
-				wantLeft, wantRight = wantLeft+wantRight, 0
+			var wantLeft int
+			switch {
+			case maxTime <= 0:
+				continue // no interval to split: Algorithm 1 rejects it
+			case left == -1: // one side may be absent: all go to the other
+				wantLeft = 0
+			case right == -1:
+				wantLeft = m
+			default:
+				// A node's per-task time is floored at one tick.
+				a := max(1, nodes[left].TicksPerTask)
+				b := max(1, nodes[right].TicksPerTask)
+				wantLeft = splitUniform(a, b, m, maxTime)
 			}
 			moved = d.give(&p, spare, i, left, wantLeft) || moved
-			moved = d.give(&p, spare, i, right, wantRight) || moved
+			moved = d.give(&p, spare, i, right, m-wantLeft) || moved
 		}
 		if !moved {
 			break
 		}
 	}
 	return p
+}
+
+// balanceTicks bounds the interval budget Algorithm 1 splits: the
+// assignment only depends on time ratios, and the interval needs no better
+// than ~1/256 resolution.
+const balanceTicks = 256
+
+// splitUniform is Algorithm 1 for the balancer's m identical tasks, each a
+// ticks on the left candidate and b on the right, within a maxTime > 0
+// interval. It returns how many tasks go left. Times are quantised first:
+// a maxTime over balanceTicks is divided by scale = ⌈maxTime/balanceTicks⌉
+// and each task floored at one tick.
+//
+// With identical tasks Equation 3 collapses to OPT(i,m) = b·max(0, m−⌊i/a⌋),
+// so the DP's first minimal budget is q*·a, where q* is the smallest
+// q ≤ ⌊min(m·a, maxTime)/a⌋ minimising max(q·a, b·(m−q)), and its backtrack
+// sends exactly q* tasks left. The right side dominates up to the crossing
+// q = b·m/(a+b) and the left after it, so q* is its floor or the next
+// integer, clamped to the budget. TestSplitUniformMatchesAssign checks this
+// against Assign exhaustively.
+func splitUniform(a, b, m, maxTime int) int {
+	if maxTime > balanceTicks {
+		scale := (maxTime + balanceTicks - 1) / balanceTicks
+		a, b, maxTime = max(1, a/scale), max(1, b/scale), maxTime/scale
+	}
+	hi := min(m, maxTime/a)
+	q := b * m / (a + b)
+	if q >= hi {
+		return hi
+	}
+	if (q+1)*a < b*(m-q) {
+		q++
+	}
+	return q
 }
 
 // give moves up to `count` of i's leftover tasks to neighbour j (bounded by
@@ -216,29 +237,6 @@ func (d Distributed) give(p *Plan, spare []int, i, j, count int) bool {
 	return true
 }
 
-// quantise rescales task times and the interval budget so that maxTime is
-// at most `limit` ticks, flooring each task at one tick.
-func quantise(a, b []int, maxTime, limit int) ([]int, []int, int) {
-	if maxTime <= limit {
-		return a, b, maxTime
-	}
-	scale := (maxTime + limit - 1) / limit
-	qa := make([]int, len(a))
-	qb := make([]int, len(b))
-	for k := range a {
-		qa[k] = maxInt(1, a[k]/scale)
-		qb[k] = maxInt(1, b[k]/scale)
-	}
-	return qa, qb, maxTime / scale
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // nearestWithSpare scans outward in direction dir for the first alive node
 // with spare capacity, since the paper's scheme shares state with nearby
 // nodes first ("node 4 can know states of its left node 3 before touching
@@ -252,16 +250,6 @@ func nearestWithSpare(nodes []NodeLoad, spare []int, i, dir int) int {
 	return -1
 }
 
-// sideTicks is the per-task time on a side's candidate node; an absent side
-// is made maximally unattractive rather than illegal so that Assign still
-// produces a total assignment (the caller then redirects).
-func sideTicks(speed []int, idx int) int {
-	if idx < 0 {
-		return 1 << 20
-	}
-	return speed[idx]
-}
-
 // BaselineTree is the traditional up-down multi-level (binary tree)
 // balancer of Fig. 6(c): a coordinator node aggregates its segment's load
 // and pushes tasks down proportionally to capacity. When a coordinator
@@ -273,35 +261,47 @@ type BaselineTree struct{}
 func (BaselineTree) Name() string { return "baseline-tree" }
 
 // Plan implements Balancer.
-func (BaselineTree) Plan(nodes []NodeLoad, _ int, interruption float64, rng *rand.Rand) Plan {
+func (bt BaselineTree) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
+	return bt.PlanScratch(&Scratch{}, nodes, maxTime, interruption, rng)
+}
+
+// PlanScratch implements ScratchPlanner, with the task, visibility and
+// share arrays drawn from the scratch. shares[i] is node i's levelled task
+// count, or -1 when i is not visible to the current coordinator.
+func (bt BaselineTree) PlanScratch(s *Scratch, nodes []NodeLoad, _ int, interruption float64, rng *rand.Rand) Plan {
 	p := basePlan(nodes)
-	tasks := make([]int, len(nodes))
-	up := make([]bool, len(nodes)) // coordinator is alive and uninterrupted
+	n := len(nodes)
+	s.tasks = growInts(s.tasks, n)
+	s.up = growBools(s.up, n)
+	s.shares = growInts(s.shares, n)
+	tasks, up, shares := s.tasks, s.up, s.shares
 	for i, nd := range nodes {
 		tasks[i] = nd.Tasks
 		up[i] = nd.Alive
 	}
 
-	// visible lists the nodes of [lo,hi) whose aggregation path of
-	// coordinators is intact: a dead mid-level coordinator cuts its whole
-	// subtree out of the up-phase, so upper levels cannot see (or balance)
-	// that region — the Fig. 6(c) failure.
-	var visible func(lo, hi int) []int
-	visible = func(lo, hi int) []int {
+	// collectVisible appends the nodes of [lo,hi) whose aggregation path
+	// of coordinators is intact to s.vis, in ascending order: a dead
+	// mid-level coordinator cuts its whole subtree out of the up-phase, so
+	// upper levels cannot see (or balance) that region — the Fig. 6(c)
+	// failure.
+	var collectVisible func(lo, hi int)
+	collectVisible = func(lo, hi int) {
 		if hi-lo <= 0 {
-			return nil
+			return
 		}
 		if hi-lo == 1 {
 			if up[lo] {
-				return []int{lo}
+				s.vis = append(s.vis, lo)
 			}
-			return nil
+			return
 		}
 		mid := (lo + hi) / 2
 		if !up[mid] {
-			return nil
+			return
 		}
-		return append(visible(lo, mid), visible(mid, hi)...)
+		collectVisible(lo, mid)
+		collectVisible(mid, hi)
 	}
 
 	var balance func(lo, hi int)
@@ -327,8 +327,14 @@ func (BaselineTree) Plan(nodes []NodeLoad, _ int, interruption float64, rng *ran
 		// Move only the visible surplus (tasks beyond local capacity)
 		// into the visible spare capacity; work that fits where it was
 		// sampled stays put, and cut-off subtrees are untouched.
-		vis := visible(lo, hi)
-		shares := map[int]int{}
+		// A balance call either recurses or levels its span, never both,
+		// so one shared visibility buffer per scratch suffices.
+		s.vis = s.vis[:0]
+		collectVisible(lo, hi)
+		vis := s.vis
+		for i := lo; i < hi; i++ {
+			shares[i] = -1
+		}
 		surplus := 0
 		for _, i := range vis {
 			keep := tasks[i]
@@ -367,9 +373,9 @@ func (BaselineTree) Plan(nodes []NodeLoad, _ int, interruption float64, rng *ran
 				surplus -= take
 			}
 		}
-		pairMoves(&p, tasks, shares, lo, hi)
+		pairMoves(s, &p, tasks, shares, lo, hi)
 	}
-	balance(0, len(nodes))
+	balance(0, n)
 
 	// Re-derive exec/leftover from the levelled task placement.
 	for i, nd := range nodes {
@@ -387,25 +393,28 @@ func (BaselineTree) Plan(nodes []NodeLoad, _ int, interruption float64, rng *ran
 	return p
 }
 
+type flow struct{ idx, amt int }
+
 // pairMoves turns the tree's levelling decision into concrete pairwise
 // transfers (donor → receiver) so the caller can charge the radio costs,
-// then applies the new task placement.
-func pairMoves(p *Plan, tasks []int, shares map[int]int, lo, hi int) {
-	type flow struct{ idx, amt int }
-	var donors, receivers []flow
+// then applies the new task placement. Donors and receivers pair in node
+// order; the queues are drawn from the scratch.
+func pairMoves(s *Scratch, p *Plan, tasks, shares []int, lo, hi int) {
+	s.donors, s.receivers = s.donors[:0], s.receivers[:0]
 	for i := lo; i < hi; i++ {
-		share, ok := shares[i]
-		if !ok {
+		share := shares[i]
+		if share < 0 {
 			continue
 		}
 		switch d := tasks[i] - share; {
 		case d > 0:
-			donors = append(donors, flow{i, d})
+			s.donors = append(s.donors, flow{i, d})
 		case d < 0:
-			receivers = append(receivers, flow{i, -d})
+			s.receivers = append(s.receivers, flow{i, -d})
 		}
 		tasks[i] = share
 	}
+	donors, receivers := s.donors, s.receivers
 	di, ri := 0, 0
 	for di < len(donors) && ri < len(receivers) {
 		n := donors[di].amt

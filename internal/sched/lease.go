@@ -28,6 +28,12 @@ func (l *Lease) Name() string { return "lease+" + l.Inner.Name() }
 
 // Plan implements Balancer.
 func (l *Lease) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
+	return l.PlanScratch(&Scratch{}, nodes, maxTime, interruption, rng)
+}
+
+// PlanScratch implements ScratchPlanner by forwarding the scratch to the
+// inner balancer.
+func (l *Lease) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
 	if l.pending {
 		l.Retries++
 		l.pending = false
@@ -40,5 +46,5 @@ func (l *Lease) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *r
 		l.pending = true
 		return p
 	}
-	return l.Inner.Plan(nodes, maxTime, interruption, rng)
+	return PlanWith(l.Inner, s, nodes, maxTime, interruption, rng)
 }

@@ -1,0 +1,263 @@
+package sched
+
+import "math/rand"
+
+// The reference balancers: the allocating, table-driven implementations
+// the production planners must match exactly (TestPlanScratchMatchesPlan).
+// refDistributed runs the general Algorithm 1 DP (Assign) on quantised
+// per-task vectors where production uses splitUniform; refTree keeps its
+// visibility as a map where production uses a sentinel slice.
+
+type refDistributed struct{ MaxRounds int }
+
+func (d refDistributed) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
+	rounds := d.MaxRounds
+	if rounds <= 0 {
+		rounds = 3
+	}
+	p := basePlan(nodes)
+	n := len(nodes)
+
+	spare := make([]int, n)
+	speed := make([]int, n)
+	for i, nd := range nodes {
+		if nd.Alive {
+			spare[i] = nd.Capacity - nd.Tasks
+		}
+		speed[i] = nd.TicksPerTask
+		if speed[i] <= 0 {
+			speed[i] = 1
+		}
+	}
+
+	for round := 0; round < rounds; round++ {
+		moved := false
+		for i := 0; i < n; i++ {
+			if !nodes[i].Alive || p.Leftover[i] == 0 {
+				continue
+			}
+			p.BalanceRuns++
+			if interruption > 0 && rng.Float64() < interruption {
+				p.Interrupted++
+				continue
+			}
+			left := nearestWithSpare(nodes, spare, i, -1)
+			right := nearestWithSpare(nodes, spare, i, +1)
+			if left == -1 && right == -1 {
+				continue
+			}
+			m := p.Leftover[i]
+			a := make([]int, m)
+			b := make([]int, m)
+			for k := 0; k < m; k++ {
+				a[k] = sideTicks(speed, left)
+				b[k] = sideTicks(speed, right)
+			}
+			quantA, quantB, quantMax := quantise(a, b, maxTime, 256)
+			sides, _, err := Assign(quantA, quantB, quantMax)
+			if err != nil {
+				continue
+			}
+			wantLeft, wantRight := countSides(sides)
+			if left == -1 {
+				wantRight, wantLeft = wantLeft+wantRight, 0
+			}
+			if right == -1 {
+				wantLeft, wantRight = wantLeft+wantRight, 0
+			}
+			moved = Distributed{}.give(&p, spare, i, left, wantLeft) || moved
+			moved = Distributed{}.give(&p, spare, i, right, wantRight) || moved
+		}
+		if !moved {
+			break
+		}
+	}
+	return p
+}
+
+func countSides(sides []Side) (left, right int) {
+	for _, s := range sides {
+		if s == Left {
+			left++
+		} else {
+			right++
+		}
+	}
+	return left, right
+}
+
+// quantise rescales task times and the interval budget so that maxTime is
+// at most `limit` ticks, flooring each task at one tick.
+func quantise(a, b []int, maxTime, limit int) ([]int, []int, int) {
+	if maxTime <= limit {
+		return a, b, maxTime
+	}
+	scale := (maxTime + limit - 1) / limit
+	qa := make([]int, len(a))
+	qb := make([]int, len(b))
+	for k := range a {
+		qa[k] = max(1, a[k]/scale)
+		qb[k] = max(1, b[k]/scale)
+	}
+	return qa, qb, maxTime / scale
+}
+
+// absentSide is the per-task time the reference gives an absent neighbour:
+// maximally unattractive rather than illegal, so that Assign still produces
+// a total assignment (the caller then redirects).
+const absentSide = 1 << 20
+
+func sideTicks(speed []int, idx int) int {
+	if idx < 0 {
+		return absentSide
+	}
+	return speed[idx]
+}
+
+type refTree struct{}
+
+func (refTree) Plan(nodes []NodeLoad, _ int, interruption float64, rng *rand.Rand) Plan {
+	p := basePlan(nodes)
+	tasks := make([]int, len(nodes))
+	up := make([]bool, len(nodes))
+	for i, nd := range nodes {
+		tasks[i] = nd.Tasks
+		up[i] = nd.Alive
+	}
+
+	var visible func(lo, hi int) []int
+	visible = func(lo, hi int) []int {
+		if hi-lo <= 0 {
+			return nil
+		}
+		if hi-lo == 1 {
+			if up[lo] {
+				return []int{lo}
+			}
+			return nil
+		}
+		mid := (lo + hi) / 2
+		if !up[mid] {
+			return nil
+		}
+		return append(visible(lo, mid), visible(mid, hi)...)
+	}
+
+	var balance func(lo, hi int)
+	balance = func(lo, hi int) {
+		if hi-lo <= 1 {
+			return
+		}
+		mid := (lo + hi) / 2
+		p.BalanceRuns++
+		coordinatorUp := up[mid]
+		if coordinatorUp && interruption > 0 && rng.Float64() < interruption {
+			coordinatorUp = false
+			p.Interrupted++
+		}
+		if !coordinatorUp {
+			up[mid] = false
+			balance(lo, mid)
+			balance(mid, hi)
+			return
+		}
+		vis := visible(lo, hi)
+		shares := map[int]int{}
+		surplus := 0
+		for _, i := range vis {
+			keep := min(tasks[i], nodes[i].Capacity)
+			shares[i] = keep
+			surplus += tasks[i] - keep
+		}
+		for _, i := range vis {
+			if surplus == 0 {
+				break
+			}
+			room := nodes[i].Capacity - shares[i]
+			if room <= 0 {
+				continue
+			}
+			take := min(room, surplus)
+			shares[i] += take
+			surplus -= take
+		}
+		for _, i := range vis {
+			if surplus == 0 {
+				break
+			}
+			if extra := tasks[i] - shares[i]; extra > 0 {
+				take := min(extra, surplus)
+				shares[i] += take
+				surplus -= take
+			}
+		}
+		refPairMoves(&p, tasks, shares, lo, hi)
+	}
+	balance(0, len(nodes))
+
+	for i, nd := range nodes {
+		if !nd.Alive {
+			p.Exec[i], p.Leftover[i] = 0, tasks[i]
+			continue
+		}
+		ex := min(tasks[i], nd.Capacity)
+		p.Exec[i] = ex
+		p.Leftover[i] = tasks[i] - ex
+	}
+	return p
+}
+
+func refPairMoves(p *Plan, tasks []int, shares map[int]int, lo, hi int) {
+	var donors, receivers []flow
+	for i := lo; i < hi; i++ {
+		share, ok := shares[i]
+		if !ok {
+			continue
+		}
+		switch d := tasks[i] - share; {
+		case d > 0:
+			donors = append(donors, flow{i, d})
+		case d < 0:
+			receivers = append(receivers, flow{i, -d})
+		}
+		tasks[i] = share
+	}
+	di, ri := 0, 0
+	for di < len(donors) && ri < len(receivers) {
+		n := min(donors[di].amt, receivers[ri].amt)
+		p.Moves = append(p.Moves, Move{From: donors[di].idx, To: receivers[ri].idx, Count: n})
+		donors[di].amt -= n
+		receivers[ri].amt -= n
+		if donors[di].amt == 0 {
+			di++
+		}
+		if receivers[ri].amt == 0 {
+			ri++
+		}
+	}
+}
+
+type refPlanner interface {
+	Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan
+}
+
+// refLease is Lease's protocol over a reference inner balancer.
+type refLease struct {
+	inner   refPlanner
+	retries int
+	pending bool
+}
+
+func (l *refLease) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
+	if l.pending {
+		l.retries++
+		l.pending = false
+	}
+	if interruption >= 1 {
+		p := basePlan(nodes)
+		p.RolledBack = true
+		l.pending = true
+		return p
+	}
+	return l.inner.Plan(nodes, maxTime, interruption, rng)
+}

@@ -1,20 +1,6 @@
 package sched
 
-import (
-	"errors"
-	"fmt"
-	"math/rand"
-)
-
-var errNonPositiveMaxTime = errors.New("sched: non-positive maxTime")
-
-func errMismatched(n, m int) error {
-	return fmt.Errorf("sched: mismatched task arrays (%d vs %d)", n, m)
-}
-
-func errNonPositiveTask(k int) error {
-	return fmt.Errorf("sched: non-positive task time at %d", k)
-}
+import "math/rand"
 
 // Scratch holds the working buffers a balancing round needs, so that a
 // caller running many rounds (the simulator runs one per slot) can reuse
@@ -27,10 +13,7 @@ func errNonPositiveTask(k int) error {
 // Scratch is not safe for concurrent use. Fleet-style callers must give
 // each goroutine its own Scratch (see internal/sim's per-run arena).
 type Scratch struct {
-	spare, speed  []int
-	a, b, qa, qb  []int
-	sides         []Side
-	dp            []int // flat (sa+1)×(n+1) DP table for assignInto
+	spare         []int
 	tasks, shares []int
 	up            []bool
 	vis           []int
@@ -42,7 +25,8 @@ type Scratch struct {
 // caller-owned Scratch. The contract is strict: the resulting Plan must be
 // identical (reflect.DeepEqual) to what Plan would return for the same
 // inputs and RNG state — scratch reuse is an allocation optimisation, never
-// a behavioural one.
+// a behavioural one. Every balancer here meets it by construction: Plan is
+// PlanScratch on a fresh Scratch.
 type ScratchPlanner interface {
 	PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan
 }
@@ -77,351 +61,4 @@ func growBools(buf []bool, n int) []bool {
 // this is Plan verbatim.
 func (NoBalance) PlanScratch(_ *Scratch, nodes []NodeLoad, _ int, _ float64, _ *rand.Rand) Plan {
 	return basePlan(nodes)
-}
-
-// PlanScratch implements ScratchPlanner by forwarding the scratch to the
-// inner balancer; the lease bookkeeping is identical to Plan.
-func (l *Lease) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
-	if l.pending {
-		l.Retries++
-		l.pending = false
-	}
-	if interruption >= 1 {
-		p := basePlan(nodes)
-		p.RolledBack = true
-		l.pending = true
-		return p
-	}
-	return PlanWith(l.Inner, s, nodes, maxTime, interruption, rng)
-}
-
-// PlanScratch implements ScratchPlanner. The round is computed exactly as
-// Plan does — same candidate scan, same quantisation, same DP recurrence,
-// same RNG draws — with the working arrays (spare/speed, per-node task-time
-// vectors, and the Algorithm 1 table) drawn from the scratch.
-func (d Distributed) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
-	rounds := d.MaxRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
-	p := basePlan(nodes)
-	n := len(nodes)
-
-	s.spare = growInts(s.spare, n)
-	s.speed = growInts(s.speed, n)
-	spare, speed := s.spare, s.speed
-	for i, nd := range nodes {
-		spare[i] = 0
-		if nd.Alive {
-			spare[i] = nd.Capacity - nd.Tasks
-		}
-		speed[i] = nd.TicksPerTask
-		if speed[i] <= 0 {
-			speed[i] = 1
-		}
-	}
-
-	for round := 0; round < rounds; round++ {
-		moved := false
-		for i := 0; i < n; i++ {
-			if !nodes[i].Alive || p.Leftover[i] == 0 {
-				continue
-			}
-			p.BalanceRuns++
-			if interruption > 0 && rng.Float64() < interruption {
-				p.Interrupted++
-				continue
-			}
-			left := nearestWithSpare(nodes, spare, i, -1)
-			right := nearestWithSpare(nodes, spare, i, +1)
-			if left == -1 && right == -1 {
-				continue
-			}
-			m := p.Leftover[i]
-			s.a = growInts(s.a, m)
-			s.b = growInts(s.b, m)
-			a, b := s.a, s.b
-			for k := 0; k < m; k++ {
-				a[k] = sideTicks(speed, left)
-				b[k] = sideTicks(speed, right)
-			}
-			quantA, quantB, quantMax := quantiseInto(s, a, b, maxTime, 256)
-			sides, _, err := assignInto(s, quantA, quantB, quantMax)
-			if err != nil {
-				continue
-			}
-			var wantLeft, wantRight int
-			for _, sd := range sides {
-				if sd == Left {
-					wantLeft++
-				} else {
-					wantRight++
-				}
-			}
-			if left == -1 {
-				wantRight, wantLeft = wantLeft+wantRight, 0
-			}
-			if right == -1 {
-				wantLeft, wantRight = wantLeft+wantRight, 0
-			}
-			moved = d.give(&p, spare, i, left, wantLeft) || moved
-			moved = d.give(&p, spare, i, right, wantRight) || moved
-		}
-		if !moved {
-			break
-		}
-	}
-	return p
-}
-
-// quantiseInto is quantise with the output vectors drawn from the scratch.
-// Like quantise it returns the inputs untouched when no rescaling is needed.
-func quantiseInto(s *Scratch, a, b []int, maxTime, limit int) ([]int, []int, int) {
-	if maxTime <= limit {
-		return a, b, maxTime
-	}
-	scale := (maxTime + limit - 1) / limit
-	s.qa = growInts(s.qa, len(a))
-	s.qb = growInts(s.qb, len(b))
-	qa, qb := s.qa, s.qb
-	for k := range a {
-		qa[k] = maxInt(1, a[k]/scale)
-		qb[k] = maxInt(1, b[k]/scale)
-	}
-	return qa, qb, maxTime / scale
-}
-
-// assignInto is Assign over a flat, reusable DP table. The recurrence,
-// tie-breaking, and backtrack are byte-for-byte the same as Assign; only
-// the table's storage differs. Cells in column k=0 are the only ones read
-// before being written, so reuse just re-zeroes that column.
-func assignInto(s *Scratch, a, b []int, maxTime int) ([]Side, int, error) {
-	n := len(a)
-	if len(b) != n {
-		return nil, 0, errMismatched(n, len(b))
-	}
-	if n == 0 {
-		return nil, 0, nil
-	}
-	for k := 0; k < n; k++ {
-		if a[k] <= 0 || b[k] <= 0 {
-			return nil, 0, errNonPositiveTask(k)
-		}
-	}
-	if maxTime <= 0 {
-		return nil, 0, errNonPositiveMaxTime
-	}
-
-	sa := 0
-	for _, v := range a {
-		sa += v
-	}
-	if sa > maxTime {
-		sa = maxTime
-	}
-
-	const inf = int(^uint(0) >> 2)
-	w := n + 1 // row width; p[i][k] lives at dp[i*w+k]
-	s.dp = growInts(s.dp, (sa+1)*w)
-	dp := s.dp
-	for i := 0; i <= sa; i++ {
-		dp[i*w] = 0 // column 0: empty prefix
-	}
-	for i := 0; i <= sa; i++ {
-		row := dp[i*w:]
-		for k := 1; k <= n; k++ {
-			best := row[k-1] + b[k-1]
-			if i >= a[k-1] {
-				if alt := dp[(i-a[k-1])*w+k-1]; alt < best {
-					best = alt
-				}
-			}
-			row[k] = best
-		}
-	}
-
-	minTime, bestI := inf, 0
-	for i := 0; i <= sa; i++ {
-		temp := dp[i*w+n]
-		if i > temp {
-			temp = i
-		}
-		if temp < minTime {
-			minTime, bestI = temp, i
-		}
-	}
-
-	if cap(s.sides) < n {
-		s.sides = make([]Side, n)
-	}
-	out := s.sides[:n]
-	i := bestI
-	for k := n; k >= 1; k-- {
-		if i >= a[k-1] && dp[(i-a[k-1])*w+k-1] <= dp[i*w+k-1]+b[k-1] {
-			out[k-1] = Left
-			i -= a[k-1]
-		} else {
-			out[k-1] = Right
-		}
-	}
-	return out, minTime, nil
-}
-
-// PlanScratch implements ScratchPlanner. The tree walk, RNG draws, and
-// levelling arithmetic are identical to Plan; the per-call task/visibility
-// arrays and the share bookkeeping (a slice with a -1 "not visible"
-// sentinel replacing Plan's map — lookups only, never iterated, so the
-// results cannot differ) come from the scratch.
-func (bt BaselineTree) PlanScratch(s *Scratch, nodes []NodeLoad, _ int, interruption float64, rng *rand.Rand) Plan {
-	p := basePlan(nodes)
-	n := len(nodes)
-	s.tasks = growInts(s.tasks, n)
-	s.up = growBools(s.up, n)
-	s.shares = growInts(s.shares, n)
-	tasks, up, shares := s.tasks, s.up, s.shares
-	for i, nd := range nodes {
-		tasks[i] = nd.Tasks
-		up[i] = nd.Alive
-	}
-
-	// collectVisible appends the Plan-identical visible set (ascending
-	// order) into s.vis. The recursion shape matches Plan's visible().
-	var collectVisible func(lo, hi int)
-	collectVisible = func(lo, hi int) {
-		if hi-lo <= 0 {
-			return
-		}
-		if hi-lo == 1 {
-			if up[lo] {
-				s.vis = append(s.vis, lo)
-			}
-			return
-		}
-		mid := (lo + hi) / 2
-		if !up[mid] {
-			return
-		}
-		collectVisible(lo, mid)
-		collectVisible(mid, hi)
-	}
-
-	var balance func(lo, hi int)
-	balance = func(lo, hi int) {
-		if hi-lo <= 1 {
-			return
-		}
-		mid := (lo + hi) / 2
-		p.BalanceRuns++
-		coordinatorUp := up[mid]
-		if coordinatorUp && interruption > 0 && rng.Float64() < interruption {
-			coordinatorUp = false
-			p.Interrupted++
-		}
-		if !coordinatorUp {
-			up[mid] = false
-			balance(lo, mid)
-			balance(mid, hi)
-			return
-		}
-		// A balance call either recurses or levels its span, never both,
-		// so one shared visibility buffer per scratch suffices.
-		s.vis = s.vis[:0]
-		collectVisible(lo, hi)
-		vis := s.vis
-		for i := lo; i < hi; i++ {
-			shares[i] = -1
-		}
-		surplus := 0
-		for _, i := range vis {
-			keep := tasks[i]
-			if keep > nodes[i].Capacity {
-				keep = nodes[i].Capacity
-			}
-			shares[i] = keep
-			surplus += tasks[i] - keep
-		}
-		for _, i := range vis {
-			if surplus == 0 {
-				break
-			}
-			room := nodes[i].Capacity - shares[i]
-			if room <= 0 {
-				continue
-			}
-			take := room
-			if take > surplus {
-				take = surplus
-			}
-			shares[i] += take
-			surplus -= take
-		}
-		for _, i := range vis {
-			if surplus == 0 {
-				break
-			}
-			if extra := tasks[i] - shares[i]; extra > 0 {
-				take := extra
-				if take > surplus {
-					take = surplus
-				}
-				shares[i] += take
-				surplus -= take
-			}
-		}
-		pairMovesScratch(s, &p, tasks, shares, lo, hi)
-	}
-	balance(0, n)
-
-	for i, nd := range nodes {
-		if !nd.Alive {
-			p.Exec[i], p.Leftover[i] = 0, tasks[i]
-			continue
-		}
-		ex := tasks[i]
-		if ex > nd.Capacity {
-			ex = nd.Capacity
-		}
-		p.Exec[i] = ex
-		p.Leftover[i] = tasks[i] - ex
-	}
-	return p
-}
-
-type flow struct{ idx, amt int }
-
-// pairMovesScratch is pairMoves with shares as a sentinel slice (-1 = not
-// visible) and the donor/receiver queues drawn from the scratch. The pairing
-// order is positional, exactly as in pairMoves.
-func pairMovesScratch(s *Scratch, p *Plan, tasks, shares []int, lo, hi int) {
-	s.donors, s.receivers = s.donors[:0], s.receivers[:0]
-	for i := lo; i < hi; i++ {
-		share := shares[i]
-		if share < 0 {
-			continue
-		}
-		switch d := tasks[i] - share; {
-		case d > 0:
-			s.donors = append(s.donors, flow{i, d})
-		case d < 0:
-			s.receivers = append(s.receivers, flow{i, -d})
-		}
-		tasks[i] = share
-	}
-	donors, receivers := s.donors, s.receivers
-	di, ri := 0, 0
-	for di < len(donors) && ri < len(receivers) {
-		n := donors[di].amt
-		if receivers[ri].amt < n {
-			n = receivers[ri].amt
-		}
-		p.Moves = append(p.Moves, Move{From: donors[di].idx, To: receivers[ri].idx, Count: n})
-		donors[di].amt -= n
-		receivers[ri].amt -= n
-		if donors[di].amt == 0 {
-			di++
-		}
-		if receivers[ri].amt == 0 {
-			ri++
-		}
-	}
 }

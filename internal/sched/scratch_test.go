@@ -7,45 +7,78 @@ import (
 )
 
 // randomLoads builds a chain of up to 24 nodes with varied aliveness,
-// backlog, capacity, and speed.
+// backlog, capacity, and speed. One node in four carries a backlog of up to
+// 95 tasks and one in four up to 47 tasks of capacity, so leftovers reach
+// the tens the simulator sees in low-power regimes; speeds span the floor
+// (0 → 1 tick) to the simulator's multi-second fog tasks.
 func randomLoads(rng *rand.Rand) []NodeLoad {
 	n := rng.Intn(24) + 1
 	nodes := make([]NodeLoad, n)
 	for i := range nodes {
+		tasks, capacity, ticks := rng.Intn(8), rng.Intn(6), rng.Intn(5)
+		if rng.Intn(4) == 0 {
+			tasks = rng.Intn(96)
+		}
+		if rng.Intn(4) == 0 {
+			capacity = rng.Intn(48)
+		}
+		if rng.Intn(2) == 0 {
+			ticks = rng.Intn(9000)
+		}
 		nodes[i] = NodeLoad{
 			Alive:        rng.Intn(4) != 0,
-			Tasks:        rng.Intn(8),
-			Capacity:     rng.Intn(6),
-			TicksPerTask: rng.Intn(5), // includes 0 to exercise the floor
+			Tasks:        tasks,
+			Capacity:     capacity,
+			TicksPerTask: ticks,
 		}
 	}
 	return nodes
 }
 
-// TestPlanScratchMatchesPlan is the scratch contract: for every balancer,
-// PlanScratch with a reused scratch must return exactly the plan Plan
-// returns — same RNG draws, same moves, same counters — across many rounds,
-// including rounds with interruption.
-func TestPlanScratchMatchesPlan(t *testing.T) {
-	balancers := []func() Balancer{
-		func() Balancer { return NoBalance{} },
-		func() Balancer { return Distributed{} },
-		func() Balancer { return Distributed{MaxRounds: 1} },
-		func() Balancer { return BaselineTree{} },
-		func() Balancer { return &Lease{Inner: Distributed{}} },
-		func() Balancer { return &Lease{Inner: BaselineTree{}} },
+// randomMaxTime draws a balancing interval: up to the simulator's
+// 12 000-tick slot, with the unquantised (≤ 256), the exact slot and the
+// rejected (≤ 0) cases all represented.
+func randomMaxTime(rng *rand.Rand) int {
+	switch rng.Intn(8) {
+	case 0:
+		return rng.Intn(256) + 1
+	case 1:
+		return 12000
+	case 2:
+		return -rng.Intn(2)
 	}
-	for _, mk := range balancers {
-		serial, scratched := mk(), mk()
-		name := serial.Name()
-		t.Run(name, func(t *testing.T) {
+	return rng.Intn(12000) + 1
+}
+
+// TestPlanScratchMatchesPlan is the planners' contract: for every balancer,
+// PlanScratch with a reused scratch and Plan must both return exactly the
+// plan the reference implementation returns — same RNG draws, same moves,
+// same counters — across many rounds, including rounds with interruption.
+// The references run the general Algorithm 1 DP where Distributed runs its
+// closed form.
+func TestPlanScratchMatchesPlan(t *testing.T) {
+	balancers := []struct {
+		ref  func() refPlanner
+		prod func() Balancer
+	}{
+		{func() refPlanner { return NoBalance{} }, func() Balancer { return NoBalance{} }},
+		{func() refPlanner { return refDistributed{} }, func() Balancer { return Distributed{} }},
+		{func() refPlanner { return refDistributed{MaxRounds: 1} }, func() Balancer { return Distributed{MaxRounds: 1} }},
+		{func() refPlanner { return refTree{} }, func() Balancer { return BaselineTree{} }},
+		{func() refPlanner { return &refLease{inner: refDistributed{}} }, func() Balancer { return &Lease{Inner: Distributed{}} }},
+		{func() refPlanner { return &refLease{inner: refTree{}} }, func() Balancer { return &Lease{Inner: BaselineTree{}} }},
+	}
+	for _, bc := range balancers {
+		ref, scratched, plain := bc.ref(), bc.prod(), bc.prod()
+		t.Run(plain.Name(), func(t *testing.T) {
 			gen := rand.New(rand.NewSource(42))
-			rngA := rand.New(rand.NewSource(7))
-			rngB := rand.New(rand.NewSource(7))
+			rngRef := rand.New(rand.NewSource(7))
+			rngScratch := rand.New(rand.NewSource(7))
+			rngPlain := rand.New(rand.NewSource(7))
 			var s Scratch
 			for round := 0; round < 300; round++ {
 				nodes := randomLoads(gen)
-				maxTime := gen.Intn(4000) + 1
+				maxTime := randomMaxTime(gen)
 				var interruption float64
 				switch gen.Intn(4) {
 				case 0:
@@ -57,48 +90,21 @@ func TestPlanScratchMatchesPlan(t *testing.T) {
 				case 3:
 					interruption = 0.3
 				}
-				want := serial.Plan(nodes, maxTime, interruption, rngA)
-				got := PlanWith(scratched, &s, nodes, maxTime, interruption, rngB)
+				want := ref.Plan(nodes, maxTime, interruption, rngRef)
+				got := PlanWith(scratched, &s, nodes, maxTime, interruption, rngScratch)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("round %d (maxTime=%d intr=%v):\nPlan        = %+v\nPlanScratch = %+v",
+					t.Fatalf("round %d (maxTime=%d intr=%v):\nreference   = %+v\nPlanScratch = %+v",
+						round, maxTime, interruption, want, got)
+				}
+				if got := plain.Plan(nodes, maxTime, interruption, rngPlain); !reflect.DeepEqual(want, got) {
+					t.Fatalf("round %d (maxTime=%d intr=%v):\nreference = %+v\nPlan      = %+v",
 						round, maxTime, interruption, want, got)
 				}
 			}
-		})
-	}
-}
-
-// TestAssignIntoMatchesAssign checks the flat reusable DP against the
-// reference 2-D implementation on random instances, reusing one scratch so
-// stale-table bugs would surface.
-func TestAssignIntoMatchesAssign(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var s Scratch
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(12)
-		a := make([]int, n)
-		b := make([]int, n)
-		for k := 0; k < n; k++ {
-			a[k] = rng.Intn(20) + 1
-			b[k] = rng.Intn(20) + 1
-		}
-		maxTime := rng.Intn(200) + 1
-		wantSides, wantTime, wantErr := Assign(a, b, maxTime)
-		gotSides, gotTime, gotErr := assignInto(&s, a, b, maxTime)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: err mismatch %v vs %v", trial, wantErr, gotErr)
-		}
-		if wantTime != gotTime {
-			t.Fatalf("trial %d: makespan %d vs %d", trial, wantTime, gotTime)
-		}
-		if len(wantSides) != len(gotSides) {
-			t.Fatalf("trial %d: len %d vs %d", trial, len(wantSides), len(gotSides))
-		}
-		for k := range wantSides {
-			if wantSides[k] != gotSides[k] {
-				t.Fatalf("trial %d task %d: %v vs %v", trial, k, wantSides[k], gotSides[k])
+			if l, ok := scratched.(*Lease); ok && l.Retries != ref.(*refLease).retries {
+				t.Fatalf("lease retries %d, reference %d", l.Retries, ref.(*refLease).retries)
 			}
-		}
+		})
 	}
 }
 
