@@ -42,6 +42,10 @@ func BenchmarkSimulateNEOFog(b *testing.B) { runCase(b, "SimulateNEOFog") }
 // BenchmarkSimulateNEOFog; the delta is the observability layer's cost.
 func BenchmarkSimulateTelemetry(b *testing.B) { runCase(b, "SimulateTelemetry") }
 
+// BenchmarkSimulateStreaming is BenchmarkSimulateNEOFog under the
+// stream-only collector the serve daemon attaches to every job.
+func BenchmarkSimulateStreaming(b *testing.B) { runCase(b, "SimulateStreaming") }
+
 // BenchmarkSimulateLargeFleet runs the 100-node inter-chain scale the
 // paper's simulator targets (reduced rounds to keep the benchmark honest
 // but bounded).

@@ -101,6 +101,22 @@ func Cases() []Case {
 				}
 			}
 		}},
+		{"SimulateStreaming", func(b *testing.B) {
+			// SimulateNEOFog under the stream-only collector serve attaches
+			// to every job: records go to a sink and nothing is kept, so
+			// the delta to SimulateNEOFog is the cost of forwarding alone.
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tel := neofog.NewStreamingTelemetry(discardStreamer{})
+				res, err := neofog.Simulate(neofog.SimulationConfig{Seed: int64(i + 1), Telemetry: tel})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.TotalProcessed() == 0 {
+					b.Fatal("degenerate run")
+				}
+			}
+		}},
 		{"SimulateLargeFleet", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -187,6 +203,12 @@ func Cases() []Case {
 		}},
 	}
 }
+
+// discardStreamer is a TelemetryStreamer that drops every record.
+type discardStreamer struct{}
+
+func (discardStreamer) TelemetryEvent(int, int, string, bool, float64, float64, float64) {}
+func (discardStreamer) TelemetrySample(int, int, int, float64, float64, int, bool)       {}
 
 // Find returns the named case.
 func Find(name string) (Case, bool) {

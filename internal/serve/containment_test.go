@@ -308,8 +308,9 @@ func TestBreakerTripDegradeRecover(t *testing.T) {
 		t.Fatalf("healthy healthz: code %d body %s", code, body)
 	}
 
-	// Total disk outage. The next completion's writes fail repeatedly,
-	// tripping the breaker — but the job itself still serves.
+	// Total disk outage. A put is one disk operation, so the next two
+	// completions' writes fail in a row, tripping the threshold-2
+	// breaker — but the jobs themselves still serve.
 	ffs.SetFailProb(1.0)
 	code, second := postJob(t, ts, `{"config":{"nodes":4,"rounds":40,"seed":2}}`)
 	if code != http.StatusAccepted {
@@ -318,6 +319,13 @@ func TestBreakerTripDegradeRecover(t *testing.T) {
 	secondDone := waitStatus(t, ts, second.Job.ID, StatusDone)
 	if len(secondDone.Result) == 0 {
 		t.Fatal("degraded job served no result")
+	}
+	code, fifth := postJob(t, ts, `{"config":{"nodes":4,"rounds":40,"seed":5}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("second degraded submit: status %d", code)
+	}
+	if j := waitStatus(t, ts, fifth.Job.ID, StatusDone); len(j.Result) == 0 {
+		t.Fatal("second degraded job served no result")
 	}
 	if got := srv.metrics.counter("breaker_trips_total"); got < 1 {
 		t.Fatalf("breaker_trips_total = %d, want ≥ 1", got)

@@ -21,21 +21,25 @@
 //   - bound its work: a fixed worker pool drains a fixed-depth queue,
 //     and submissions beyond the queue's depth are rejected with 429
 //     rather than buffered without bound;
-//   - stream progress: each job carries a telemetry stream
-//     (neofog.NewStreamingTelemetry) whose spans and per-node samples
-//     are broadcast to SSE subscribers as the simulation records them,
-//     with the final result as the terminal event;
+//   - stream progress: each job carries a stream-only telemetry
+//     collector (neofog.NewStreamingTelemetry) whose spans and per-node
+//     samples are broadcast to SSE subscribers as the simulation records
+//     them, with the final result as the terminal event; nothing is kept
+//     once forwarded;
 //   - persist results across restarts: with Config.CacheDir the cache
 //     is two-tiered — bodies are written through to disk crash-safely
-//     (temp + fsync + rename, atomic index) as jobs complete, warm
-//     lazily on the next boot, and are verified against their recorded
-//     SHA-256 before a byte is re-served. A disk hit is
-//     byte-indistinguishable from a memory hit at the HTTP surface;
-//     corrupt, truncated, or crash-torn files are discarded and
-//     recomputed, never served. Config.CacheEntries bounds the
-//     memory-resident bodies (LRU demotion to disk beyond it) and
-//     Config.CacheBudget bounds total retained bytes across both tiers
-//     (LRU eviction beyond it).
+//     (temp + fsync + rename, one self-describing file per result whose
+//     header carries its catalog record) as jobs complete, warm lazily
+//     on the next boot, drained or killed, and are verified against
+//     their recorded SHA-256 before a byte is re-served. The catalog
+//     file (index.json, hit counts and LRU order) is written only at
+//     boot and drain; boot adopts files it does not list from their
+//     headers. A disk hit is byte-indistinguishable from a memory hit
+//     at the HTTP surface; corrupt, truncated, or crash-torn files are
+//     discarded and recomputed, never served. Config.CacheEntries
+//     bounds the memory-resident bodies (LRU demotion to disk beyond
+//     it) and Config.CacheBudget bounds total retained bytes across
+//     both tiers (LRU eviction beyond it).
 //
 // The containment layer (PR7) bounds what failure can cost:
 //

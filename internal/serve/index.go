@@ -143,6 +143,14 @@ func decodeIndex(b []byte) (indexFile, error) {
 // the boot sweep removes. It runs on the caller's FS so the disk-tier
 // copy shares the store's fault injection and breaker accounting.
 func atomicWriteFile(fsys FS, path string, data []byte) error {
+	return commitFile(fsys, path, data, nil)
+}
+
+// commitFile is atomicWriteFile with an optional crash hook, called with
+// the file's base name between the fsynced temp write and the rename.
+// Returning false stops the write there with errInjectedCrash, leaving
+// the .tmp debris a process death in that window would.
+func commitFile(fsys FS, path string, data []byte, beforeRename func(name string) bool) error {
 	tmp := path + ".tmp"
 	f, err := fsys.OpenWrite(tmp)
 	if err != nil {
@@ -161,6 +169,9 @@ func atomicWriteFile(fsys FS, path string, data []byte) error {
 	if err := f.Close(); err != nil {
 		fsys.Remove(tmp)
 		return err
+	}
+	if beforeRename != nil && !beforeRename(filepath.Base(path)) {
+		return errInjectedCrash
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
 		fsys.Remove(tmp)

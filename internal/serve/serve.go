@@ -47,10 +47,12 @@ type Config struct {
 	CacheIndexPath string
 	// CacheDir, when non-empty, enables the disk tier: result bodies are
 	// persisted crash-safely at CacheDir/<canonical-key> as they
-	// complete, cataloged by CacheDir/index.json, and warmed lazily on
-	// boot — a restarted daemon serves previously computed results
-	// byte-identically, with "cached":true, without recomputing. Empty
-	// disables the tier (memory-only, the pre-disk behavior).
+	// complete, each file carrying its own catalog record, and warmed
+	// lazily on boot — a restarted daemon, drained or killed, serves
+	// previously computed results byte-identically, with "cached":true,
+	// without recomputing. CacheDir/index.json keeps hit counts and LRU
+	// order; it is written at boot and at drain. Empty disables the tier
+	// (memory-only, the pre-disk behavior).
 	CacheDir string
 	// CacheBudget bounds the total retained result bytes across both
 	// tiers (each entry counted once). Least-recently-used entries are
@@ -148,7 +150,8 @@ type Server struct {
 	store    *resultStore // disk tier bookkeeping; nil when CacheDir is empty
 	poisoned map[string]*poisonRecord
 	byKey    map[string]*job
-	order    []string // submission order of keys, for listing and eviction
+	byID     map[string]*job // the same jobs by public ID, for O(1) lookups
+	order    []string        // submission order of keys, for listing and eviction
 	sched    *qos.Scheduler[*job]
 	notEmpty *sync.Cond // signals workers on push and on drain start
 	running  int
@@ -164,15 +167,17 @@ type Server struct {
 }
 
 // New builds a Server and starts its worker pool. With CacheDir set it
-// also opens the disk tier: stale temp files and unindexed bodies are
-// swept, the index is loaded (a mangled one resets the tier), and every
-// cataloged result reappears as a done job whose body stays on disk
-// until its first hit.
+// also opens the disk tier: stale temp files are swept, the index is
+// loaded (a mangled one resets the tier), files it does not list are
+// adopted from their headers (or removed when those do not parse), every
+// such result reappears as a done job whose body stays on disk until its
+// first hit, and the reconciled catalog is written back.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg.withDefaults(),
 		metrics:  newMetrics(),
 		byKey:    map[string]*job{},
+		byID:     map[string]*job{},
 		poisoned: map[string]*poisonRecord{},
 	}
 	sched, err := qos.NewScheduler[*job](s.cfg.Tenants)
@@ -199,8 +204,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		for _, e := range warm {
 			j := warmJob(e)
-			s.byKey[j.key] = j
-			s.order = append(s.order, j.key)
+			s.addJobLocked(j)
 			s.store.adopt(j, e)
 		}
 		// The budget may have shrunk since the catalog was written:
@@ -373,10 +377,7 @@ func (s *Server) submitTracked(req Request, key string, deadline time.Duration, 
 	}
 	s.sched.Push(tenant, class, j)
 	s.notEmpty.Signal()
-	if _, existed := s.byKey[key]; !existed {
-		s.order = append(s.order, key)
-	}
-	s.byKey[key] = j
+	s.addJobLocked(j)
 	s.metrics.inc("cache_misses_total", 1)
 	s.evictLocked()
 	return j, j.snapshot(), outcomeNew, 0
@@ -439,17 +440,27 @@ func (s *Server) promoteLocked(j *job) bool {
 		return true
 	}
 	if s.store.promote(j) {
-		s.store.flushIndex() // LRU order moved; keep the catalog current
 		return true
 	}
 	s.removeJobLocked(j)
-	s.store.flushIndex()
 	return false
+}
+
+// addJobLocked files j under its key and ID, replacing any earlier job
+// for the same key in place (the key keeps its submission-order slot).
+// Callers hold s.mu.
+func (s *Server) addJobLocked(j *job) {
+	if _, existed := s.byKey[j.key]; !existed {
+		s.order = append(s.order, j.key)
+	}
+	s.byKey[j.key] = j
+	s.byID[j.id] = j
 }
 
 // removeJobLocked forgets a job entirely. Callers hold s.mu.
 func (s *Server) removeJobLocked(j *job) {
 	delete(s.byKey, j.key)
+	delete(s.byID, j.id)
 	for i, key := range s.order {
 		if key == j.key {
 			s.order = append(s.order[:i], s.order[i+1:]...)
@@ -475,6 +486,7 @@ func (s *Server) evictLocked() {
 		evictable := j != nil && j.terminal() && (s.store == nil || j.status != StatusDone)
 		if excess > 0 && evictable {
 			delete(s.byKey, key)
+			delete(s.byID, j.id)
 			s.metrics.inc("cache_evictions_total", 1)
 			excess--
 			continue
@@ -623,9 +635,11 @@ func (s *Server) executeGuarded(j *job, hook func(j *job)) (result json.RawMessa
 	return s.execute(j)
 }
 
-// execute dispatches to the facade. Each job gets a streaming telemetry
-// collector wired to its SSE broadcaster; telemetry is proven
-// non-perturbing, so observed results equal unobserved ones.
+// execute dispatches to the facade. Each job gets a stream-only
+// telemetry collector wired to its SSE broadcaster: records go straight
+// to any subscribers and nothing is kept, since serve never reads a
+// job's telemetry back. Telemetry is proven non-perturbing, so observed
+// results equal unobserved ones.
 func (s *Server) execute(j *job) (json.RawMessage, error) {
 	tel := neofog.NewStreamingTelemetry(jobStreamer{j.bcast})
 	switch j.kind {
@@ -686,12 +700,8 @@ func (s *Server) execute(j *job) (json.RawMessage, error) {
 func (s *Server) lookup(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.byKey {
-		if j.id == id {
-			return j, true
-		}
-	}
-	return nil, false
+	j, ok := s.byID[id]
+	return j, ok
 }
 
 // snapshotByID returns the public snapshot of the job with the given
@@ -703,16 +713,11 @@ func (s *Server) lookup(id string) (*job, bool) {
 func (s *Server) snapshotByID(id string) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.byKey {
-		if j.id != id {
-			continue
-		}
-		if j.status == StatusDone && !s.promoteLocked(j) {
-			return Job{}, false
-		}
-		return j.snapshot(), true
+	j, ok := s.byID[id]
+	if !ok || (j.status == StatusDone && !s.promoteLocked(j)) {
+		return Job{}, false
 	}
-	return Job{}, false
+	return j.snapshot(), true
 }
 
 // cancelJob cancels a job by ID, best-effort: a queued job is struck
@@ -721,14 +726,8 @@ func (s *Server) snapshotByID(id string) (Job, bool) {
 // still caches its result.
 func (s *Server) cancelJob(id string) (Job, bool) {
 	s.mu.Lock()
-	var target *job
-	for _, j := range s.byKey {
-		if j.id == id {
-			target = j
-			break
-		}
-	}
-	if target == nil {
+	target, ok := s.byID[id]
+	if !ok {
 		s.mu.Unlock()
 		return Job{}, false
 	}
@@ -797,10 +796,10 @@ func (s *Server) countsLocked() map[string]int {
 
 // Drain gracefully shuts the service down: new submissions are rejected
 // with 503 immediately, queued and running jobs complete, workers exit,
-// and the cache index (if configured) is flushed. If ctx expires first,
-// every remaining job's context is cancelled — experiments then stop at
-// their next sweep point — and Drain still waits for the workers before
-// returning ctx's error.
+// and the disk tier's catalog and the audit index (when configured) are
+// flushed. If ctx expires first, every remaining job's context is
+// cancelled — experiments then stop at their next sweep point — and
+// Drain still waits for the workers before returning ctx's error.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {

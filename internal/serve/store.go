@@ -11,18 +11,28 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // resultFileMagic heads every persisted result body. The full header
 // line is
 //
-//	neofog-result v1 <canonical-key> <sha256-of-body> <body-len>\n
+//	neofog-result v2 <key> <sha256-of-body> <body-len> <kind> <submitted_at> <started_at> <finished_at>\n
 //
-// followed by the body bytes verbatim, which makes every cache file
-// self-verifying: read-back checks the filename against the embedded
-// key, the length against the embedded length, and the body against the
-// embedded hash (and the index's copy of it) before a byte is served.
-const resultFileMagic = "neofog-result v1"
+// with the times in RFC 3339 nano (the index's JSON form, so they
+// round-trip byte-identically), followed by the body bytes verbatim.
+// Every cache file is therefore self-verifying — read-back checks the
+// filename against the embedded key, the length against the embedded
+// length, and the body against the embedded hash before a byte is
+// served — and self-describing: the header is the entry's whole catalog
+// record bar hits and LRU position, so boot can adopt a file the index
+// does not list yet.
+const resultFileMagic = "neofog-result v2"
+
+// resultFileMagicV1 heads bodies written before headers carried their
+// catalog record (key, hash and length only). They are still read back
+// for entries the index lists, but never adopted from their header.
+const resultFileMagicV1 = "neofog-result v1"
 
 // indexFileName is the disk tier's catalog inside CacheDir. Result
 // bodies live beside it under their canonical key.
@@ -37,9 +47,13 @@ const indexFileName = "index.json"
 // Tier invariants:
 //
 //   - write-through: a retained entry's bytes are on disk (crash-safe
-//     temp+fsync+rename) unless the persist failed or was skipped by an
-//     open circuit breaker, in which case the entry is memory-only and
+//     temp+fsync+rename+dir fsync, one file carrying its own catalog
+//     record) unless the persist failed or was skipped by an open
+//     circuit breaker, in which case the entry is memory-only and
 //     counted by disk_write_errors_total / breaker_skipped_total;
+//   - the catalog (index.json) is written only at boot and at drain:
+//     files written in between are found by their headers at the next
+//     boot, so a put costs one file commit, not a catalog rewrite;
 //   - the memory tier is a cache over disk: demotion just drops the RAM
 //     copy, promotion reads it back and verifies it against the SHA-256
 //     recorded at write time — corrupt or truncated files are discarded
@@ -92,13 +106,18 @@ type storeEntry struct {
 func (e *storeEntry) inMemory() bool { return e.j.result != nil }
 
 // newResultStore opens (or creates) the disk tier at dir and returns the
-// store plus the warm entries the index catalogs. Boot is the recovery
-// point of the crash-safety story: stale .tmp debris is swept, result
-// files the index does not vouch for are deleted (they are exactly the
-// files a crash between body rename and index write can leave), and a
-// missing or mangled index resets the tier — every file is removed and
-// the daemon starts cold rather than trust an unverifiable catalog.
-// Bodies are NOT read here; entries warm lazily, on first hit.
+// store plus the warm entries to serve: the index's entries whose files
+// survived, in catalog (LRU) order, then every unlisted result file
+// adopted from its own v2 header, oldest finish first. Boot is the
+// recovery point of the crash-safety story: stale .tmp debris is swept,
+// an unlisted file is deleted unless its header is v2, names that key
+// and a known kind, and holds a record the index would accept (an
+// unreadable one is left for a later boot), and a mangled index resets
+// the tier — every file is removed and the daemon starts cold rather
+// than trust an unverifiable catalog. Bodies are NOT verified here;
+// entries warm lazily, on first hit. Only unlisted files — those
+// written since the last boot or drain — are read at all, and only for
+// their header.
 //
 // Boot never fails the daemon: a cache directory that cannot even be
 // created or listed trips the breaker immediately and the store opens
@@ -131,11 +150,12 @@ func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker,
 	}
 
 	var warm []indexEntry
+	adoptable := true
 	raw, err := fs.ReadFile(filepath.Join(dir, indexFileName))
 	switch {
 	case err != nil && os.IsNotExist(err):
-		// Cold start. Any result files without an index are orphans from
-		// a crash before the first index write; remove them below.
+		// Cold start, or a crash before the first boot's catalog write:
+		// every file below must vouch for itself.
 	case err != nil:
 		// The catalog exists but cannot be read: a disk fault, not a
 		// mangled file. Degrade rather than guess — the files stay put
@@ -148,6 +168,7 @@ func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker,
 			// Mangled index: the catalog (and its hashes) cannot be
 			// trusted, so neither can any file it might have described.
 			rs.metrics.inc("index_resets_total", 1)
+			adoptable = false
 		} else {
 			warm = idx.Entries
 		}
@@ -165,13 +186,48 @@ func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker,
 			rs.seq = e.LastUsed
 		}
 	}
+	var adopted []indexEntry
 	for name := range present {
-		if !indexed[name] {
-			fs.Remove(filepath.Join(dir, name))
+		if indexed[name] {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		if !adoptable {
+			fs.Remove(path)
+			continue
+		}
+		raw, err := fs.ReadFile(path)
+		if err != nil {
+			continue // unreadable is not proven bad: a later boot retries it
+		}
+		// Only a v2 header names a kind, so v1 files are never adopted;
+		// validate keeps a record the next boot's index decode would
+		// reject (and reset the tier over) out of the catalog.
+		e, _, err := parseResultFile(raw)
+		e.ID, e.Status = jobID(name), StatusDone
+		if err == nil && e.Key == name && knownKinds[e.Kind] && e.validate() == nil {
+			adopted = append(adopted, e)
+		} else {
+			fs.Remove(path)
 		}
 	}
-	return rs, kept
+	// Unlisted files are newer than every catalog position; among
+	// themselves they queue for LRU eviction in the order they finished.
+	sort.Slice(adopted, func(i, k int) bool {
+		a, b := adopted[i], adopted[k]
+		if !a.FinishedAt.Equal(b.FinishedAt) {
+			return a.FinishedAt.Before(b.FinishedAt)
+		}
+		return a.Key < b.Key
+	})
+	for i := range adopted {
+		adopted[i].LastUsed = rs.tick()
+	}
+	return rs, append(kept, adopted...)
 }
+
+// knownKinds are the job kinds a result file may name.
+var knownKinds = map[string]bool{KindSimulate: true, KindFleet: true, KindExperiment: true}
 
 // adopt registers a warm-boot job against its index entry; bodies stay
 // on disk until first use.
@@ -219,7 +275,7 @@ func (rs *resultStore) put(j *job, body []byte) (evicted []*job) {
 	rs.memBytes += e.size
 	rs.total += e.size
 
-	switch err := rs.writeResult(j.key, e.sum, body); {
+	switch err := rs.writeResult(e); {
 	case err == nil:
 		e.onDisk = true
 		rs.diskBytes += e.size
@@ -239,7 +295,6 @@ func (rs *resultStore) put(j *job, body []byte) (evicted []*job) {
 		rs.metrics.inc("cache_evictions_total", 1)
 		evicted = append(evicted, victim.j)
 	}
-	rs.flushIndex()
 	rs.sweepRecovered()
 	return evicted
 }
@@ -293,7 +348,7 @@ func (rs *resultStore) demoteOverflow(keep *storeEntry) {
 			return
 		}
 		if !victim.onDisk {
-			switch err := rs.writeResult(victim.j.key, victim.sum, victim.j.result); {
+			switch err := rs.writeResult(victim); {
 			case err == nil:
 				victim.onDisk = true
 				rs.diskBytes += victim.size
@@ -313,20 +368,19 @@ func (rs *resultStore) demoteOverflow(keep *storeEntry) {
 }
 
 // sweepRecovered re-persists the outage backlog after a half-open probe
-// closes the breaker: every memory-only entry is written through again
-// and the catalog flushed, restoring the write-through invariant that
-// held before the trip. A write failure during the sweep can re-trip the
-// breaker, which simply ends the sweep early.
+// closes the breaker: every memory-only entry is written through again,
+// restoring the write-through invariant that held before the trip. A
+// write failure during the sweep can re-trip the breaker, which simply
+// ends the sweep early.
 func (rs *resultStore) sweepRecovered() {
 	if !rs.brk.takeRecovered() {
 		return
 	}
-	repersisted := false
 	for _, e := range rs.entries {
 		if e.onDisk || !e.inMemory() {
 			continue
 		}
-		if err := rs.writeResult(e.j.key, e.sum, e.j.result); err != nil {
+		if err := rs.writeResult(e); err != nil {
 			if errors.Is(err, errDiskDegraded) {
 				break // re-tripped mid-sweep
 			}
@@ -335,10 +389,6 @@ func (rs *resultStore) sweepRecovered() {
 		}
 		e.onDisk = true
 		rs.diskBytes += e.size
-		repersisted = true
-	}
-	if repersisted {
-		rs.flushIndex()
 	}
 }
 
@@ -386,71 +436,71 @@ func (rs *resultStore) removeFile(path string) {
 	rs.brk.record(err)
 }
 
-// writeResult persists one body crash-safely: header + body to
-// <key>.tmp, fsync, then rename over <key>. The crash hook sits exactly
-// in the window the rename closes. The whole operation runs under the
-// breaker: skipped outright while open, and its outcome (crash-hook
-// aborts excepted — those simulate process death, not disk failure)
-// feeds the breaker's failure streak.
-func (rs *resultStore) writeResult(key, sum string, body []byte) error {
+// writeResult persists one resident entry crash-safely: its v2 header
+// and body to <key>.tmp, fsync, rename over <key>, fsync the directory.
+// The crash hook sits exactly in the window the rename closes. The whole
+// operation runs under the breaker: skipped outright while open, and its
+// outcome (crash-hook aborts excepted — those simulate process death,
+// not disk failure) feeds the breaker's failure streak.
+func (rs *resultStore) writeResult(e *storeEntry) error {
 	if !rs.brk.allow() {
 		rs.metrics.inc("breaker_skipped_total", 1)
 		return errDiskDegraded
 	}
-	err := rs.writeResultFile(key, sum, body)
+	j := e.j
+	data := fmt.Appendf(nil, "%s %s %s %d %s %s %s %s\n", resultFileMagic, j.key, e.sum, e.size, j.kind,
+		j.submittedAt.Format(time.RFC3339Nano), j.startedAt.Format(time.RFC3339Nano), j.finishedAt.Format(time.RFC3339Nano))
+	data = append(data, j.result...)
+	err := commitFile(rs.fs, rs.resultPath(j.key), data, rs.crashHook)
 	if errors.Is(err, errInjectedCrash) {
 		rs.brk.record(nil) // the disk itself behaved; the "process" died
-	} else {
-		rs.brk.record(err)
+		return fmt.Errorf("%w of %s", err, j.key)
 	}
+	rs.brk.record(err)
 	return err
 }
 
-func (rs *resultStore) writeResultFile(key, sum string, body []byte) error {
-	header := fmt.Sprintf("%s %s %s %d\n", resultFileMagic, key, sum, len(body))
-	tmp := rs.resultPath(key) + ".tmp"
-	f, err := rs.fs.OpenWrite(tmp)
-	if err != nil {
-		return err
+// parseResultFile splits a result file into the catalog fields its
+// header carries — Key, BodySHA256 and Size, plus Kind and the three
+// times for a v2 header (a v1 header leaves those zero) — and the body.
+// It checks the header's shape only (magic, field count, an integer
+// length and RFC 3339 times); matching the fields against the filename,
+// the catalog and the body is the caller's job.
+func parseResultFile(raw []byte) (indexEntry, []byte, error) {
+	var e indexEntry
+	nl := bytes.IndexByte(raw, '\n')
+	if nl < 0 {
+		return e, nil, errors.New("no header")
 	}
-	if _, err := f.Write([]byte(header)); err != nil {
-		f.Close()
-		rs.fs.Remove(tmp)
-		return err
+	f := strings.Fields(string(raw[:nl]))
+	v1 := len(f) == 5 && f[0]+" "+f[1] == resultFileMagicV1
+	if !v1 && (len(f) != 9 || f[0]+" "+f[1] != resultFileMagic) {
+		return e, nil, errors.New("bad header")
 	}
-	if _, err := f.Write(body); err != nil {
-		f.Close()
-		rs.fs.Remove(tmp)
-		return err
+	e.Key, e.BodySHA256 = f[2], f[3]
+	var err error
+	if e.Size, err = strconv.ParseInt(f[4], 10, 64); err != nil {
+		return e, nil, errors.New("bad header length")
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		rs.fs.Remove(tmp)
-		return err
+	if !v1 {
+		e.Kind = f[5]
+		for i, t := range []*time.Time{&e.SubmittedAt, &e.StartedAt, &e.FinishedAt} {
+			if *t, err = time.Parse(time.RFC3339Nano, f[6+i]); err != nil {
+				return e, nil, errors.New("bad header time")
+			}
+		}
 	}
-	if err := f.Close(); err != nil {
-		rs.fs.Remove(tmp)
-		return err
-	}
-	if rs.crashHook != nil && !rs.crashHook(key) {
-		// Simulated crash: the process "died" after the temp write and
-		// before the rename. The .tmp debris stays for boot to sweep.
-		return fmt.Errorf("%w of %s", errInjectedCrash, key)
-	}
-	if err := rs.fs.Rename(tmp, rs.resultPath(key)); err != nil {
-		rs.fs.Remove(tmp)
-		return err
-	}
-	return rs.fs.SyncDir(rs.dir)
+	return e, raw[nl+1:], nil
 }
 
-// readResult reads one body back and verifies it end to end: magic, the
-// embedded key against the filename, the embedded and indexed lengths,
-// and the body's SHA-256 against both the header's copy and the index's
-// copy. Any mismatch is one error; the caller discards the entry. Only
-// the I/O feeds the breaker — a verification failure means the disk
-// answered fine and the content was bad, which is corruption, not
-// unavailability.
+// readResult reads one body back and verifies it end to end: the
+// header's shape, its embedded key against the filename, the embedded
+// and cataloged lengths, and the body's SHA-256 against both the
+// header's copy and the catalog's copy. v1 and v2 headers both pass, so
+// a directory written before v2 still warms from its index. Any mismatch
+// is one error; the caller discards the entry. Only the I/O feeds the
+// breaker — a verification failure means the disk answered fine and the
+// content was bad, which is corruption, not unavailability.
 func (rs *resultStore) readResult(key, wantSum string, wantSize int64) ([]byte, error) {
 	if !rs.brk.allow() {
 		rs.metrics.inc("breaker_skipped_total", 1)
@@ -465,26 +515,20 @@ func (rs *resultStore) readResult(key, wantSum string, wantSize int64) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("serve: result %s: no header", key)
+	h, body, err := parseResultFile(raw)
+	if err != nil {
+		return nil, fmt.Errorf("serve: result %s: %w", key, err)
 	}
-	fields := strings.Fields(string(raw[:nl]))
-	if len(fields) != 5 || fields[0]+" "+fields[1] != resultFileMagic {
-		return nil, fmt.Errorf("serve: result %s: bad header", key)
+	if h.Key != key {
+		return nil, fmt.Errorf("serve: result %s: header names key %s", key, h.Key)
 	}
-	if fields[2] != key {
-		return nil, fmt.Errorf("serve: result %s: header names key %s", key, fields[2])
-	}
-	body := raw[nl+1:]
-	n, err := strconv.ParseInt(fields[4], 10, 64)
-	if err != nil || n != int64(len(body)) || n != wantSize {
-		return nil, fmt.Errorf("serve: result %s: length mismatch (header %s, body %d, index %d)",
-			key, fields[4], len(body), wantSize)
+	if h.Size != int64(len(body)) || h.Size != wantSize {
+		return nil, fmt.Errorf("serve: result %s: length mismatch (header %d, body %d, index %d)",
+			key, h.Size, len(body), wantSize)
 	}
 	sum := sha256.Sum256(body)
 	got := hex.EncodeToString(sum[:])
-	if got != fields[3] || got != wantSum {
+	if got != h.BodySHA256 || got != wantSum {
 		return nil, fmt.Errorf("serve: result %s: body hash mismatch", key)
 	}
 	return body, nil
@@ -505,11 +549,13 @@ func (rs *resultStore) indexSnapshot() indexFile {
 	return indexFile{Version: indexVersion, Entries: entries}
 }
 
-// flushIndex writes the catalog atomically beside the bodies. Called on
-// every mutation (put, eviction) and at drain; a crash between a body
-// rename and this write leaves an unindexed file that boot removes.
-// Skipped entirely while the breaker is open — the on-disk catalog goes
-// stale, and the boot sweep reconciles whatever survives.
+// flushIndex writes the catalog atomically beside the bodies: once at
+// boot, after reconciliation, and once at drain. Between the two the
+// on-disk catalog goes stale by design — files committed since carry
+// their own records and the next boot adopts them; entries dropped since
+// are skipped because their files are gone. It records hits and LRU
+// positions, which the file headers do not. Skipped entirely while the
+// breaker is open.
 func (rs *resultStore) flushIndex() {
 	if !rs.brk.allow() {
 		rs.metrics.inc("breaker_skipped_total", 1)

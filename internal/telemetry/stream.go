@@ -29,7 +29,8 @@ type Sink interface {
 // recorder itself keeps: direct Span/Instant/Sample calls as they happen,
 // and merged children's records at MergeNext time, re-tagged with their
 // assigned chain — so a fleet streams chain by chain, in the same order
-// the batch exports would present.
+// the batch exports would present. NewStreaming builds a recorder that
+// forwards the same sequence and keeps none of it.
 func (r *Recorder) SetSink(s Sink) {
 	if r == nil {
 		return

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -85,5 +86,81 @@ func TestSinkDoesNotPerturb(t *testing.T) {
 		!reflect.DeepEqual(plain.Samples(), observed.Samples()) ||
 		plain.Counter("c") != observed.Counter("c") {
 		t.Fatal("sink perturbed the recorder's contents")
+	}
+}
+
+// TestStreamOnlyForwardsAndKeepsNothing checks NewStreaming against a
+// retaining recorder fed the same calls: its sink receives the same
+// records in the same order — direct spans, instants and samples, then
+// merged chains re-tagged in merge order — while every read and export
+// equals an empty recorder's.
+func TestStreamOnlyForwardsAndKeepsNothing(t *testing.T) {
+	direct := func(r *Recorder) {
+		r.Track(0, "node 0")
+		r.Count("c", 2)
+		r.SetGauge("g", 1)
+		r.Observe("h", 3)
+		r.RegisterHistogram("custom", []float64{1, 2})
+		r.Span(0, PhaseWake, 0, units.Millisecond, 1)
+		r.Instant(1, PhaseTx, units.Second, 8)
+		r.Sample(0, 1, units.Second, units.Microjoule, 2, true)
+	}
+	merged := func(r *Recorder) {
+		for chain := 0; chain < 3; chain++ {
+			child := New()
+			direct(child)
+			child.Span(chain, PhaseFog, units.Duration(chain), units.Second, float64(chain))
+			r.MergeNext(child)
+		}
+	}
+	for _, c := range []struct {
+		name            string
+		record          func(*Recorder)
+		events, samples int
+	}{{"direct", direct, 2, 1}, {"merged", merged, 9, 3}} {
+		name, record := c.name, c.record
+		var kept, streamed captureSink
+		retaining := New()
+		retaining.SetSink(&kept)
+		record(retaining)
+		stream := NewStreaming(&streamed)
+		record(stream)
+
+		if len(streamed.events) != c.events || len(streamed.samples) != c.samples {
+			t.Fatalf("%s: stream-only sink got %d events and %d samples, want %d and %d",
+				name, len(streamed.events), len(streamed.samples), c.events, c.samples)
+		}
+		if !reflect.DeepEqual(streamed.events, kept.events) ||
+			!reflect.DeepEqual(streamed.events, retaining.Events()) {
+			t.Fatalf("%s: stream-only events diverge:\n%v\n%v", name, streamed.events, retaining.Events())
+		}
+		if !reflect.DeepEqual(streamed.samples, kept.samples) || !reflect.DeepEqual(streamed.samples, retaining.Samples()) {
+			t.Fatalf("%s: stream-only samples diverge:\n%v\n%v", name, streamed.samples, retaining.Samples())
+		}
+
+		if stream.Events() != nil || stream.Samples() != nil || stream.Counter("c") != 0 ||
+			stream.Hist("h") != nil || stream.CounterNames() != nil || stream.GaugeNames() != nil {
+			t.Fatalf("%s: stream-only recorder kept something", name)
+		}
+		if _, ok := stream.Gauge("g"); ok {
+			t.Fatalf("%s: stream-only recorder kept a gauge", name)
+		}
+		if !stream.Enabled() {
+			t.Fatalf("%s: stream-only recorder reports disabled; the simulator would skip recording", name)
+		}
+		empty := New()
+		var gotTrace, wantTrace, gotTimeline, wantTimeline bytes.Buffer
+		for _, err := range []error{
+			stream.WriteChromeTrace(&gotTrace), empty.WriteChromeTrace(&wantTrace),
+			stream.WriteTimelineCSV(&gotTimeline), empty.WriteTimelineCSV(&wantTimeline),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if gotTrace.String() != wantTrace.String() || gotTimeline.String() != wantTimeline.String() ||
+			stream.SummaryTable().Format() != empty.SummaryTable().Format() {
+			t.Fatalf("%s: stream-only exports differ from an empty recorder's", name)
+		}
 	}
 }

@@ -186,6 +186,10 @@ type Recorder struct {
 	tracks   map[trackKey]string
 	chains   int
 	sink     Sink
+	// streamOnly recorders (NewStreaming) forward records to sink and
+	// keep nothing; their maps stay nil and every read sees an empty
+	// recorder.
+	streamOnly bool
 }
 
 // New builds an empty Recorder.
@@ -198,13 +202,23 @@ func New() *Recorder {
 	}
 }
 
+// NewStreaming builds a stream-only Recorder: every span, instant and
+// sample — direct or merged from a child chain — goes to s the moment it
+// is recorded, in the order a retaining recorder's sink would see, and
+// nothing is kept. Counters, gauges, histograms and track labels are
+// dropped, so every read and export equals an empty recorder's.
+func NewStreaming(s Sink) *Recorder { return &Recorder{sink: s, streamOnly: true} }
+
+// retains reports whether the recorder keeps what it records.
+func (r *Recorder) retains() bool { return r != nil && !r.streamOnly }
+
 // Enabled reports whether the recorder is live; it is the idiomatic guard
 // around recording code whose argument preparation itself costs something.
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Count adds delta to a named monotone counter.
 func (r *Recorder) Count(name string, delta int64) {
-	if r == nil {
+	if !r.retains() {
 		return
 	}
 	r.counters[name] += delta
@@ -220,7 +234,7 @@ func (r *Recorder) Counter(name string) int64 {
 
 // SetGauge records the latest value of a named gauge.
 func (r *Recorder) SetGauge(name string, v float64) {
-	if r == nil {
+	if !r.retains() {
 		return
 	}
 	r.gauges[name] = v
@@ -238,7 +252,7 @@ func (r *Recorder) Gauge(name string) (float64, bool) {
 // Observe adds a value to a named histogram, creating it with
 // DefaultBounds on first use; RegisterHistogram first for custom buckets.
 func (r *Recorder) Observe(name string, v float64) {
-	if r == nil {
+	if !r.retains() {
 		return
 	}
 	h, ok := r.hists[name]
@@ -250,9 +264,9 @@ func (r *Recorder) Observe(name string, v float64) {
 }
 
 // RegisterHistogram creates (or returns) a histogram with explicit
-// ascending bucket bounds.
+// ascending bucket bounds; nil on a nil or stream-only recorder.
 func (r *Recorder) RegisterHistogram(name string, bounds []float64) *Histogram {
-	if r == nil {
+	if !r.retains() {
 		return nil
 	}
 	if h, ok := r.hists[name]; ok {
@@ -273,7 +287,7 @@ func (r *Recorder) Hist(name string) *Histogram {
 
 // Track names a trace lane (a physical node, or the balancer).
 func (r *Recorder) Track(id int, label string) {
-	if r == nil {
+	if !r.retains() {
 		return
 	}
 	r.tracks[trackKey{0, id}] = label
@@ -284,11 +298,7 @@ func (r *Recorder) Span(track int, phase Phase, start, dur units.Duration, value
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{Track: track, Phase: phase, Kind: KindSpan,
-		Start: start, Dur: dur, Value: value})
-	if r.sink != nil {
-		r.sink.OnEvent(r.events[len(r.events)-1])
-	}
+	r.event(Event{Track: track, Phase: phase, Kind: KindSpan, Start: start, Dur: dur, Value: value})
 }
 
 // Instant records a point event on a track.
@@ -296,11 +306,7 @@ func (r *Recorder) Instant(track int, phase Phase, at units.Duration, value floa
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{Track: track, Phase: phase, Kind: KindInstant,
-		Start: at, Value: value})
-	if r.sink != nil {
-		r.sink.OnEvent(r.events[len(r.events)-1])
-	}
+	r.event(Event{Track: track, Phase: phase, Kind: KindInstant, Start: at, Value: value})
 }
 
 // Sample records one per-node timeline point.
@@ -308,10 +314,26 @@ func (r *Recorder) Sample(round, node int, at units.Duration, stored units.Energ
 	if r == nil {
 		return
 	}
-	r.samples = append(r.samples, Sample{Node: node, Round: round, Time: at,
-		Stored: stored, Backlog: backlog, Awake: awake})
+	r.sample(Sample{Node: node, Round: round, Time: at, Stored: stored, Backlog: backlog, Awake: awake})
+}
+
+// event keeps e (unless stream-only), then hands it to the sink.
+func (r *Recorder) event(e Event) {
+	if !r.streamOnly {
+		r.events = append(r.events, e)
+	}
 	if r.sink != nil {
-		r.sink.OnSample(r.samples[len(r.samples)-1])
+		r.sink.OnEvent(e)
+	}
+}
+
+// sample keeps s (unless stream-only), then hands it to the sink.
+func (r *Recorder) sample(s Sample) {
+	if !r.streamOnly {
+		r.samples = append(r.samples, s)
+	}
+	if r.sink != nil {
+		r.sink.OnSample(s)
 	}
 }
 
@@ -368,7 +390,8 @@ func (r *Recorder) chainSpan() int {
 // serially. Counters and histograms are summed, gauges are overwritten in
 // merge order, and events, samples and track labels are re-tagged with the
 // assigned chain id. It returns the base chain id the child received.
-// A recorder should either record directly (chain 0) or aggregate merges,
+// A stream-only parent forwards the re-tagged events and samples to its
+// sink and keeps nothing. A recorder should either record directly (chain 0) or aggregate merges,
 // not both.
 func (r *Recorder) MergeNext(child *Recorder) int {
 	if r == nil || child == nil {
@@ -378,17 +401,14 @@ func (r *Recorder) MergeNext(child *Recorder) int {
 	r.chains = base + child.chainSpan()
 	for _, e := range child.events {
 		e.Chain += base
-		r.events = append(r.events, e)
-		if r.sink != nil {
-			r.sink.OnEvent(e)
-		}
+		r.event(e)
 	}
 	for _, s := range child.samples {
 		s.Chain += base
-		r.samples = append(r.samples, s)
-		if r.sink != nil {
-			r.sink.OnSample(s)
-		}
+		r.sample(s)
+	}
+	if r.streamOnly {
+		return base
 	}
 	for k, label := range child.tracks {
 		r.tracks[trackKey{k.chain + base, k.track}] = label

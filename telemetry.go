@@ -29,8 +29,8 @@ func NewTelemetry() *Telemetry { return &Telemetry{rec: telemetry.New()} }
 // recorded, in recording order — the live counterpart of the batch
 // exports. Callbacks run on the simulating goroutine: implementations
 // must be fast and do their own synchronization if they fan records out
-// to other goroutines. Streaming observes without perturbing; results
-// and the collector's own contents are identical with or without it.
+// to other goroutines. Streaming observes without perturbing: results
+// are identical with or without it.
 type TelemetryStreamer interface {
 	// TelemetryEvent reports one phase span or instant. chain and track
 	// locate the lane (track is the physical node index, or one past the
@@ -43,13 +43,14 @@ type TelemetryStreamer interface {
 	TelemetrySample(chain, node, round int, timeSeconds, storedMillijoules float64, backlog int, awake bool)
 }
 
-// NewStreamingTelemetry builds a collector that additionally forwards
-// every span, instant and timeline sample to s as it is recorded. The
-// simulation-as-a-service daemon uses this for live SSE progress.
+// NewStreamingTelemetry builds a stream-only collector: it forwards every
+// span, instant and timeline sample to s as it is recorded, and keeps
+// nothing. s receives exactly the records a NewTelemetry collector would
+// keep, in the same order, merged fleet and experiment chains included.
+// Its exports are an empty collector's and Counter reads 0.
+// The simulation-as-a-service daemon uses this for live SSE progress.
 func NewStreamingTelemetry(s TelemetryStreamer) *Telemetry {
-	t := NewTelemetry()
-	t.rec.SetSink(streamAdapter{s})
-	return t
+	return &Telemetry{rec: telemetry.NewStreaming(streamAdapter{s})}
 }
 
 // streamAdapter converts internal telemetry records to the basic-typed

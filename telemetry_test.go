@@ -2,6 +2,7 @@ package neofog
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,5 +116,148 @@ func TestTelemetryExperiment(t *testing.T) {
 	}
 	if tel.Counter("sim.wakeups") == 0 {
 		t.Fatal("experiment recorded no wakeups")
+	}
+}
+
+// streamRecord is one TelemetryStreamer callback, flattened so two
+// streams compare with reflect.DeepEqual.
+type streamRecord struct {
+	sample                bool
+	chain, lane, round    int
+	phase                 string
+	instant, awake        bool
+	start, dur, value, mj float64
+	backlog               int
+}
+
+// captureStreamer records every callback in arrival order.
+type captureStreamer struct{ got []streamRecord }
+
+func (c *captureStreamer) TelemetryEvent(chain, track int, phase string, instant bool, start, dur, value float64) {
+	c.got = append(c.got, streamRecord{chain: chain, lane: track, phase: phase, instant: instant,
+		start: start, dur: dur, value: value})
+}
+
+func (c *captureStreamer) TelemetrySample(chain, node, round int, at, mj float64, backlog int, awake bool) {
+	c.got = append(c.got, streamRecord{sample: true, chain: chain, lane: node, round: round,
+		start: at, mj: mj, backlog: backlog, awake: awake})
+}
+
+// discardStreamer drops every callback.
+type discardStreamer struct{}
+
+func (discardStreamer) TelemetryEvent(int, int, string, bool, float64, float64, float64) {}
+func (discardStreamer) TelemetrySample(int, int, int, float64, float64, int, bool)       {}
+
+// exports renders all three of a collector's exports.
+func exports(t *testing.T, tel *Telemetry) (trace, timeline, summary string) {
+	t.Helper()
+	var tb, lb bytes.Buffer
+	if err := tel.WriteTrace(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := tel.WriteTimeline(&lb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.String(), lb.String(), tel.Summary()
+}
+
+// TestStreamingTelemetryContract pins what NewStreamingTelemetry
+// promises for a Simulate, a 3-chain SimulateFleet (merged through
+// MergeNext) and a short experiment: its streamer receives exactly the
+// sequence a retaining collector's sink receives, it keeps nothing (its
+// exports equal an empty collector's and Counter reads 0), and results
+// are bit-identical with it on or off.
+func TestStreamingTelemetryContract(t *testing.T) {
+	cases := []struct {
+		name   string
+		chains int
+		run    func(tel *Telemetry) (any, error)
+	}{
+		{"simulate", 1, func(tel *Telemetry) (any, error) {
+			return Simulate(SimulationConfig{Nodes: 6, Rounds: 60, Seed: 3, Telemetry: tel})
+		}},
+		{"fleet", 3, func(tel *Telemetry) (any, error) {
+			return SimulateFleet(SimulationConfig{Nodes: 4, Rounds: 40, Seed: 4, Telemetry: tel}, 3)
+		}},
+		{"experiment", 0, func(tel *Telemetry) (any, error) {
+			return RunExperiment("fig9", ExperimentOptions{Seed: 1, Rounds: 30, Telemetry: tel})
+		}},
+	}
+	emptyTrace, emptyTimeline, emptySummary := exports(t, NewTelemetry())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bare, err := c.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept, streamed captureStreamer
+			retaining := NewTelemetry()
+			retaining.rec.SetSink(streamAdapter{&kept})
+			withRetaining, err := c.run(retaining)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := NewStreamingTelemetry(&streamed)
+			withStream, err := c.run(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if !reflect.DeepEqual(bare, withStream) || !reflect.DeepEqual(bare, withRetaining) {
+				t.Fatal("telemetry perturbed the result")
+			}
+			if len(kept.got) == 0 || retaining.Counter("sim.wakeups") == 0 {
+				t.Fatal("degenerate run: the retaining collector recorded nothing")
+			}
+			if len(streamed.got) != len(kept.got) {
+				t.Fatalf("stream-only sink got %d records, retaining sink %d", len(streamed.got), len(kept.got))
+			}
+			for i := range kept.got {
+				if streamed.got[i] != kept.got[i] {
+					t.Fatalf("record %d differs:\nstream-only %+v\nretaining   %+v", i, streamed.got[i], kept.got[i])
+				}
+			}
+			if c.chains > 1 && streamed.got[len(streamed.got)-1].chain != c.chains-1 {
+				t.Fatalf("last record tagged chain %d, want %d", streamed.got[len(streamed.got)-1].chain, c.chains-1)
+			}
+
+			trace, timeline, summary := exports(t, stream)
+			if trace != emptyTrace || timeline != emptyTimeline || summary != emptySummary {
+				t.Fatal("stream-only collector's exports differ from an empty collector's")
+			}
+			if got := stream.Counter("sim.wakeups"); got != 0 {
+				t.Fatalf("stream-only Counter(sim.wakeups) = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestStreamingTelemetryAllocs bounds what a stream-only collector adds
+// to a Simulate on write-mix-shaped configs: a small constant (the
+// collector itself and the per-node track labels the simulator builds),
+// not a buffer that grows with the run.
+func TestStreamingTelemetryAllocs(t *testing.T) {
+	const slack = 32
+	for _, sys := range []System{SystemVP, SystemNVP, SystemNEOFog} {
+		for _, shape := range []struct{ nodes, rounds int }{{4, 30}, {10, 300}} {
+			cfg := SimulationConfig{System: sys, Nodes: shape.nodes, Rounds: shape.rounds, Seed: 7}
+			bare := testing.AllocsPerRun(3, func() {
+				if _, err := Simulate(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			streamed := testing.AllocsPerRun(3, func() {
+				c := cfg
+				c.Telemetry = NewStreamingTelemetry(discardStreamer{})
+				if _, err := Simulate(c); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if streamed > bare+slack {
+				t.Errorf("%s %d nodes × %d rounds: %.0f allocs with stream-only telemetry, %.0f bare (slack %d)",
+					sys, shape.nodes, shape.rounds, streamed, bare, slack)
+			}
+		}
 	}
 }
