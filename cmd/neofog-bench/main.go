@@ -16,9 +16,8 @@
 // cache-hit ratio, rejection counts and exact latency quantiles into
 // BENCH_SERVE.json, gated against -serve-baseline when that file exists:
 //
-//	neofog-bench -serve                                     # 3 shards, 10s smoke, both transports
+//	neofog-bench -serve                                     # 3 shards, 10s smoke
 //	neofog-bench -serve -serve-qps 500 -serve-duration 30s
-//	neofog-bench -serve -serve-transport json                # JSON only (binary also accepted)
 //	neofog-bench -serve -serve-target http://127.0.0.1:8000  # aim at a live cluster
 //	neofog-bench -serve -serve-baseline BENCH_SERVE_BASELINE.json
 //
@@ -29,10 +28,6 @@
 //
 //	neofog-bench -serve -serve-tenants "gold:3:48,bronze:1:48" \
 //	  -serve-tenant-mix "gold:1,bronze:1" -serve-share-tolerance 0.15
-//
-// The -wire-encode / -wire-decode / -wire-extract-result flags are
-// stdin→stdout codec helpers so shell scripts can drive the binary
-// transport through curl; see wire.go.
 package main
 
 import (
@@ -73,15 +68,11 @@ func run() error {
 		showVersion  = flag.Bool("version", false, "print build version and exit")
 	)
 	sf := registerServeFlags()
-	wf := registerWireFlags()
 	flag.Parse()
 
 	if *showVersion {
 		fmt.Println("neofog-bench", version.String())
 		return nil
-	}
-	if wf.enabled() {
-		return runWire(wf)
 	}
 	if *sf.enabled {
 		return runServe(sf)

@@ -29,7 +29,6 @@ type serveFlags struct {
 	nodes     *int
 	rounds    *int
 	inflight  *int
-	transport *string
 	out       *string
 	baseline  *string
 	tolerance *float64
@@ -53,7 +52,6 @@ func registerServeFlags() *serveFlags {
 		nodes:     flag.Int("serve-nodes", 4, "simulated nodes per request"),
 		rounds:    flag.Int("serve-rounds", 30, "simulated rounds per request"),
 		inflight:  flag.Int("serve-inflight", 1024, "open-loop in-flight cap; arrivals beyond it are counted dropped, never delayed"),
-		transport: flag.String("serve-transport", "both", "replay encoding: json, binary, or both (json gates the baseline, binary rides along for comparison)"),
 		out:       flag.String("serve-out", "BENCH_SERVE.json", "write the serve bench report here ('' = stdout only)"),
 		baseline:  flag.String("serve-baseline", "", "gate against this BENCH_SERVE baseline; a missing file skips the gate"),
 		tolerance: flag.Float64("serve-tolerance", 0.10, "allowed regression fraction for jobs/s (down) and p99 (up)"),
@@ -65,21 +63,9 @@ func registerServeFlags() *serveFlags {
 
 // runServe executes the serve-layer load bench: build the seeded
 // schedule, aim it at the target (booting an in-process sharded cluster
-// behind a router when none is given — a fresh one per transport so
-// neither replay benefits from the other's warmed cache), write
-// BENCH_SERVE.json, and gate against the baseline when one exists.
-//
-// In the default "both" mode the JSON replay stays the Summary's
-// Measured half — the one Gate reads — so baselines committed before
-// the binary transport existed keep gating unchanged; the binary replay
-// lands in Summary.Binary with a Comparison quantifying bytes-on-wire
-// and allocation savings.
+// behind a router when none is given), write BENCH_SERVE.json, and gate
+// against the baseline when one exists.
 func runServe(f *serveFlags) error {
-	switch *f.transport {
-	case loadgen.TransportJSON, loadgen.TransportBinary, "both":
-	default:
-		return fmt.Errorf("-serve-transport %q: want json, binary, or both", *f.transport)
-	}
 	tenantCfg, err := qos.ParseTenants(*f.tenants)
 	if err != nil {
 		return err
@@ -108,57 +94,30 @@ func runServe(f *serveFlags) error {
 	fmt.Printf("schedule: %d requests over %s (seed %d, digest %s)\n",
 		len(schedule), *f.duration, *f.seed, loadgen.ScheduleDigest(schedule)[:16])
 
+	target := *f.target
+	targetName := "daemon"
+	shards := 0
+	if target == "" {
+		cluster, err := loadgen.StartCluster(*f.shards,
+			serve.Config{Workers: *f.workers, QueueDepth: *f.queue, Tenants: tenantCfg},
+			router.Config{})
+		if err != nil {
+			return err
+		}
+		defer cluster.Close()
+		target = cluster.RouterURL
+		targetName = "router"
+		shards = *f.shards
+		fmt.Printf("booted in-process cluster: %d shards behind %s\n", shards, target)
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), *f.duration+5*time.Minute)
 	defer cancel()
-
-	// runOnce replays the schedule over one transport. Without a
-	// -serve-target it boots (and tears down) its own cluster, so each
-	// transport starts from a cold cache; against a live target the
-	// cluster's cache state carries across runs.
-	runOnce := func(transport string) (loadgen.Summary, error) {
-		target := *f.target
-		targetName := "daemon"
-		shards := 0
-		if target == "" {
-			cluster, err := loadgen.StartCluster(*f.shards,
-				serve.Config{Workers: *f.workers, QueueDepth: *f.queue, Tenants: tenantCfg},
-				router.Config{})
-			if err != nil {
-				return loadgen.Summary{}, err
-			}
-			defer cluster.Close()
-			target = cluster.RouterURL
-			targetName = "router"
-			shards = *f.shards
-			fmt.Printf("booted in-process cluster: %d shards behind %s (%s replay)\n", shards, target, transport)
-		}
-		sum, err := loadgen.Run(ctx, target, spec, schedule,
-			loadgen.Opts{MaxInFlight: *f.inflight, Transport: transport})
-		if err != nil {
-			return loadgen.Summary{}, err
-		}
-		sum.Target, sum.Shards = targetName, shards
-		return sum, nil
+	sum, err := loadgen.Run(ctx, target, spec, schedule, loadgen.Opts{MaxInFlight: *f.inflight})
+	if err != nil {
+		return err
 	}
-
-	var sum loadgen.Summary
-	switch *f.transport {
-	case loadgen.TransportJSON, loadgen.TransportBinary:
-		if sum, err = runOnce(*f.transport); err != nil {
-			return err
-		}
-	case "both":
-		if sum, err = runOnce(loadgen.TransportJSON); err != nil {
-			return err
-		}
-		binSum, err := runOnce(loadgen.TransportBinary)
-		if err != nil {
-			return err
-		}
-		sum.Binary = &binSum.Measured
-		cmp := loadgen.Compare(sum.Measured, binSum.Measured)
-		sum.Comparison = &cmp
-	}
+	sum.Target, sum.Shards = targetName, shards
 	fmt.Print(loadgen.FormatSummary(sum))
 
 	if *f.out != "" {
@@ -176,8 +135,8 @@ func runServe(f *serveFlags) error {
 		fmt.Printf("wrote %s\n", *f.out)
 	}
 
-	// The fairness smoke runs on the JSON replay's Measured half, after
-	// the report is on disk so a failing run still leaves its evidence.
+	// The fairness smoke runs after the report is on disk so a failing
+	// run still leaves its evidence.
 	if *f.shareTol > 0 {
 		weights := map[string]float64{}
 		for _, tc := range tenantCfg {

@@ -6,13 +6,8 @@
 // forwarded verbatim; /metrics aggregates all shards' series with the
 // router's own; /healthz fans in every shard's health body. Degraded
 // shards (failed /readyz probes or transport errors) are skipped in ring
-// order, and idempotent submissions retry on the next replica.
-//
-// The binary wire surface (/v1/bin/..., Content-Type
-// application/x-neofog-wire) fans through with the same key affinity:
-// the router decodes just enough of the submit frame to hash its
-// canonical key, then relays frames verbatim. Batch matrix submissions
-// (POST /v1/experiments/matrix, JSON or binary) route as one unit by
+// order, and idempotent submissions retry on the next replica. Batch
+// matrix submissions (POST /v1/experiments/matrix) route as one unit by
 // their matrix key so a whole sweep keeps cache affinity on one shard.
 //
 // Usage:

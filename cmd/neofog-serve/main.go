@@ -4,13 +4,9 @@
 // worker pool with 429 backpressure, SSE progress streaming, and
 // Prometheus metrics. See internal/serve for the API.
 //
-// The same job store is also reachable over a length-prefixed binary
-// wire transport (POST /v1/bin/submit, GET /v1/bin/jobs/{id} and
-// .../result; Content-Type application/x-neofog-wire, see internal/wire
-// and DESIGN.md "Wire format"), and POST /v1/experiments/matrix accepts
-// a systems × weathers × intensities batch in either encoding, fanned
-// into content-addressed jobs and streamed back cell by cell as they
-// complete. Results are byte-identical across transports.
+// POST /v1/experiments/matrix accepts a systems × weathers × intensities
+// batch, fanned into content-addressed jobs and streamed back as ndjson,
+// cell by cell as they complete.
 //
 // Usage:
 //

@@ -36,13 +36,6 @@ import (
 	"neofog"
 	"neofog/internal/qos"
 	"neofog/internal/serve"
-	"neofog/internal/wire"
-)
-
-// Transport names for Opts.Transport.
-const (
-	TransportJSON   = "json"
-	TransportBinary = "binary"
 )
 
 // TenantShare is one tenant's slice of a multi-tenant trace: requests
@@ -155,13 +148,12 @@ const coldSeedBase = 1_000_000
 // run start), what to send, and the content identity it will have on the
 // server.
 type ScheduledRequest struct {
-	At      time.Duration
-	Body    []byte // marshaled serve.Request, sent verbatim on the JSON transport
-	BinBody []byte // the same request as one wire frame, for the binary transport
-	Key     string // canonical content address (what the cluster shards on)
-	Hot     bool
-	Tenant  string // X-Neofog-Tenant label ("" = unlabelled, the default tenant)
-	Class   string // X-Neofog-Class label ("" = the endpoint default)
+	At     time.Duration
+	Body   []byte // marshaled serve.Request, sent verbatim
+	Key    string // canonical content address (what the cluster shards on)
+	Hot    bool
+	Tenant string // X-Neofog-Tenant label ("" = unlabelled, the default tenant)
+	Class  string // X-Neofog-Class label ("" = the endpoint default)
 }
 
 // BuildSchedule expands a spec into its full arrival schedule. The
@@ -199,8 +191,6 @@ func BuildSchedule(spec TraceSpec) ([]ScheduledRequest, error) {
 		last := spec.Tenants[len(spec.Tenants)-1]
 		return last.Name, last.Class
 	}
-	enc := wire.NewEncoder()
-	defer enc.Release()
 	var out []ScheduledRequest
 	at := time.Duration(0)
 	cold := int64(0)
@@ -232,13 +222,12 @@ func BuildSchedule(spec TraceSpec) ([]ScheduledRequest, error) {
 		}
 		tenant, class := drawTenant()
 		out = append(out, ScheduledRequest{
-			At:      at,
-			Body:    body,
-			BinBody: append([]byte(nil), enc.RequestFrame(req)...),
-			Key:     key,
-			Hot:     hot,
-			Tenant:  tenant,
-			Class:   class,
+			At:     at,
+			Body:   body,
+			Key:    key,
+			Hot:    hot,
+			Tenant: tenant,
+			Class:  class,
 		})
 	}
 }
@@ -295,14 +284,13 @@ type Measured struct {
 	P99Ms       float64 `json:"p99_ms"`
 	P999Ms      float64 `json:"p999_ms"`
 	// BytesTx and BytesRx are total HTTP body bytes the harness sent and
-	// received — the bytes-on-wire observable the transport comparison
-	// gates on. Headers are excluded (identical across transports).
+	// received — the bytes-on-wire observable. Headers are excluded.
 	BytesTx int64 `json:"bytes_tx"`
 	BytesRx int64 `json:"bytes_rx"`
 	// AllocsPerRequest is the whole-process heap allocation count per
 	// scheduled request over the run (runtime Mallocs delta). With the
 	// in-process bench cluster this spans client and server side both, so
-	// a leaner codec shows up no matter which side it saves on.
+	// a leaner request path shows up no matter which side it saves on.
 	AllocsPerRequest float64 `json:"allocs_per_request"`
 	// Tenants breaks the envelope down per tenant label when the trace
 	// carried a mix; absent (omitted) on untenanted runs, so pre-tenancy
@@ -321,42 +309,10 @@ type TenantMeasured struct {
 // Summary is the BENCH_SERVE.json schema: the deterministic trace
 // identity, the measured envelope, and the topology it ran against.
 type Summary struct {
-	Target    string       `json:"target"`              // "router" or "daemon"
-	Shards    int          `json:"shards"`              // 0 when targeting a bare daemon
-	Transport string       `json:"transport,omitempty"` // encoding of the Measured run ("json" when absent)
-	Trace     TraceSummary `json:"trace"`               // identical across same-seed runs
-	Measured  Measured     `json:"measured"`            // wall-clock; differs run to run
-	// Binary, when present, is a second replay of the identical schedule
-	// over the binary wire transport against a fresh cluster; Measured
-	// stays the JSON run so baseline gates keep comparing like against
-	// like across reports old and new.
-	Binary *Measured `json:"binary,omitempty"`
-	// Comparison quantifies Binary against Measured when both exist.
-	Comparison *Comparison `json:"comparison,omitempty"`
-}
-
-// Comparison is the binary-vs-JSON delta over one identical schedule.
-// Reductions are fractions of the JSON run (0.4 = binary used 40% less).
-type Comparison struct {
-	BytesReduction  float64 `json:"bytes_reduction"`
-	AllocsReduction float64 `json:"allocs_reduction"`
-	JobsPerSecRatio float64 `json:"jobs_per_sec_ratio"` // binary ÷ json; ~1.0 means equal throughput
-}
-
-// Compare computes the transport delta between a JSON-run and a
-// binary-run Measured over the same schedule.
-func Compare(jsonM, binM Measured) Comparison {
-	var c Comparison
-	if jb := jsonM.BytesTx + jsonM.BytesRx; jb > 0 {
-		c.BytesReduction = 1 - float64(binM.BytesTx+binM.BytesRx)/float64(jb)
-	}
-	if jsonM.AllocsPerRequest > 0 {
-		c.AllocsReduction = 1 - binM.AllocsPerRequest/jsonM.AllocsPerRequest
-	}
-	if jsonM.JobsPerSec > 0 {
-		c.JobsPerSecRatio = binM.JobsPerSec / jsonM.JobsPerSec
-	}
-	return c
+	Target   string       `json:"target"`   // "router" or "daemon"
+	Shards   int          `json:"shards"`   // 0 when targeting a bare daemon
+	Trace    TraceSummary `json:"trace"`    // identical across same-seed runs
+	Measured Measured     `json:"measured"` // wall-clock; differs run to run
 }
 
 // Opts tunes a run. The zero value works.
@@ -373,11 +329,6 @@ type Opts struct {
 	// dropped count in a report means the harness, not the server, was
 	// the bottleneck, and the run should be retaken with a bigger cap.
 	MaxInFlight int
-	// Transport selects the replay encoding: TransportJSON (default) or
-	// TransportBinary. The schedule is transport-independent (its digest
-	// covers arrivals and keys, not encodings), so the two transports
-	// replay the exact same work.
-	Transport string
 }
 
 func (o Opts) withDefaults() Opts {
@@ -462,14 +413,7 @@ dispatch:
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 
-	transport := opts.Transport
-	if transport == "" {
-		transport = TransportJSON
-	}
-	sum := Summary{
-		Transport: transport,
-		Trace:     summarizeTrace(spec, schedule),
-	}
+	sum := Summary{Trace: summarizeTrace(spec, schedule)}
 	if len(schedule) > 0 {
 		sum.Measured.AllocsPerRequest = float64(ms1.Mallocs-ms0.Mallocs) / float64(len(schedule))
 	}
@@ -574,15 +518,8 @@ func quantile(sorted []float64, q float64) float64 {
 // doOne runs one scheduled request end to end: submit, and for accepted
 // jobs poll to a terminal state. Latency spans send to observed
 // completion — it includes queue wait and poll granularity, exactly what
-// a real client experiences. Both transports end up holding the result
-// bytes: JSON carries them inline on the cached submit or final poll,
-// binary as a trailing result frame on the same exchanges — so the
-// BytesTx/BytesRx comparison is information-for-information, not apples
-// to oranges.
+// a real client experiences.
 func doOne(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) outcome {
-	if opts.Transport == TransportBinary {
-		return doOneBinary(ctx, opts, baseURL, sr)
-	}
 	sendStart := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/jobs", strings.NewReader(string(sr.Body)))
 	if err != nil {
@@ -651,114 +588,6 @@ func doOne(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) 
 			return o
 		}
 	}
-}
-
-// doOneBinary is doOne over the wire transport: framed submit (a cache
-// hit answers with the result inline as a second frame — one exchange
-// total) and framed status polls. In-flight snapshots travel without
-// result bodies; the done poll carries the result as a trailing frame,
-// so the binary path never spends an extra round trip on result bytes.
-func doOneBinary(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) outcome {
-	sendStart := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/bin/submit", strings.NewReader(string(sr.BinBody)))
-	if err != nil {
-		return outcome{err: true}
-	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	setQoSHeaders(req, sr)
-	resp, err := opts.Client.Do(req)
-	if err != nil {
-		return outcome{err: true}
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	o := outcome{tx: int64(len(sr.BinBody)), rx: int64(len(body))}
-	if rerr != nil {
-		o.err = true
-		return o
-	}
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests:
-		o.rejected = true
-		return o
-	case http.StatusOK, http.StatusAccepted:
-	default:
-		o.err = true
-		return o
-	}
-	typ, payload, rest, ferr := wire.SplitFrame(body)
-	if ferr != nil || typ != wire.TypeSubmit {
-		o.err = true
-		return o
-	}
-	sub, err := wire.DecodeSubmit(payload)
-	if err != nil {
-		o.err = true
-		return o
-	}
-	if sub.Cached {
-		// Cache hits carry the result inline as a second frame — one
-		// exchange total, like the JSON transport's inline result.
-		if _, _, ferr := splitOneFrame(rest, wire.TypeResult); ferr != nil {
-			o.err = true
-			return o
-		}
-		o.completed, o.cached, o.latencyMs = true, true, msSince(sendStart)
-		return o
-	}
-	o.deduped = sub.Deduped
-	for {
-		t := time.NewTimer(opts.PollInterval)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			o.err = true
-			return o
-		}
-		body, code, err := getBody(ctx, opts, baseURL+"/v1/bin/jobs/"+sub.Job.ID)
-		o.rx += int64(len(body))
-		if err != nil || code != http.StatusOK {
-			o.err = true
-			return o
-		}
-		jobTyp, payload, rest, ferr := wire.SplitFrame(body)
-		if ferr != nil || jobTyp != wire.TypeJob {
-			o.err = true
-			return o
-		}
-		j, derr := wire.DecodeJob(payload)
-		if derr != nil {
-			o.err = true
-			return o
-		}
-		switch j.Status {
-		case serve.StatusDone:
-			// The done poll delivered the result bytes the JSON
-			// transport would have carried inline; no extra pull.
-			if _, _, ferr := splitOneFrame(rest, wire.TypeResult); ferr != nil {
-				o.err = true
-				return o
-			}
-			o.completed = true
-			o.latencyMs = msSince(sendStart)
-			return o
-		case serve.StatusFailed, serve.StatusCancelled, serve.StatusPoisoned:
-			o.err = true
-			return o
-		}
-	}
-}
-
-func splitOneFrame(body []byte, want byte) ([]byte, byte, error) {
-	typ, payload, rest, err := wire.SplitFrame(body)
-	if err != nil {
-		return nil, 0, err
-	}
-	if typ != want || len(rest) != 0 {
-		return nil, typ, fmt.Errorf("loadgen: want one type-%#x frame, got %#x with %d trailing bytes", want, typ, len(rest))
-	}
-	return payload, typ, nil
 }
 
 // getBody is one GET with the body read whole; the caller counts bytes
@@ -895,30 +724,16 @@ func FairnessCheck(m Measured, weights map[string]float64, tol float64) []string
 // FormatSummary renders the human-facing run report printed by
 // `neofog-bench -serve`.
 func FormatSummary(sum Summary) string {
-	transport := sum.Transport
-	if transport == "" {
-		transport = TransportJSON
-	}
 	m := sum.Measured
 	out := fmt.Sprintf(
-		"target=%s shards=%d transport=%s seed=%d qps=%g duration=%.0fs\n"+
+		"target=%s shards=%d seed=%d qps=%g duration=%.0fs\n"+
 			"requests=%d completed=%d hits=%d (ratio %.3f) deduped=%d rejected429=%d errors=%d dropped=%d\n"+
 			"jobs/s=%.1f p50=%.2fms p99=%.2fms p999=%.2fms elapsed=%.2fs\n"+
 			"bytes tx=%d rx=%d allocs/req=%.0f\n",
-		sum.Target, sum.Shards, transport, sum.Trace.Seed, sum.Trace.QPS, sum.Trace.DurationS,
+		sum.Target, sum.Shards, sum.Trace.Seed, sum.Trace.QPS, sum.Trace.DurationS,
 		sum.Trace.Requests, m.Completed, m.CacheHits, m.HitRatio, m.Deduped, m.Rejected429, m.Errors, m.Dropped,
 		m.JobsPerSec, m.P50Ms, m.P99Ms, m.P999Ms, m.ElapsedS,
 		m.BytesTx, m.BytesRx, m.AllocsPerRequest)
-	if b := sum.Binary; b != nil {
-		out += fmt.Sprintf(
-			"binary: jobs/s=%.1f p99=%.2fms bytes tx=%d rx=%d allocs/req=%.0f\n",
-			b.JobsPerSec, b.P99Ms, b.BytesTx, b.BytesRx, b.AllocsPerRequest)
-	}
-	if c := sum.Comparison; c != nil {
-		out += fmt.Sprintf(
-			"binary vs json: bytes %.1f%% smaller, allocs %.1f%% fewer, throughput ratio %.2f\n",
-			c.BytesReduction*100, c.AllocsReduction*100, c.JobsPerSecRatio)
-	}
 	if len(m.Tenants) > 0 {
 		var names []string
 		for name := range m.Tenants {

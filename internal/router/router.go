@@ -8,12 +8,8 @@
 // the same shard the submission landed on, and because the hash ring is
 // deterministic, every resubmission of a configuration lands on the
 // shard that already holds (or is already computing) its result: the
-// cluster's caches stay as coherent as one daemon's.
-//
-// The binary wire transport fans through with the same affinity: the
-// router decodes the submission frame just far enough to recover the
-// canonical key, then forwards the frame verbatim. Batch matrices route
-// as one unit by their matrix key (a hash over every cell key) and
+// cluster's caches stay as coherent as one daemon's. Batch matrices
+// route as one unit by their matrix key (a hash over every cell key) and
 // stream cell completions through unbuffered, like SSE.
 //
 // Failure handling mirrors the serve layer's: shards are probed via
@@ -41,7 +37,6 @@ import (
 
 	"neofog/internal/serve"
 	"neofog/internal/version"
-	"neofog/internal/wire"
 )
 
 // shardHeader names the shard that served a routed response — a debug
@@ -267,9 +262,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", rt.handleByID)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", rt.handleByID)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleByID)
-	mux.HandleFunc("POST /v1/bin/submit", rt.handleBinSubmit)
-	mux.HandleFunc("GET /v1/bin/jobs/{id}", rt.handleByID)
-	mux.HandleFunc("GET /v1/bin/jobs/{id}/result", rt.handleByID)
 	mux.HandleFunc("GET /v1/experiments", rt.handleExperiments)
 	mux.HandleFunc("POST /v1/experiments/matrix", rt.handleMatrix)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
@@ -293,17 +285,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, struct {
 		Error string `json:"error"`
 	}{fmt.Sprintf(format, args...)})
-}
-
-// writeWireError is the binary surface's writeError: one TypeError
-// frame, same shape the shards emit, so a routed client never needs a
-// JSON decoder on the binary paths.
-func writeWireError(w http.ResponseWriter, status int, format string, args ...any) {
-	e := wire.NewEncoder()
-	defer e.Release()
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(status)
-	w.Write(e.ErrorFrame(wire.Error{Code: status, Message: fmt.Sprintf(format, args...)}))
 }
 
 // hopByHop are the headers a proxy must not forward (RFC 9110 §7.6.1).
@@ -368,12 +349,11 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []
 }
 
 // streamingContentType reports response types the router must relay
-// unbuffered with the write deadline lifted: SSE job streams, ndjson
-// matrix streams, and wire-framed binary streams.
+// unbuffered with the write deadline lifted: SSE job streams and ndjson
+// matrix streams.
 func streamingContentType(ct string) bool {
 	return strings.HasPrefix(ct, "text/event-stream") ||
-		strings.HasPrefix(ct, "application/x-ndjson") ||
-		strings.HasPrefix(ct, wire.ContentType)
+		strings.HasPrefix(ct, "application/x-ndjson")
 }
 
 // flushingCopy copies src to w flushing after every read, so a proxied
@@ -429,6 +409,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rkey = routingKey(key)
 		}
 	}
+	rt.submitTo(w, r, rkey, body)
+}
+
+// submitTo walks rkey's candidate shards in ring order with forwardSubmit's
+// retry rules, answering 502 when no shard takes the submission.
+func (rt *Router) submitTo(w http.ResponseWriter, r *http.Request, rkey string, body []byte) {
 	cands := rt.candidates(rkey)
 	for n, i := range cands {
 		if n > 0 {
@@ -493,86 +479,24 @@ func (rt *Router) forwardSubmit(w http.ResponseWriter, r *http.Request, i int, b
 	return true
 }
 
-// handleBinSubmit routes a binary submission exactly like handleSubmit
-// routes a JSON one: derive the canonical key the way a shard would —
-// here by decoding the wire frame — and walk the same candidate order
-// with the same retry rules. Frames a shard would reject still route (to
-// the primary), so the rejection frame is byte-identical to a single
-// daemon's.
-func (rt *Router) handleBinSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeWireError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return
-	}
-	rkey := "invalid-request"
-	if typ, payload, rest, ferr := wire.SplitFrame(body); ferr == nil && typ == wire.TypeRequest && len(rest) == 0 {
-		if req, derr := wire.DecodeRequest(payload); derr == nil {
-			if _, key, nerr := serve.Normalize(req); nerr == nil {
-				rkey = routingKey(key)
-			}
-		}
-	}
-	cands := rt.candidates(rkey)
-	for n, i := range cands {
-		if n > 0 {
-			rt.metrics.inc("retries_total", 1)
-		}
-		if rt.forwardSubmit(w, r, i, body, n == len(cands)-1) {
-			return
-		}
-	}
-	rt.metrics.inc("no_shard_total", 1)
-	writeWireError(w, http.StatusBadGateway, "no shard reachable for this request")
-}
-
 // handleMatrix routes a whole experiment matrix as one unit: the batch's
 // routing key is the matrix key (a hash over every cell key), so one
 // matrix streams from one shard and identical matrices land on the shard
-// already holding their cells. The flavor follows the request's
-// Content-Type, mirroring the shards' negotiation.
+// already holding their cells.
 func (rt *Router) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	binary := strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
-	fail := func(status int, format string, args ...any) {
-		if binary {
-			writeWireError(w, status, format, args...)
-		} else {
-			writeError(w, status, format, args...)
-		}
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		fail(http.StatusBadRequest, "reading request body: %v", err)
+		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
 	rkey := "invalid-request"
 	var m serve.MatrixRequest
-	decoded := false
-	if binary {
-		if typ, payload, rest, ferr := wire.SplitFrame(body); ferr == nil && typ == wire.TypeMatrixRequest && len(rest) == 0 {
-			if m, err = wire.DecodeMatrixRequest(payload); err == nil {
-				decoded = true
-			}
-		}
-	} else {
-		decoded = json.Unmarshal(body, &m) == nil
-	}
-	if decoded {
+	if json.Unmarshal(body, &m) == nil {
 		if _, _, key, merr := serve.MatrixCells(m); merr == nil {
 			rkey = routingKey(key)
 		}
 	}
-	cands := rt.candidates(rkey)
-	for n, i := range cands {
-		if n > 0 {
-			rt.metrics.inc("retries_total", 1)
-		}
-		if rt.forwardSubmit(w, r, i, body, n == len(cands)-1) {
-			return
-		}
-	}
-	rt.metrics.inc("no_shard_total", 1)
-	fail(http.StatusBadGateway, "no shard reachable for this request")
+	rt.submitTo(w, r, rkey, body)
 }
 
 // handleByID routes job, result, stream and cancel requests by the key
@@ -590,10 +514,6 @@ func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.metrics.inc("no_shard_total", 1)
-	if strings.HasPrefix(r.URL.Path, "/v1/bin/") {
-		writeWireError(w, http.StatusBadGateway, "no shard reachable for job %q", r.PathValue("id"))
-		return
-	}
 	writeError(w, http.StatusBadGateway, "no shard reachable for job %q", r.PathValue("id"))
 }
 

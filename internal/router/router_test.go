@@ -205,6 +205,39 @@ func TestRouterKeyAffinity(t *testing.T) {
 	}
 }
 
+// TestRouterRetryNextReplica kills a submission's owner shard and
+// requires the router to land the idempotent submission on the next
+// replica instead of surfacing the failure.
+func TestRouterRetryNextReplica(t *testing.T) {
+	c := startCluster(t, 3, nil)
+	body := simBody(99)
+	owner := ownerShard(t, c, body)
+	for i, s := range c.rt.cfg.Shards {
+		if s.Name == owner {
+			c.shardTS[i].Close()
+		}
+	}
+
+	code, hdr, raw := post(t, c.ts.URL, body)
+	if code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("submit with dead owner: status %d body %s", code, raw)
+	}
+	got := hdr.Get(shardHeader)
+	if got == owner || got == "" {
+		t.Fatalf("submission served by %q, want a surviving replica (owner %q is dead)", got, owner)
+	}
+	var sub serve.SubmitResponse
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatalf("decode submit: %v", err)
+	}
+	if sub.Job.ID == "" {
+		t.Fatalf("no job ID from the surviving replica")
+	}
+	if c.rt.metrics.counter("retries_total") == 0 {
+		t.Fatalf("retries_total = 0; the router did not record the failover")
+	}
+}
+
 // TestRoutedMatchesDirect is the byte-equality battery: for the same
 // request sequence on the same fake clock, the routed cluster's response
 // bodies must equal a single daemon's exactly — submit, job, result,

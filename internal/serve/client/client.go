@@ -23,20 +23,6 @@ import (
 	"time"
 
 	"neofog/internal/serve"
-	"neofog/internal/wire"
-)
-
-// Transport names for Client.Transport.
-const (
-	// TransportJSON is the default JSON surface (/v1/jobs).
-	TransportJSON = "json"
-	// TransportBinary is the length-prefixed wire surface (/v1/bin/...):
-	// submissions and snapshots travel as internal/wire frames.
-	// In-flight snapshots are result-stripped; the result bytes arrive
-	// as a trailing frame on the cached submit or the done poll, never
-	// re-shipped with every poll. Results are byte-identical across
-	// transports — the job store is shared, only the encoding differs.
-	TransportBinary = "binary"
 )
 
 // APIError is a non-2xx response from the server. Transport failures
@@ -105,10 +91,6 @@ type Client struct {
 	// Seed fixes the jitter RNG for deterministic tests; 0 seeds from
 	// the wall clock.
 	Seed int64
-	// Transport selects the API surface: TransportJSON (default) or
-	// TransportBinary. Run's contract is identical on both; the returned
-	// result bytes are byte-for-byte the same.
-	Transport string
 	// Tenant, when non-empty, labels every request with X-Neofog-Tenant
 	// so the server (or a router in front of it) applies that tenant's
 	// QoS policy — weighted-fair share, depth cap, rate limit. Tenants
@@ -117,17 +99,10 @@ type Client struct {
 	// Class, when non-empty, labels submissions with X-Neofog-Class
 	// ("interactive" or "bulk"); empty keeps each endpoint's default.
 	Class string
-	// Counters, when non-nil, observes every HTTP exchange's body sizes
-	// (request bytes sent, response bytes received), retries included —
-	// the load harness's bytes-on-wire hook. Must be safe for concurrent
-	// use if the Client is shared.
-	Counters func(tx, rx int)
 
 	rng   *rand.Rand
 	sleep func(context.Context, time.Duration) error // test hook
 }
-
-func (c *Client) binary() bool { return c.Transport == TransportBinary }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -203,9 +178,8 @@ func (c *Client) backoffSleep(ctx context.Context, attempt int, hint time.Durati
 }
 
 // do runs one HTTP exchange with retries on temporary failures. A nil
-// error means a 2xx response whose body is returned whole. contentType
-// labels a non-nil body; bodiless requests ignore it.
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) ([]byte, error) {
+// error means a 2xx response whose body is returned whole.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var last *APIError
 	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
 		if attempt > 0 {
@@ -226,7 +200,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 			return nil, &APIError{Message: err.Error()}
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", contentType)
+			req.Header.Set("Content-Type", "application/json")
 		}
 		if c.Tenant != "" {
 			req.Header.Set(serve.TenantHeader, c.Tenant)
@@ -244,9 +218,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		}
 		respBody, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if c.Counters != nil {
-			c.Counters(len(body), len(respBody))
-		}
 		if err != nil {
 			last = &APIError{Message: err.Error()}
 			continue
@@ -275,25 +246,7 @@ func errorMessage(body []byte) string {
 	if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
 		return eb.Error
 	}
-	// Binary endpoints frame their rejections.
-	if typ, payload, rest, err := wire.SplitFrame(body); err == nil && typ == wire.TypeError && len(rest) == 0 {
-		if we, err := wire.DecodeError(payload); err == nil {
-			return we.Message
-		}
-	}
 	return string(body)
-}
-
-// oneFrame unwraps a single-frame 2xx body of the wanted type.
-func oneFrame(body []byte, want byte) ([]byte, error) {
-	typ, payload, rest, err := wire.SplitFrame(body)
-	if err != nil {
-		return nil, &APIError{Message: fmt.Sprintf("bad response frame: %v", err)}
-	}
-	if typ != want || len(rest) != 0 {
-		return nil, &APIError{Message: fmt.Sprintf("want one type-%#x frame, got type %#x with %d trailing bytes", want, typ, len(rest))}
-	}
-	return payload, nil
 }
 
 // Submit posts one request and returns the server's response — a fresh,
@@ -301,46 +254,17 @@ func oneFrame(body []byte, want byte) ([]byte, error) {
 // request's content address), so retrying a submit that may or may not
 // have reached the server is always safe.
 func (c *Client) Submit(ctx context.Context, req serve.Request) (serve.SubmitResponse, error) {
-	var body []byte
-	var path, ct string
-	if c.binary() {
-		e := wire.NewEncoder()
-		body = bytes.Clone(e.RequestFrame(req))
-		e.Release()
-		path, ct = "/v1/bin/submit", wire.ContentType
-	} else {
-		var err error
-		if body, err = json.Marshal(req); err != nil {
-			return serve.SubmitResponse{}, &APIError{Message: err.Error()}
-		}
-		path, ct = "/v1/jobs", "application/json"
+	body, err := json.Marshal(req)
+	if err != nil {
+		return serve.SubmitResponse{}, &APIError{Message: err.Error()}
 	}
+	path := "/v1/jobs"
 	if c.Deadline > 0 {
 		path += "?deadline=" + c.Deadline.String()
 	}
-	respBody, derr := c.do(ctx, http.MethodPost, path, ct, body)
+	respBody, derr := c.do(ctx, http.MethodPost, path, body)
 	if derr != nil {
 		return serve.SubmitResponse{}, derr
-	}
-	if c.binary() {
-		typ, payload, rest, err := wire.SplitFrame(respBody)
-		if err != nil || typ != wire.TypeSubmit {
-			return serve.SubmitResponse{}, &APIError{Message: fmt.Sprintf("bad submit frame (type %#x): %v", typ, err)}
-		}
-		sr, err := wire.DecodeSubmit(payload)
-		if err != nil {
-			return serve.SubmitResponse{}, &APIError{Message: fmt.Sprintf("bad submit frame: %v", err)}
-		}
-		// A cache hit carries the result inline as a second frame, the
-		// binary analogue of the JSON endpoint's inline result field.
-		if len(rest) > 0 {
-			result, err := oneFrame(rest, wire.TypeResult)
-			if err != nil {
-				return serve.SubmitResponse{}, err
-			}
-			sr.Job.Result = result
-		}
-		return sr, nil
 	}
 	var sr serve.SubmitResponse
 	if err := json.Unmarshal(respBody, &sr); err != nil {
@@ -349,33 +273,9 @@ func (c *Client) Submit(ctx context.Context, req serve.Request) (serve.SubmitRes
 	return sr, nil
 }
 
-// Job fetches one job snapshot by ID. On the binary transport an
-// in-flight snapshot arrives without its result bytes; a done job's
-// result rides along as a trailing frame.
+// Job fetches one job snapshot by ID.
 func (c *Client) Job(ctx context.Context, id string) (serve.Job, error) {
-	if c.binary() {
-		body, err := c.do(ctx, http.MethodGet, "/v1/bin/jobs/"+id, "", nil)
-		if err != nil {
-			return serve.Job{}, err
-		}
-		typ, payload, rest, serr := wire.SplitFrame(body)
-		if serr != nil || typ != wire.TypeJob {
-			return serve.Job{}, &APIError{Message: fmt.Sprintf("bad job frame (type %#x): %v", typ, serr)}
-		}
-		j, derr := wire.DecodeJob(payload)
-		if derr != nil {
-			return serve.Job{}, &APIError{Message: fmt.Sprintf("bad job frame: %v", derr)}
-		}
-		if len(rest) > 0 {
-			result, ferr := oneFrame(rest, wire.TypeResult)
-			if ferr != nil {
-				return serve.Job{}, ferr
-			}
-			j.Result = result
-		}
-		return j, nil
-	}
-	body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, "", nil)
+	body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
 	if err != nil {
 		return serve.Job{}, err
 	}
@@ -386,18 +286,9 @@ func (c *Client) Job(ctx context.Context, id string) (serve.Job, error) {
 	return j, nil
 }
 
-// Result fetches a done job's result bytes verbatim. Both transports
-// return the same bytes: the JSON endpoint's trailing newline is
-// trimmed here, the binary endpoint never adds one.
+// Result fetches a done job's result bytes verbatim.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	if c.binary() {
-		body, err := c.do(ctx, http.MethodGet, "/v1/bin/jobs/"+id+"/result", "", nil)
-		if err != nil {
-			return nil, err
-		}
-		return oneFrame(body, wire.TypeResult)
-	}
-	body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", "", nil)
+	body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -186,6 +187,82 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 		t.Fatalf("jobs_deadline_expired_total = %d, want 1", got)
 	}
 	waitStatus(t, ts, gated.Job.ID, StatusDone)
+}
+
+// A job whose deadline lapses after a worker picked it up is cancelled
+// when its run returns. Unlike the in-queue expiry it did occupy a
+// worker, so it counts as executed and observes its latency, and its
+// live SSE feed ends in an error event.
+func TestDeadlineExpiredWhileRunning(t *testing.T) {
+	srv, ts, release := gateServer(t, Config{Workers: 1, Clock: time.Now})
+	defer release()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs?deadline=30ms", "application/json",
+		strings.NewReader(`{"config":{"nodes":4,"rounds":40,"seed":8}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("deadlined submit: status %d, want 202", resp.StatusCode)
+	}
+	waitStatus(t, ts, sub.Job.ID, StatusRunning)
+
+	stream := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.Job.ID + "/stream")
+		if err != nil {
+			stream <- ""
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		stream <- string(b)
+	}()
+	j, ok := srv.lookup(sub.Job.ID)
+	if !ok {
+		t.Fatal("job vanished")
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for !j.bcast.active() {
+		if time.Now().After(deadline) {
+			t.Fatal("stream subscriber never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	time.Sleep(50 * time.Millisecond) // let the 30ms budget lapse mid-run
+	release()
+
+	got := waitTerminal(t, ts, sub.Job.ID)
+	if got.Status != StatusCancelled {
+		t.Fatalf("expired job status %q, want cancelled", got.Status)
+	}
+	if !strings.Contains(got.Error, "deadline") {
+		t.Fatalf("expired job error %q does not mention the deadline", got.Error)
+	}
+	for _, name := range []string{"jobs_cancelled_total", "jobs_deadline_expired_total", "jobs_executed_total"} {
+		if n := srv.metrics.counter(name); n != 1 {
+			t.Fatalf("%s = %d, want 1", name, n)
+		}
+	}
+	srv.metrics.mu.Lock()
+	var observed int64
+	if h := srv.metrics.hists[KindSimulate]; h != nil {
+		observed = h.N
+	}
+	srv.metrics.mu.Unlock()
+	if observed != 1 {
+		t.Fatalf("job_seconds observations = %d, want 1", observed)
+	}
+	text := <-stream
+	if strings.Count(text, "event: error\n") != 1 || strings.Contains(text, "event: result\n") {
+		t.Fatalf("stream must end in exactly one error event and no result:\n%.2000s", text)
+	}
 }
 
 // A panicking job is quarantined, not fatal: the worker survives, the

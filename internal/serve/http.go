@@ -69,9 +69,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/bin/submit", s.handleBinSubmit)
-	mux.HandleFunc("GET /v1/bin/jobs/{id}", s.handleBinJob)
-	mux.HandleFunc("GET /v1/bin/jobs/{id}/result", s.handleBinResult)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	mux.HandleFunc("POST /v1/experiments/matrix", s.handleMatrix)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -149,11 +146,12 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 }
 
 // negotiateContentType reports whether the request's declared media
-// type is one of want, returning the parsed type for error messages. An
-// absent Content-Type passes — the body decoder is the arbiter then —
-// but a declared type that names a different format is rejected up
-// front (415) instead of surfacing as a confusing late decode error.
-func negotiateContentType(r *http.Request, want ...string) (string, bool) {
+// type is application/json, returning the parsed type for error
+// messages. An absent Content-Type passes — the body decoder is the
+// arbiter then — but a declared type that names a different format is
+// rejected up front (415) instead of surfacing as a confusing late
+// decode error.
+func negotiateContentType(r *http.Request) (string, bool) {
 	ct := r.Header.Get("Content-Type")
 	if ct == "" {
 		return "", true
@@ -162,16 +160,11 @@ func negotiateContentType(r *http.Request, want ...string) (string, bool) {
 	if err != nil {
 		return ct, false
 	}
-	for _, w := range want {
-		if mt == w {
-			return mt, true
-		}
-	}
-	return mt, false
+	return mt, mt == "application/json"
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if mt, ok := negotiateContentType(r, "application/json"); !ok {
+	if mt, ok := negotiateContentType(r); !ok {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
@@ -197,7 +190,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(TenantHeader, tenant)
-	snap, outcome, retryAfter := s.submit(norm, key, deadline, tenant, class)
+	_, snap, outcome, retryAfter := s.submit(norm, key, deadline, tenant, class)
 	if snap.ID != "" {
 		w.Header().Set(jobHeader, snap.ID)
 	}

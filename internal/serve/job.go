@@ -12,40 +12,137 @@ import (
 
 	"neofog"
 	"neofog/internal/qos"
-	"neofog/internal/wire"
-)
-
-// The API's record types (Request, Job, SubmitResponse, the matrix
-// records) are defined in internal/wire next to their binary codecs and
-// aliased here, so both transports — JSON and binary — serialize the
-// same structs and can never drift. The aliases keep this package's
-// public API unchanged.
-type (
-	// Request is the submission envelope; see wire.Request.
-	Request = wire.Request
-	// ExperimentOptions tunes experiment jobs; see wire.ExperimentOptions.
-	ExperimentOptions = wire.ExperimentOptions
-	// Job is the public snapshot of one submission; see wire.Job.
-	Job = wire.Job
-	// SubmitResponse is the POST /v1/jobs body; see wire.SubmitResponse.
-	SubmitResponse = wire.SubmitResponse
-	// MatrixRequest is the POST /v1/experiments/matrix body; see
-	// wire.MatrixRequest.
-	MatrixRequest = wire.MatrixRequest
-	// MatrixHeader opens a matrix stream; see wire.MatrixHeader.
-	MatrixHeader = wire.MatrixHeader
-	// MatrixCell reports one completed matrix cell; see wire.MatrixCell.
-	MatrixCell = wire.MatrixCell
-	// MatrixDone terminates a matrix stream; see wire.MatrixDone.
-	MatrixDone = wire.MatrixDone
 )
 
 // Request kinds.
 const (
-	KindSimulate   = wire.KindSimulate
-	KindFleet      = wire.KindFleet
-	KindExperiment = wire.KindExperiment
+	KindSimulate   = "simulate"
+	KindFleet      = "fleet"
+	KindExperiment = "experiment"
 )
+
+// Request is the submission envelope. Exactly one payload applies per
+// kind: Config for "simulate" and "fleet" (with Chains), Experiment plus
+// Options for "experiment". An empty Kind means "simulate", and an empty
+// Config means the facade's default deployment.
+type Request struct {
+	// Kind selects the facade entry point: simulate (default), fleet, or
+	// experiment.
+	Kind string `json:"kind,omitempty"`
+	// Config is the deployment for simulate and fleet jobs; nil means
+	// all defaults. Observer fields (Journal, Telemetry) are not part of
+	// the wire format.
+	Config *neofog.SimulationConfig `json:"config,omitempty"`
+	// Chains is the fleet width (fleet jobs only, ≥ 1).
+	Chains int `json:"chains,omitempty"`
+	// Experiment is the artifact ID for experiment jobs (see
+	// GET /v1/experiments; any `-exp` ID is servable).
+	Experiment string `json:"experiment,omitempty"`
+	// Options tunes experiment jobs.
+	Options *ExperimentOptions `json:"options,omitempty"`
+	// Format is the experiment output encoding: "table" (default) or
+	// "csv".
+	Format string `json:"format,omitempty"`
+}
+
+// ExperimentOptions is the wire form of neofog.ExperimentOptions.
+type ExperimentOptions struct {
+	Seed             int64     `json:"seed,omitempty"`
+	Nodes            int       `json:"nodes,omitempty"`
+	Rounds           int       `json:"rounds,omitempty"`
+	FaultSeed        int64     `json:"fault_seed,omitempty"`
+	FaultIntensities []float64 `json:"fault_intensities,omitempty"`
+	// Parallel is the sweep pool width. It is deliberately excluded from
+	// the cache key: sweeps are proven byte-identical at every width, so
+	// two requests differing only in Parallel are the same job.
+	Parallel int `json:"parallel,omitempty"`
+}
+
+// Job is the public snapshot of one submission, as served by the API.
+type Job struct {
+	ID          string     `json:"id"`
+	Key         string     `json:"key"`
+	Kind        string     `json:"kind"`
+	Status      string     `json:"status"`
+	SubmittedAt time.Time  `json:"submitted_at"`
+	StartedAt   *time.Time `json:"started_at,omitempty"`
+	FinishedAt  *time.Time `json:"finished_at,omitempty"`
+	// Deadline is the absolute point by which the job must finish, when
+	// the submission carried one; past it the job is cancelled (queued or
+	// running) rather than left to run.
+	Deadline *time.Time `json:"deadline,omitempty"`
+	Error    string     `json:"error,omitempty"`
+	// Result is the cached result body (present once Status is done).
+	// Cached and freshly computed responses are byte-identical: the body
+	// is marshaled once, when the run finishes, and served verbatim ever
+	// after. Matrix cells strip it — results are fetched once via their
+	// own endpoint, not re-shipped with every cell.
+	Result json.RawMessage `json:"result,omitempty"`
+	// Hits counts submissions served by this job beyond the first — the
+	// cache and single-flight reuse of its run.
+	Hits int64 `json:"hits,omitempty"`
+}
+
+// SubmitResponse is the POST /v1/jobs body.
+type SubmitResponse struct {
+	Job Job `json:"job"`
+	// Cached reports that this submission was answered entirely from the
+	// result cache (no new run).
+	Cached bool `json:"cached"`
+	// Deduped reports that this submission attached to an identical job
+	// already queued or running (single-flight).
+	Deduped bool `json:"deduped,omitempty"`
+}
+
+// MatrixRequest is the POST /v1/experiments/matrix body: a sweep over
+// systems × weathers × solar intensities, fanned out into one
+// content-addressed simulate job per cell. Cell order is deterministic:
+// systems outermost, weathers, then intensities.
+type MatrixRequest struct {
+	// Systems are node architectures to sweep (nos-vp, nos-nvp, neofog).
+	Systems []string `json:"systems"`
+	// Weathers are solar regimes to sweep (sunny, overcast, rainy).
+	Weathers []string `json:"weathers"`
+	// Intensities are clear-sky panel-peak overrides in milliwatts, one
+	// cell per value; 0 keeps the regime default.
+	Intensities []float64 `json:"intensities"`
+	// Nodes, Rounds, Seed, Multiplexing, Recovery fix the rest of the
+	// deployment for every cell (zero values mean the usual defaults).
+	Nodes        int   `json:"nodes,omitempty"`
+	Rounds       int   `json:"rounds,omitempty"`
+	Seed         int64 `json:"seed,omitempty"`
+	Multiplexing int   `json:"multiplexing,omitempty"`
+	Recovery     bool  `json:"recovery,omitempty"`
+	// Parallel bounds the matrix fan-out (same semantics as
+	// experiments.Options.Parallel: 0 means one worker per CPU).
+	Parallel int `json:"parallel,omitempty"`
+}
+
+// MatrixHeader opens a matrix stream: the total cell count and the
+// matrix key (the routing identity of the whole batch).
+type MatrixHeader struct {
+	Cells int    `json:"cells"`
+	Key   string `json:"key"`
+}
+
+// MatrixCell reports one completed cell. Cells stream in completion
+// order; Index places the cell in the deterministic request order.
+type MatrixCell struct {
+	Index     int     `json:"index"`
+	System    string  `json:"system"`
+	Weather   string  `json:"weather"`
+	Intensity float64 `json:"intensity"`
+	Cached    bool    `json:"cached,omitempty"`
+	Deduped   bool    `json:"deduped,omitempty"`
+	Error     string  `json:"error,omitempty"`
+	Job       Job     `json:"job"`
+}
+
+// MatrixDone terminates a matrix stream with the completion tally.
+type MatrixDone struct {
+	Done   int `json:"done"`
+	Failed int `json:"failed"`
+}
 
 // canonicalRequest is the hashed form of a normalized Request: fixed
 // field order, defaults filled, simulation config replaced by its
@@ -201,12 +298,12 @@ func JobID(key string) string { return jobID(key) }
 // queue. Poisoned means the run panicked and the key is quarantined —
 // resubmitting retries it until the quarantine cap, then rejects.
 const (
-	StatusQueued    = wire.StatusQueued
-	StatusRunning   = wire.StatusRunning
-	StatusDone      = wire.StatusDone
-	StatusFailed    = wire.StatusFailed
-	StatusCancelled = wire.StatusCancelled
-	StatusPoisoned  = wire.StatusPoisoned
+	StatusQueued    = "queued"
+	StatusRunning   = "running"
+	StatusDone      = "done"
+	StatusFailed    = "failed"
+	StatusCancelled = "cancelled"
+	StatusPoisoned  = "poisoned"
 )
 
 // job is the server-side state behind a Job snapshot. All fields are

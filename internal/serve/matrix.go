@@ -14,7 +14,6 @@ import (
 
 	"neofog"
 	"neofog/internal/qos"
-	"neofog/internal/wire"
 )
 
 // This file is the batch matrix endpoint: POST /v1/experiments/matrix
@@ -23,11 +22,10 @@ import (
 // streams per-cell completions back over the one connection. Cells go
 // through exactly the same submit critical section as single
 // submissions, so a cell that matches a cached or in-flight job — from
-// either transport, or from another matrix — reuses it instead of
-// recomputing. The response streams in the request's flavor: ndjson for
-// JSON requests, wire frames for binary ones.
+// a single submission or another matrix — reuses it instead of
+// recomputing. The response streams as ndjson.
 
-// matrixContentType is the JSON flavor's streaming response media type.
+// matrixContentType is the streaming response media type.
 const matrixContentType = "application/x-ndjson"
 
 // maxMatrixCells bounds one batch: big enough for any plausible sweep,
@@ -80,58 +78,25 @@ func MatrixCells(m MatrixRequest) ([]Request, []string, string, error) {
 	return cells, keys, hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// handleMatrix is POST /v1/experiments/matrix in both flavors. The
-// request's Content-Type picks the codec for both directions: JSON in →
-// ndjson stream out (one MatrixHeader line, MatrixCell lines in
-// completion order, one MatrixDone line); wire in → the same records as
-// frames.
+// handleMatrix is POST /v1/experiments/matrix: a JSON MatrixRequest in,
+// an ndjson stream out — one MatrixHeader line, MatrixCell lines in
+// completion order, one MatrixDone line.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	mt, ok := negotiateContentType(r, "application/json", wire.ContentType)
-	if !ok {
-		writeError(w, http.StatusUnsupportedMediaType,
-			"unsupported Content-Type %q (want application/json or %s)", mt, wire.ContentType)
+	if mt, ok := negotiateContentType(r); !ok {
+		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
-	}
-	binary := mt == wire.ContentType
-	fail := func(status int, format string, args ...any) {
-		if binary {
-			writeWireError(w, status, format, args...)
-		} else {
-			writeError(w, status, format, args...)
-		}
 	}
 	s.metrics.inc("matrix_requests_total", 1)
 
 	var m MatrixRequest
-	if binary {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			fail(http.StatusBadRequest, "reading request body: %v", err)
-			return
-		}
-		typ, payload, rest, err := wire.SplitFrame(body)
-		if err != nil {
-			fail(http.StatusBadRequest, "bad frame: %v", err)
-			return
-		}
-		if typ != wire.TypeMatrixRequest || len(rest) != 0 {
-			fail(http.StatusBadRequest, "want exactly one matrix request frame (type %#x)", wire.TypeMatrixRequest)
-			return
-		}
-		if m, err = wire.DecodeMatrixRequest(payload); err != nil {
-			fail(http.StatusBadRequest, "bad matrix request frame: %v", err)
-			return
-		}
-	} else {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err := dec.Decode(&m); err != nil {
-			fail(http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err := dec.Decode(&m); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
 	}
 	deadline, err := s.parseDeadline(r)
 	if err != nil {
-		fail(http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Matrix cells default to the bulk class: a sweep is throughput
@@ -139,13 +104,13 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	// in front of interactive submissions.
 	tenant, class, err := s.parseTenantClass(r, qos.Bulk)
 	if err != nil {
-		fail(http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set(TenantHeader, tenant)
 	cells, keys, matrixKey, err := MatrixCells(m)
 	if err != nil {
-		fail(http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.metrics.inc("matrix_cells_total", int64(len(cells)))
@@ -167,21 +132,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	enc := wire.NewEncoder() // written only by this handler goroutine
-	defer enc.Release()
-	if binary {
-		w.Header().Set("Content-Type", wire.ContentType)
-	} else {
-		w.Header().Set("Content-Type", matrixContentType)
-	}
+	w.Header().Set("Content-Type", matrixContentType)
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	header := MatrixHeader{Cells: len(cells), Key: matrixKey}
-	if binary {
-		w.Write(enc.MatrixHeaderFrame(header))
-	} else {
-		writeNDJSON(w, header)
-	}
+	writeNDJSON(w, MatrixHeader{Cells: len(cells), Key: matrixKey})
 	flush()
 
 	// Bounded fan-out, same semantics as experiments.Options.Parallel: a
@@ -224,18 +178,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		} else {
 			tally.Failed++
 		}
-		if binary {
-			w.Write(enc.MatrixCellFrame(cell))
-		} else {
-			writeNDJSON(w, cell)
-		}
+		writeNDJSON(w, cell)
 		flush()
 	}
-	if binary {
-		w.Write(enc.MatrixDoneFrame(tally))
-	} else {
-		writeNDJSON(w, tally)
-	}
+	writeNDJSON(w, tally)
 	flush()
 }
 
@@ -252,8 +198,8 @@ func writeNDJSON(w io.Writer, v any) {
 // the shared single-flight critical section), wait for completion, and
 // report. A full queue is backpressure from this very batch — earlier
 // cells drain it — so the cell waits briefly and resubmits, bounded by
-// the request context. Cell snapshots travel without result bodies on
-// both flavors; results are fetched per job, once, by key-stable ID.
+// the request context. Cell snapshots travel without result bodies;
+// results are fetched per job, once, by key-stable ID.
 func (s *Server) runMatrixCell(ctx context.Context, index int, req Request, key string, m MatrixRequest, deadline time.Duration, tenant string, class qos.Class) MatrixCell {
 	ni := len(m.Intensities)
 	cell := MatrixCell{
@@ -263,7 +209,7 @@ func (s *Server) runMatrixCell(ctx context.Context, index int, req Request, key 
 		Intensity: m.Intensities[index%ni],
 	}
 	for {
-		j, snap, outcome, retryAfter := s.submitTracked(req, key, deadline, tenant, class)
+		j, snap, outcome, retryAfter := s.submit(req, key, deadline, tenant, class)
 		switch outcome {
 		case outcomeCached:
 			cell.Cached = true
@@ -325,4 +271,12 @@ func (s *Server) runMatrixCell(ctx context.Context, index int, req Request, key 
 		cell.Job = stripResult(final)
 		return cell
 	}
+}
+
+// stripResult drops the result body from a job snapshot: matrix cells
+// carry job state, never result bytes — those are fetched once from
+// /v1/jobs/{id}/result instead of re-shipped in every cell.
+func stripResult(snap Job) Job {
+	snap.Result = nil
+	return snap
 }

@@ -149,7 +149,6 @@ func (m *metricsRegistry) meanJobSeconds() float64 {
 // counterHelp documents the exported counters; keep in sorted name order
 // with the writer below.
 var counterHelp = map[string]string{
-	"bin_requests_total":                 "Requests served over the binary wire transport.",
 	"breaker_probes_total":               "Half-open probes attempted against a tripped disk tier.",
 	"breaker_recoveries_total":           "Times a successful probe closed the disk breaker and write-through resumed.",
 	"breaker_skipped_total":              "Disk-tier operations skipped outright because the breaker was open.",

@@ -250,17 +250,10 @@ const (
 // client's time budget (0 = none); tenant is the submission's resolved
 // QoS identity and class its scheduling class; the retryAfter return,
 // when positive, is the server's hint for when a rejected submission is
-// worth retrying.
-func (s *Server) submit(req Request, key string, deadline time.Duration, tenant string, class qos.Class) (Job, submitOutcome, time.Duration) {
-	_, snap, outcome, retryAfter := s.submitTracked(req, key, deadline, tenant, class)
-	return snap, outcome, retryAfter
-}
-
-// submitTracked is submit returning the internal job as well, for
-// callers that must wait on its completion channel (the matrix fan-out
-// holds the returned *job and selects on job.done). The pointer is nil
-// on every rejection outcome.
-func (s *Server) submitTracked(req Request, key string, deadline time.Duration, tenant string, class qos.Class) (*job, Job, submitOutcome, time.Duration) {
+// worth retrying. The returned *job is what callers that must wait on
+// completion select on (the matrix fan-out holds it and waits on
+// job.done); it is nil on every rejection outcome.
+func (s *Server) submit(req Request, key string, deadline time.Duration, tenant string, class qos.Class) (*job, Job, submitOutcome, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -533,37 +526,30 @@ func (s *Server) runJob(j *job) {
 	}
 	now := s.cfg.Clock()
 	s.metrics.observeQueueWait(now.Sub(j.submittedAt).Seconds())
-	if err := j.ctx.Err(); err != nil {
-		// The deadline expired (or the job was cancelled) while it sat in
-		// the queue: don't burn a worker on a result nobody can use.
-		j.status = StatusCancelled
-		j.finishedAt = now
-		j.err = err
-		s.metrics.inc("jobs_cancelled_total", 1)
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.inc("jobs_deadline_expired_total", 1)
-		}
-		snap := j.snapshot()
+	// A job whose deadline expired (or that was cancelled) while it sat
+	// in the queue skips execution — don't burn a worker on a result
+	// nobody can use — and goes straight to the terminal switch with its
+	// context error.
+	var result json.RawMessage
+	err := j.ctx.Err()
+	if err == nil {
+		j.status = StatusRunning
+		j.startedAt = now
+		s.running++
+		hook := s.beforeExecute
 		s.mu.Unlock()
-		j.cancel()
-		close(j.done)
-		j.bcast.finish("error", snap)
-		return
+		s.metrics.inc("jobs_executed_total", 1)
+		s.metrics.incTenantExecuted(j.tenant)
+		j.bcast.publish("status", Job{ID: j.id, Key: j.key, Kind: j.kind, Status: StatusRunning})
+
+		result, err = s.executeGuarded(j, hook)
+
+		s.mu.Lock()
+		now = s.cfg.Clock()
+		s.running--
+		s.metrics.observeJobSeconds(j.kind, now.Sub(j.startedAt).Seconds())
 	}
-	j.status = StatusRunning
-	j.startedAt = now
-	s.running++
-	hook := s.beforeExecute
-	s.mu.Unlock()
-	s.metrics.inc("jobs_executed_total", 1)
-	s.metrics.incTenantExecuted(j.tenant)
-	j.bcast.publish("status", Job{ID: j.id, Key: j.key, Kind: j.kind, Status: StatusRunning})
-
-	result, err := s.executeGuarded(j, hook)
-
-	s.mu.Lock()
-	j.finishedAt = s.cfg.Clock()
-	s.running--
+	j.finishedAt = now
 	var pe *panicError
 	switch {
 	case err == nil:
@@ -602,7 +588,6 @@ func (s *Server) runJob(j *job) {
 		j.err = err
 		s.metrics.inc("jobs_failed_total", 1)
 	}
-	s.metrics.observeJobSeconds(j.kind, j.finishedAt.Sub(j.startedAt).Seconds())
 	snap := j.snapshot()
 	s.mu.Unlock()
 
