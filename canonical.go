@@ -50,11 +50,15 @@ type canonicalConfig struct {
 // Simulate(cfg) and Simulate(NormalizeConfig(cfg)) produce identical
 // results. Observer fields (Journal, Telemetry) pass through untouched.
 func NormalizeConfig(cfg SimulationConfig) (SimulationConfig, error) {
-	if _, err := application(cfg.Application); err != nil {
+	app, err := application(cfg.Application)
+	if err != nil {
 		return SimulationConfig{}, err
 	}
 	kind, err := systemKind(cfg.System)
 	if err != nil {
+		return SimulationConfig{}, err
+	}
+	if _, err := nodeConfig(kind, app, cfg); err != nil {
 		return SimulationConfig{}, err
 	}
 	if _, err := balancer(cfg.Balancer, kind); err != nil {

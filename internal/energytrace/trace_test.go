@@ -254,3 +254,56 @@ func TestIntegrateMatchesSum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// opaque hides a *Sampled behind the Trace interface, so Integrate takes
+// its generic loop.
+type opaque struct{ *Sampled }
+
+// Integrate's direct path for a *Sampled at its own step must return the
+// generic loop's bits: aligned and unaligned starts, windows past the
+// trace's end, reversed and empty windows, and starts before zero. At any
+// other step the direct path must not apply.
+func TestIntegrateSampledMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cfg := SunnyDay()
+	cfg.DayEnd = cfg.DayStart + 10*units.Minute
+	traces := []*Sampled{
+		cfg.Generate(rng),
+		{Step: 7, Samples: []units.Power{0.3, 1e-9, 2.5, 0, 7.25}},
+		{Step: units.Second},
+	}
+	check := func(s *Sampled, from, to, step units.Duration) {
+		t.Helper()
+		got, want := Integrate(s, from, to, step), Integrate(opaque{s}, from, to, step)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Errorf("step %v trace, Integrate(%v, %v, %v) = %v, generic loop %v",
+				s.Step, from, to, step, got, want)
+		}
+	}
+	for _, s := range traces {
+		end := s.Duration()
+		for _, w := range [][2]units.Duration{
+			{0, end},
+			{0, s.Step},
+			{s.Step, 4 * s.Step},
+			{s.Step / 2, 3*s.Step + 1},
+			{end - s.Step/3, end + 5*s.Step},
+			{end + s.Step, end + 3*s.Step},
+			{4 * s.Step, s.Step},
+			{2 * s.Step, 2 * s.Step},
+			{-3 * s.Step, 2 * s.Step},
+			{-s.Step - 1, s.Step + 1},
+			{-5 * s.Step, -s.Step},
+		} {
+			for _, step := range []units.Duration{s.Step, s.Step/2 + 1, 3 * s.Step} {
+				check(s, w[0], w[1], step)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			span := int64(end) + 4*int64(s.Step)
+			from := units.Duration(rng.Int63n(span)) - 2*s.Step
+			to := units.Duration(rng.Int63n(span)) - 2*s.Step
+			check(s, from, to, s.Step)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"neofog/internal/metrics"
 )
 
 func atoiCell(t *testing.T, s string) int {
@@ -277,5 +279,42 @@ func TestFig8ChainSchedule(t *testing.T) {
 	}
 	if _, err := Fig8ChainSchedule(0, 1); err == nil {
 		t.Fatal("bad shape should error")
+	}
+}
+
+// Headline runs only the VP, 100% and 300% points of Fig. 13. Its table
+// and gains must equal those derived from the full Fig. 13 sweep at every
+// pool width.
+func TestHeadlineMatchesFig13(t *testing.T) {
+	for _, base := range []Options{goldenOpts, {Seed: 2}} {
+		for _, par := range []int{1, 2} {
+			opts := base
+			opts.Parallel = par
+			_, points, err := Fig13MultiplexLow(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if points[0].Multiplexing != 0 || points[1].Multiplexing != 1 || points[3].Multiplexing != 3 {
+				t.Fatalf("unexpected Fig. 13 bars: %+v", points)
+			}
+			vp, at1, at3 := points[0].Fog, points[1].Fog, points[3].Fog
+			gain1, gain3 := float64(at1)/float64(vp), float64(at3)/float64(vp)
+			want := metrics.NewTable("Headline: in-fog processing gains", "Configuration", "Fog processed", "Gain vs VP")
+			want.AddRow("VP w/o LB", metrics.Itoa(vp), "1.0×")
+			want.AddRow("NEOFog 100%", metrics.Itoa(at1), metrics.Ftoa(gain1, 1)+"×")
+			want.AddRow("NEOFog 300%", metrics.Itoa(at3), metrics.Ftoa(gain3, 1)+"×")
+
+			h, err := Headline(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.FogGain1x != gain1 || h.FogGain3x != gain3 {
+				t.Errorf("seed %d parallel %d: gains %v, %v; Fig. 13 gives %v, %v",
+					opts.Seed, par, h.FogGain1x, h.FogGain3x, gain1, gain3)
+			}
+			if got, exp := h.Table.Format(), want.Format(); got != exp {
+				t.Errorf("seed %d parallel %d: headline table\n%s\nFig. 13 gives\n%s", opts.Seed, par, got, exp)
+			}
+		}
 	}
 }

@@ -197,55 +197,76 @@ type MultiplexPoint struct {
 }
 
 // figMultiplex runs the NVD4Q multiplexing sweep: a VP reference system,
-// then FIOS-NEOFog at 100%..500% clone multiplexing. The kernel is the
-// lighter mountain-monitoring pipeline (volumetric/slide detection), which
-// even a VP can execute — the paper's Figs. 12–13 show VP in-fog counts.
-func figMultiplex(title string, trace func(nodes int, seed int64) []*energytrace.Sampled,
-	opts Options) (*metrics.Table, []MultiplexPoint, error) {
+// then FIOS-NEOFog at 100%..500% clone multiplexing.
+func figMultiplex(title string, trace multiplexTrace, opts Options) (*metrics.Table, []MultiplexPoint, error) {
 	opts = opts.withDefaults()
-	const kernel = 800 // insts/byte: slide-detection pipeline fits a VP slot
 	t := metrics.NewTable(title, "System", "Physical nodes", "Fog processed", "Samples")
+	points, err := runMultiplex(trace, opts, 0, 1, 2, 3, 4, 5)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, p := range points {
+		physical := opts.Nodes
+		if p.Multiplexing > 0 {
+			physical *= p.Multiplexing
+		}
+		t.AddRow(p.Label, metrics.Itoa(physical), metrics.Itoa(p.Fog), metrics.Itoa(p.Samples))
+	}
+	return t, points, nil
+}
 
+// multiplexTrace synthesises the income traces of a multiplexing sweep
+// point's physical nodes.
+type multiplexTrace func(nodes int, seed int64) []*energytrace.Sampled
+
+// runMultiplex runs the given points of the multiplexing sweep and returns
+// their bars in the order given. Factor 0 is the VP reference system;
+// factor f ≥ 1 is FIOS-NEOFog at f×100% clone multiplexing. The kernel is
+// the lighter mountain-monitoring pipeline (volumetric/slide detection),
+// which even a VP can execute — the paper's Figs. 12–13 show VP in-fog
+// counts. Every point draws its traces and clone sets from its own
+// seeds, so a point's bar does not depend on which other points run.
+func runMultiplex(trace multiplexTrace, opts Options, factors ...int) ([]MultiplexPoint, error) {
+	const kernel = 800 // insts/byte: slide-detection pipeline fits a VP slot
 	light := func(c *sim.Config) { c.Node.FogInstsPerByte = kernel }
 
-	// Point 0 is the VP reference; points 1..5 are NEOFog at rising clone
-	// multiplexing. Trace and clone-set generation stay serial so each
-	// point closes over finished, read-only inputs before the fan-out.
-	sweepPts := make([]sweepPoint, 0, 6)
-	vpTraces := trace(opts.Nodes, opts.Seed)
-	sweepPts = append(sweepPts, systemPoint(node.NOSVP, sched.NoBalance{}, vpTraces, opts, light))
-	for factor := 1; factor <= 5; factor++ {
+	// Trace and clone-set generation stay serial so each point closes over
+	// finished, read-only inputs before the fan-out.
+	sweepPts := make([]sweepPoint, len(factors))
+	for i, factor := range factors {
+		if factor == 0 {
+			sweepPts[i] = systemPoint(node.NOSVP, sched.NoBalance{}, trace(opts.Nodes, opts.Seed), opts, light)
+			continue
+		}
 		physical := opts.Nodes * factor
 		traces := trace(physical, opts.Seed+int64(factor))
 		sets, err := cloneSets(opts.Nodes, physical, opts.Seed+int64(factor))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		factor := factor
-		sweepPts = append(sweepPts, systemPoint(node.FIOSNVMote, sched.Distributed{}, traces, opts, func(c *sim.Config) {
+		sweepPts[i] = systemPoint(node.FIOSNVMote, sched.Distributed{}, traces, opts, func(c *sim.Config) {
 			light(c)
 			if factor > 1 {
 				c.CloneSets = sets
 			}
-		}))
+		})
 	}
 	results, err := runSweep(opts, sweepPts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	var points []MultiplexPoint
-	vp := results[0]
-	t.AddRow("VP w/o LB", metrics.Itoa(opts.Nodes), metrics.Itoa(vp.FogProcessed), metrics.Itoa(samplesOf(vp)))
-	points = append(points, MultiplexPoint{Label: "VP w/o LB", Fog: vp.FogProcessed, Samples: samplesOf(vp)})
-	for factor := 1; factor <= 5; factor++ {
-		r := results[factor]
-		label := fmt.Sprintf("NEOFog %d00%%", factor)
-		t.AddRow(label, metrics.Itoa(opts.Nodes*factor), metrics.Itoa(r.FogProcessed), metrics.Itoa(samplesOf(r)))
-		points = append(points, MultiplexPoint{Label: label, Multiplexing: factor,
-			Fog: r.FogProcessed, Samples: samplesOf(r)})
+	points := make([]MultiplexPoint, len(factors))
+	for i, factor := range factors {
+		r := results[i]
+		label := "VP w/o LB"
+		if factor > 0 {
+			label = fmt.Sprintf("NEOFog %d00%%", factor)
+		}
+		points[i] = MultiplexPoint{Label: label, Multiplexing: factor, Fog: r.FogProcessed, Samples: samplesOf(r)}
 	}
-	return t, points, nil
+	return points, nil
 }
 
 // lbVariants are the Fig. 9 rows: the same NVP node stack under the three
@@ -304,12 +325,15 @@ func Fig12MultiplexHigh(opts Options) (*metrics.Table, []MultiplexPoint, error) 
 // weather — the condition slides actually occur in. Gains grow up to ~3×
 // multiplexing, then saturate against the reduced sampling ceiling.
 func Fig13MultiplexLow(opts Options) (*metrics.Table, []MultiplexPoint, error) {
-	gen := func(nodes int, seed int64) []*energytrace.Sampled {
-		cfg := energytrace.RainyDay()
-		cfg.Peak = 0.5
-		return energytrace.DependentSet(cfg, nodes, 0.3, rand.New(rand.NewSource(seed)))
-	}
-	return figMultiplex("Fig. 13: multiplexing, very low power with dependent variance", gen, opts)
+	return figMultiplex("Fig. 13: multiplexing, very low power with dependent variance", fig13Trace, opts)
+}
+
+// fig13Trace is the Fig. 13 income: a rainy day at very low power with
+// dependent per-node variance.
+func fig13Trace(nodes int, seed int64) []*energytrace.Sampled {
+	cfg := energytrace.RainyDay()
+	cfg.Peak = 0.5
+	return energytrace.DependentSet(cfg, nodes, 0.3, rand.New(rand.NewSource(seed)))
 }
 
 // HeadlineResult carries the paper's §1/§7 headline ratios.
@@ -323,22 +347,14 @@ type HeadlineResult struct {
 
 // Headline computes the combined headline of the paper from the Fig. 13
 // regime: NV-aware optimizations increase in-fog processing ~4× at
-// baseline node count and ~8× at 3× multiplexing.
+// baseline node count and ~8× at 3× multiplexing. It runs only the three
+// Fig. 13 points it reads: the VP reference, 100% and 300%.
 func Headline(opts Options) (*HeadlineResult, error) {
-	_, points, err := Fig13MultiplexLow(opts)
+	points, err := runMultiplex(fig13Trace, opts.withDefaults(), 0, 1, 3)
 	if err != nil {
 		return nil, err
 	}
-	vp := points[0].Fog
-	var at1, at3 int
-	for _, p := range points {
-		switch p.Multiplexing {
-		case 1:
-			at1 = p.Fog
-		case 3:
-			at3 = p.Fog
-		}
-	}
+	vp, at1, at3 := points[0].Fog, points[1].Fog, points[2].Fog
 	if vp == 0 {
 		return nil, fmt.Errorf("experiments: VP processed nothing; headline undefined")
 	}

@@ -130,6 +130,11 @@ func sleepDraw(kind SystemKind) units.Power {
 }
 
 // Node is one sensing node instance.
+//
+// Cfg, Proc, Spend and the radio controller are fixed at New, which
+// prices every cost that depends only on them into the node's fixed-cost
+// table (see fixedCosts). Nothing may change them afterwards: the table
+// would go stale.
 type Node struct {
 	Cfg   Config
 	Bank  *harvester.Bank
@@ -139,6 +144,8 @@ type Node struct {
 	NVRF   *rf.NVRF
 	SoftRF *rf.SoftwareRF
 	Buffer *nvm.FIFO
+
+	costs fixedCosts
 
 	// income is the current per-round income power, set by Harvest or
 	// BeginSlot and used by FIOS compute to feed the direct channel.
@@ -208,7 +215,76 @@ func New(cfg Config) *Node {
 		n.Spend = cpu.DefaultSpendthrift(cfg.Core)
 		n.NVRF = rf.NewNVRF(cfg.Radio)
 	}
+	n.costs = n.priceFixedCosts()
 	return n
+}
+
+// fixedCosts is a node's price list: every cost that depends only on its
+// configuration, worked out once by New instead of on every call. The
+// per-round methods read it; only the packet count FogPlan derives from
+// the levels changes with the node's stored energy and income.
+type fixedCosts struct {
+	// fog holds one packet's fog pipeline (time, energy) per Spendthrift
+	// level in ascending frequency order; a VP has one entry, at the base
+	// clock.
+	fog      []fogPoint
+	feasible bool // the fastest entry meets Cfg.FogDeadline
+	wake     units.Energy
+	wakeTime units.Duration
+	txResult rf.Cost
+	txRaw    rf.Cost
+}
+
+// fogPoint is one packet's fog pipeline at one operating point.
+type fogPoint struct {
+	t units.Duration
+	e units.Energy
+}
+
+// priceFixedCosts builds the fixed-cost table. It is the one place each
+// fixed cost is computed.
+func (n *Node) priceFixedCosts() fixedCosts {
+	var c fixedCosts
+	insts := n.fogInsts()
+	if n.Spend == nil {
+		t, e := n.Cfg.Core.Exec(insts)
+		c.fog = []fogPoint{{t, e}}
+	} else {
+		c.fog = make([]fogPoint, n.Spend.NumLevels())
+		for i := range c.fog {
+			c.fog[i].t, c.fog[i].e = n.Spend.Exec(insts, n.Spend.Level(i))
+		}
+	}
+	c.feasible = c.fog[len(c.fog)-1].t <= n.Cfg.FogDeadline
+
+	dev := n.Cfg.App.Device
+	samples := dev.SampleEnergy * units.Energy(n.Cfg.PacketBytes/dev.BytesPerSample)
+	basicT, basicE := n.Cfg.Core.Exec(n.Cfg.App.NaiveInsts)
+	c.wake = n.Proc.RestoreEnergy + dev.InitEnergy + samples + basicE
+	c.wakeTime = n.Proc.RestoreTime + basicT
+	if n.Cfg.Kind == NOSVP {
+		// A VP must also re-initialise its sensor registers and RF stack
+		// state in software before anything else works; the RF module
+		// init itself is charged at transmission time.
+		rebootT, rebootE := n.Cfg.Core.Exec(2000)
+		c.wake += rebootE
+		c.wakeTime += rebootT
+	}
+
+	// A NOS-VP re-initialises the RF stack in software every round; an
+	// NVRF restores in microseconds (its one-time 28 ms configuration is
+	// paid at deployment).
+	resultBytes := int(float64(n.Cfg.PacketBytes) * n.Cfg.CompressedRatio)
+	if resultBytes < 1 {
+		resultBytes = 1
+	}
+	c.txResult = n.controller().TxCost(resultBytes)
+	c.txRaw = n.controller().TxCost(n.Cfg.PacketBytes)
+	if n.Cfg.Kind == NOSVP {
+		c.txResult = c.txResult.Add(n.SoftRF.InitCost())
+		c.txRaw = c.txRaw.Add(n.SoftRF.InitCost())
+	}
+	return c
 }
 
 // Harvest charges the node for dt under the given income power and records
@@ -274,37 +350,13 @@ func (n *Node) spendFromCap(need units.Energy) bool {
 // WakeCost is the energy to come alive at an RTC slot: processor
 // restore/restart plus sensor sampling of one packet's worth of data plus
 // the basic control computation of Table 2.
-func (n *Node) WakeCost() units.Energy {
-	dev := n.Cfg.App.Device
-	samples := units.Energy(0)
-	perSample := dev.SampleEnergy
-	count := n.Cfg.PacketBytes / dev.BytesPerSample
-	samples = perSample * units.Energy(count)
-	_, basicE := n.Cfg.Core.Exec(n.Cfg.App.NaiveInsts)
-	wake := n.Proc.RestoreEnergy + dev.InitEnergy + samples + basicE
-	if n.Cfg.Kind == NOSVP {
-		// A VP must also re-initialise its sensor registers and RF stack
-		// state in software before anything else works; the RF module
-		// init itself is charged at transmission time.
-		_, rebootE := n.Cfg.Core.Exec(2000)
-		wake += rebootE
-	}
-	return wake
-}
+func (n *Node) WakeCost() units.Energy { return n.costs.wake }
 
 // WakeTime is the wall-clock counterpart of WakeCost: processor restore
 // plus the basic control computation (plus the VP's software reboot). It
 // is what the telemetry layer uses to place the wake span inside the RTC
 // slot; like WakeCost it is a pure function of the configuration.
-func (n *Node) WakeTime() units.Duration {
-	basicT, _ := n.Cfg.Core.Exec(n.Cfg.App.NaiveInsts)
-	t := n.Proc.RestoreTime + basicT
-	if n.Cfg.Kind == NOSVP {
-		rebootT, _ := n.Cfg.Core.Exec(2000)
-		t += rebootT
-	}
-	return t
-}
+func (n *Node) WakeTime() units.Duration { return n.costs.wakeTime }
 
 // TryWake attempts to come alive at an RTC slot. On success the node has
 // sampled one packet into its NVBuffer (or RAM for a VP).
@@ -349,37 +401,34 @@ func (n *Node) directPower() units.Power {
 // per-packet energy and time at that point and the packet count k. A VP
 // has no frequency scaling: it runs at the base clock or not at all.
 func (n *Node) FogPlan(slot units.Duration, reserve units.Energy) (e units.Energy, t units.Duration, k int) {
-	insts := n.fogInsts()
 	capBudget := float64(n.Stored()) - float64(reserve)
-
+	levels := n.costs.fog
 	if n.Spend == nil {
-		t, e = n.Cfg.Core.Exec(insts)
-		if t > slot || e <= 0 {
-			return e, t, 0
+		p := levels[0]
+		if p.t > slot || p.e <= 0 {
+			return p.e, p.t, 0
 		}
-		k = n.packetsWithin(slot, t, capBudget, e)
-		return e, t, k
+		return p.e, p.t, n.packetsWithin(slot, p.t, capBudget, p.e)
 	}
 
-	bestE, bestT, bestK := units.Energy(0), units.Duration(0), -1
-	for i := 0; i < n.Spend.NumLevels(); i++ {
-		lt, le := n.Spend.Exec(insts, n.Spend.Level(i))
-		if lt > slot {
+	var best fogPoint
+	bestK := -1
+	for _, p := range levels {
+		if p.t > slot {
 			continue
 		}
-		lk := n.packetsWithin(slot, lt, capBudget, le)
-		if lk > bestK || (lk == bestK && le < bestE) {
-			bestE, bestT, bestK = le, lt, lk
+		lk := n.packetsWithin(slot, p.t, capBudget, p.e)
+		if lk > bestK || (lk == bestK && p.e < best.e) {
+			best, bestK = p, lk
 		}
 	}
 	if bestK < 0 {
 		// No level fits the slot at all: report the fastest level with
 		// zero capacity so callers can still price the work.
-		top := n.Spend.Level(n.Spend.NumLevels() - 1)
-		t, e = n.Spend.Exec(insts, top)
-		return e, t, 0
+		top := levels[len(levels)-1]
+		return top.e, top.t, 0
 	}
-	return bestE, bestT, bestK
+	return best.e, best.t, bestK
 }
 
 // packetsWithin bounds the per-slot packet count by time and by energy:
@@ -404,20 +453,12 @@ func (n *Node) packetsWithin(slot, t units.Duration, capBudget float64, e units.
 // FogFeasible reports whether any operating point finishes one packet's
 // fog pipeline within the node's deadline — a VP facing a heavyweight
 // kernel simply cannot do edge processing and must ship raw data.
-func (n *Node) FogFeasible() bool {
-	insts := n.fogInsts()
-	if n.Spend == nil {
-		t, _ := n.Cfg.Core.Exec(insts)
-		return t <= n.Cfg.FogDeadline
-	}
-	t, _ := n.Spend.Exec(insts, n.Spend.Level(n.Spend.NumLevels()-1))
-	return t <= n.Cfg.FogDeadline
-}
+func (n *Node) FogFeasible() bool { return n.costs.feasible }
 
 // FogCost reports the per-packet energy and time at the operating point
 // FogPlan would choose for the node's configured deadline.
 func (n *Node) FogCost() (units.Energy, units.Duration) {
-	e, t, _ := n.FogPlan(n.Cfg.FogDeadline, n.TxResultCost().Energy)
+	e, t, _ := n.FogPlan(n.Cfg.FogDeadline, n.costs.txResult.Energy)
 	return e, t
 }
 
@@ -463,33 +504,16 @@ func (n *Node) ProcessFog() bool {
 
 // TxResultCost is the radio cost of transmitting one fog-processed
 // (compressed) packet.
-func (n *Node) TxResultCost() rf.Cost {
-	bytes := int(float64(n.Cfg.PacketBytes) * n.Cfg.CompressedRatio)
-	if bytes < 1 {
-		bytes = 1
-	}
-	return n.txCost(bytes)
-}
+func (n *Node) TxResultCost() rf.Cost { return n.costs.txResult }
 
 // TxRawCost is the radio cost of shipping one raw packet to the cloud.
-func (n *Node) TxRawCost() rf.Cost { return n.txCost(n.Cfg.PacketBytes) }
+func (n *Node) TxRawCost() rf.Cost { return n.costs.txRaw }
 
 func (n *Node) controller() rf.Controller {
 	if n.NVRF != nil {
 		return n.NVRF
 	}
 	return n.SoftRF
-}
-
-func (n *Node) txCost(bytes int) rf.Cost {
-	c := n.controller().TxCost(bytes)
-	// A NOS-VP re-initialises the RF stack in software every round; an
-	// NVRF restores in microseconds (its one-time 28 ms configuration is
-	// paid at deployment).
-	if n.Cfg.Kind == NOSVP {
-		c = c.Add(n.SoftRF.InitCost())
-	}
-	return c
 }
 
 // ARQAckBytes is the size of the link-layer acknowledgement frame the

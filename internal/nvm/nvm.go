@@ -77,33 +77,37 @@ func (r *RegisterFile) Equal(o *RegisterFile) bool {
 // record is dropped and counted ("if the node lacks energy to process or
 // send the buffered data out, the sampled data are discarded", §5.1).
 type FIFO struct {
-	buf     []byte
-	head    int // index of the oldest byte
-	size    int // bytes currently stored
-	dropped uint64
-	pushed  uint64
+	// buf is the ring, allocated by the first Push. Until then only blank
+	// records have been stored, so every stored byte is zero and nothing
+	// needs backing memory.
+	buf      []byte
+	capacity int
+	head     int // index of the oldest byte
+	size     int // bytes currently stored
+	dropped  uint64
+	pushed   uint64
 }
 
-// NewFIFO allocates a FIFO with the given capacity in bytes. The paper's
+// NewFIFO builds a FIFO with the given capacity in bytes. The paper's
 // deployed NVBuffer is 64 kB.
 func NewFIFO(capacity int) *FIFO {
 	if capacity <= 0 {
 		panic("nvm: non-positive FIFO capacity")
 	}
-	return &FIFO{buf: make([]byte, capacity)}
+	return &FIFO{capacity: capacity}
 }
 
 // Cap reports the FIFO capacity in bytes.
-func (f *FIFO) Cap() int { return len(f.buf) }
+func (f *FIFO) Cap() int { return f.capacity }
 
 // Len reports the bytes currently buffered.
 func (f *FIFO) Len() int { return f.size }
 
 // Free reports the remaining room in bytes.
-func (f *FIFO) Free() int { return len(f.buf) - f.size }
+func (f *FIFO) Free() int { return f.capacity - f.size }
 
 // Full reports whether the buffer is at capacity.
-func (f *FIFO) Full() bool { return f.size == len(f.buf) }
+func (f *FIFO) Full() bool { return f.size == f.capacity }
 
 // Dropped reports how many records have been rejected for lack of room.
 func (f *FIFO) Dropped() uint64 { return f.dropped }
@@ -118,7 +122,10 @@ func (f *FIFO) Push(rec []byte) bool {
 		f.dropped++
 		return false
 	}
-	tail := (f.head + f.size) % len(f.buf)
+	if f.buf == nil {
+		f.buf = make([]byte, f.capacity)
+	}
+	tail := (f.head + f.size) % f.capacity
 	n := copy(f.buf[tail:], rec)
 	copy(f.buf, rec[n:])
 	f.size += len(rec)
@@ -137,13 +144,15 @@ func (f *FIFO) PushBlank(n int) bool {
 		f.dropped++
 		return false
 	}
-	tail := (f.head + f.size) % len(f.buf)
-	m := n
-	if tail+m > len(f.buf) {
-		m = len(f.buf) - tail
+	if f.buf != nil { // without a ring the record is zero already
+		tail := (f.head + f.size) % f.capacity
+		m := n
+		if tail+m > f.capacity {
+			m = f.capacity - tail
+		}
+		zero(f.buf[tail : tail+m])
+		zero(f.buf[:n-m])
 	}
-	zero(f.buf[tail : tail+m])
-	zero(f.buf[:n-m])
 	f.size += n
 	f.pushed++
 	return true
@@ -164,9 +173,11 @@ func (f *FIFO) Pop(n int) []byte {
 		n = f.size
 	}
 	out := make([]byte, n)
-	m := copy(out, f.buf[f.head:min(f.head+n, len(f.buf))])
-	copy(out[m:], f.buf)
-	f.head = (f.head + n) % len(f.buf)
+	if f.buf != nil {
+		m := copy(out, f.buf[f.head:min(f.head+n, f.capacity)])
+		copy(out[m:], f.buf)
+	}
+	f.head = (f.head + n) % f.capacity
 	f.size -= n
 	return out
 }
@@ -181,7 +192,7 @@ func (f *FIFO) Discard(n int) int {
 	if n > f.size {
 		n = f.size
 	}
-	f.head = (f.head + n) % len(f.buf)
+	f.head = (f.head + n) % f.capacity
 	f.size -= n
 	return n
 }

@@ -380,12 +380,13 @@ func TestRequestValidation(t *testing.T) {
 	for _, bad := range []string{
 		`{"kind":"nope"}`,
 		`{"experiment":"no-such-artifact"}`,
-		`{"kind":"fleet","config":{}}`,                // fleet without chains
-		`{"config":{},"chains":2}`,                    // chains on a simulate job
-		`{"experiment":"table1","format":"xml"}`,      // unknown format
-		`{"experiment":"table1","config":{}}`,         // config on an experiment
-		`{"config":{"nodes":-1}}`,                     // invalid shape
-		`{"kind":"simulate","options":{"rounds":10}}`, // options on a simulate job
+		`{"kind":"fleet","config":{}}`,                     // fleet without chains
+		`{"config":{},"chains":2}`,                         // chains on a simulate job
+		`{"experiment":"table1","format":"xml"}`,           // unknown format
+		`{"experiment":"table1","config":{}}`,              // config on an experiment
+		`{"config":{"nodes":-1}}`,                          // invalid shape
+		`{"config":{"FogInstsPerByte":10000000000000000}}`, // per-packet instruction count overflows
+		`{"kind":"simulate","options":{"rounds":10}}`,      // options on a simulate job
 		`not json`,
 	} {
 		code, raw, err := doPost(ts, bad)

@@ -33,8 +33,10 @@ func allocConfig(rounds int) Config {
 // TestRunAllocBudget pins sim.Run's allocation budget with telemetry off.
 //
 // Budget accounting — fixed setup (one-time, any round count): the nodes,
-// their buffers and traces' cursors, the run arena, and the Result maps;
-// measured ~210, budgeted 600. Marginal per round: the caller-owned
+// their NVBuffer headers and fixed-cost tables (each table's level slice
+// takes the allocation the NVBuffer's 64 KiB ring used to: the ring now
+// waits for a real Push, which the simulator never makes), traces'
+// cursors, the run arena, and the Result maps; measured ~210, budgeted 600. Marginal per round: the caller-owned
 // Plan.Exec/Plan.Leftover pair from basePlan (the scratch planner contract
 // keeps those two fresh — the Plan outlives the round) plus occasional
 // Moves appends and packet buffers absorbed by the pools; measured ~2.0,

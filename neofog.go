@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -215,12 +216,10 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 		traces = energytrace.IndependentSet(solar, physical, 5*units.Minute, rng)
 	}
 
-	nodeCfg := node.DefaultConfig(kind, app)
-	if cfg.FogInstsPerByte > 0 {
-		nodeCfg.FogInstsPerByte = cfg.FogInstsPerByte
+	nodeCfg, err := nodeConfig(kind, app, cfg)
+	if err != nil {
+		return SimulationResult{}, err
 	}
-	nodeCfg.Resumable = cfg.Resumable
-	nodeCfg.WakeupRadio = cfg.WakeupRadio
 
 	simCfg := sim.Config{
 		Node:           nodeCfg,
@@ -267,6 +266,24 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 		FailoverSlots:  r.FailoverSlots,
 		BalanceRetries: r.BalanceRetries,
 	}, nil
+}
+
+// nodeConfig builds a deployment's per-node template. It holds the one
+// check of the fog-kernel cost: a node prices one packet's fog pipeline,
+// FogInstsPerByte × PacketBytes instructions, when it is built, so a cost
+// whose product overflows int64 is refused here rather than wrapped.
+func nodeConfig(kind node.SystemKind, app apps.App, cfg SimulationConfig) (node.Config, error) {
+	nc := node.DefaultConfig(kind, app)
+	if cfg.FogInstsPerByte > 0 {
+		if cfg.FogInstsPerByte > math.MaxInt64/int64(nc.PacketBytes) {
+			return node.Config{}, fmt.Errorf("neofog: fog kernel cost %d insts/byte overflows the instruction count of a %d-byte packet",
+				cfg.FogInstsPerByte, nc.PacketBytes)
+		}
+		nc.FogInstsPerByte = cfg.FogInstsPerByte
+	}
+	nc.Resumable = cfg.Resumable
+	nc.WakeupRadio = cfg.WakeupRadio
+	return nc, nil
 }
 
 // FleetResult aggregates a multi-chain deployment.

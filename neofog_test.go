@@ -3,6 +3,7 @@ package neofog
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -85,6 +86,28 @@ func TestSimulateValidation(t *testing.T) {
 		if _, err := Simulate(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
+	}
+}
+
+// A fog-kernel cost whose per-packet instruction count overflows int64
+// is refused by every entry point that takes a SimulationConfig, with an
+// error rather than a panic inside the simulator.
+func TestFogCostOverflowRejected(t *testing.T) {
+	for _, perByte := range []int64{1e16, 1 << 62, math.MaxInt64/1024 + 1} {
+		cfg := SimulationConfig{Nodes: 4, Rounds: 10, FogInstsPerByte: perByte}
+		if _, err := Simulate(cfg); err == nil {
+			t.Errorf("Simulate accepted %d insts/byte", perByte)
+		}
+		if _, err := SimulateFleet(cfg, 2); err == nil {
+			t.Errorf("SimulateFleet accepted %d insts/byte", perByte)
+		}
+		if _, err := NormalizeConfig(cfg); err == nil {
+			t.Errorf("NormalizeConfig accepted %d insts/byte", perByte)
+		}
+	}
+	// The largest cost whose 1 kB packet still fits is valid input.
+	if _, err := NormalizeConfig(SimulationConfig{FogInstsPerByte: math.MaxInt64 / 1024}); err != nil {
+		t.Errorf("NormalizeConfig rejected the largest representable cost: %v", err)
 	}
 }
 
