@@ -46,6 +46,11 @@ func BenchmarkSimulateTelemetry(b *testing.B) { runCase(b, "SimulateTelemetry") 
 // stream-only collector the serve daemon attaches to every job.
 func BenchmarkSimulateStreaming(b *testing.B) { runCase(b, "SimulateStreaming") }
 
+// BenchmarkSimulateServeMiss is a serve cache miss as the write-mix
+// workload makes them: short never-seen runs under the stream-only
+// collector.
+func BenchmarkSimulateServeMiss(b *testing.B) { runCase(b, "SimulateServeMiss") }
+
 // BenchmarkSimulateLargeFleet runs the 100-node inter-chain scale the
 // paper's simulator targets (reduced rounds to keep the benchmark honest
 // but bounded).

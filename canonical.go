@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
+
+	"neofog/internal/units"
 )
 
 // This file is the canonicalization layer under the simulation service's
@@ -107,10 +108,8 @@ func NormalizeConfig(cfg SimulationConfig) (SimulationConfig, error) {
 	if out.SolarPeakMilliwatts == 0 {
 		out.SolarPeakMilliwatts = float64(solar.Peak)
 	}
-	if out.Nodes < 1 || out.Multiplexing < 1 || out.SlotSeconds < 0 ||
-		out.Rounds < 0 || out.FogInstsPerByte < 0 {
-		return SimulationConfig{}, fmt.Errorf("neofog: invalid deployment shape (nodes=%d, multiplexing=%d, slot=%gs, rounds=%d)",
-			out.Nodes, out.Multiplexing, out.SlotSeconds, out.Rounds)
+	if err := checkShape(out, units.Seconds(out.SlotSeconds)); err != nil {
+		return SimulationConfig{}, err
 	}
 	return out, nil
 }

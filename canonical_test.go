@@ -79,6 +79,7 @@ func TestCanonicalRejectsInvalid(t *testing.T) {
 		{Multiplexing: -2},
 		{SlotSeconds: -5},
 		{Rounds: -10},
+		{Nodes: 1, Multiplexing: 2},
 	} {
 		if _, err := ConfigHash(cfg); err == nil {
 			t.Errorf("expected error for %+v", cfg)

@@ -117,6 +117,37 @@ func Cases() []Case {
 				}
 			}
 		}},
+		{"SimulateServeMiss", func(b *testing.B) {
+			// A serve cache miss as the write-mix workload makes them: a
+			// short never-seen run (nodes 4–10, rounds 30–300, every
+			// system) under the stream-only collector serve attaches to
+			// every job. The configs cycle through a fixed seeded draw, so
+			// every measurement averages the same mix.
+			rng := rand.New(rand.NewSource(1))
+			systems := []neofog.System{neofog.SystemVP, neofog.SystemNVP, neofog.SystemNEOFog}
+			cfgs := make([]neofog.SimulationConfig, 16)
+			for i := range cfgs {
+				cfgs[i] = neofog.SimulationConfig{
+					System: systems[rng.Intn(len(systems))],
+					Nodes:  4 + rng.Intn(7),
+					Rounds: 30 + rng.Intn(271),
+					Seed:   1 + rng.Int63n(1<<40),
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg := cfgs[i%len(cfgs)]
+				cfg.Telemetry = neofog.NewStreamingTelemetry(discardStreamer{})
+				res, err := neofog.Simulate(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Rounds != cfg.Rounds {
+					b.Fatalf("ran %d rounds, want %d", res.Rounds, cfg.Rounds)
+				}
+			}
+		}},
 		{"SimulateLargeFleet", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -175,7 +206,8 @@ func Cases() []Case {
 			// 10-node chain (5-hour sunny day at 1 s, 5-minute segments).
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				set := energytrace.IndependentSet(energytrace.SunnyDay(), 10, 5*units.Minute, rand.New(rand.NewSource(int64(i+1))))
+				cfg := energytrace.SunnyDay()
+				set := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(int64(i+1))))
 				if len(set) != 10 {
 					b.Fatal("short trace set")
 				}

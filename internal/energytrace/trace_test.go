@@ -133,7 +133,7 @@ func TestIndependentVsDependentCorrelation(t *testing.T) {
 	cfg := SunnyDay()
 	cfg.Step = 10 * units.Second // keep the test fast
 	rng := rand.New(rand.NewSource(42))
-	ind := IndependentSet(cfg, 2, 5*units.Minute, rng)
+	ind := IndependentSet(cfg, 2, 5*units.Minute, cfg.DayLength(), rng)
 	dep := DependentSet(cfg, 2, 0.3, rng)
 
 	corrInd := correlation(ind[0], ind[1])
@@ -167,7 +167,7 @@ func TestIndependentSetSizes(t *testing.T) {
 	cfg := SunnyDay()
 	cfg.Step = 10 * units.Second
 	rng := rand.New(rand.NewSource(5))
-	set := IndependentSet(cfg, 5, 7*units.Minute, rng) // segment not divisible
+	set := IndependentSet(cfg, 5, 7*units.Minute, cfg.DayLength(), rng) // segment not divisible
 	want := int((cfg.DayEnd - cfg.DayStart) / cfg.Step)
 	for i, tr := range set {
 		if len(tr.Samples) != want {

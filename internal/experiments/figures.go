@@ -29,7 +29,7 @@ func forestProfile(profile int, nodes int, seed int64) []*energytrace.Sampled {
 	cfg.CloudAttenuation = 0.55
 	cfg.ShadeJitter = 0.25
 	rng := rand.New(rand.NewSource(seed + int64(profile)*101))
-	traces := energytrace.IndependentSet(cfg, nodes, 5*units.Minute, rng)
+	traces := energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rng)
 	// Canopy density differs persistently between spots (lognormal,
 	// ~0.6–1.7×); stronger bimodal shading regimes are explored by the
 	// Fig. 9 experiment, where the balancers' stored-energy effect is
@@ -133,6 +133,10 @@ func Fig9StoredEnergy(opts Options) (*Fig9Result, error) {
 	cfg.Peak = 4.4
 	cfg.CloudAttenuation = 0.45
 	record := []int{3, 4, 5}
+	if last := record[len(record)-1]; opts.Nodes <= last {
+		return nil, fmt.Errorf("experiments: fig9 records nodes %d–%d, so it needs at least %d nodes, got %d",
+			record[0], last, last+1, opts.Nodes)
+	}
 	// Deck shadow along the bridge gives consecutive cable nodes very
 	// different exposure: one shaded, one half-lit, one in full sun. This
 	// is the stored-energy imbalance Fig. 9 visualises.
@@ -228,6 +232,9 @@ type multiplexTrace func(nodes int, seed int64) []*energytrace.Sampled
 // seeds, so a point's bar does not depend on which other points run.
 func runMultiplex(trace multiplexTrace, opts Options, factors ...int) ([]MultiplexPoint, error) {
 	const kernel = 800 // insts/byte: slide-detection pipeline fits a VP slot
+	if opts.Nodes < 2 {
+		return nil, fmt.Errorf("experiments: clone sets anchor on a line of at least 2 nodes, got %d", opts.Nodes)
+	}
 	light := func(c *sim.Config) { c.Node.FogInstsPerByte = kernel }
 
 	// Trace and clone-set generation stay serial so each point closes over
@@ -316,7 +323,7 @@ func Fig12MultiplexHigh(opts Options) (*metrics.Table, []MultiplexPoint, error) 
 		cfg.Peak = 2.0
 		cfg.CloudAttenuation = 0.35
 		cfg.ShadeJitter = 0.3
-		return energytrace.IndependentSet(cfg, nodes, 5*units.Minute, rand.New(rand.NewSource(seed)))
+		return energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(seed)))
 	}
 	return figMultiplex("Fig. 12: multiplexing, high power with large independent variance", gen, opts)
 }

@@ -19,7 +19,7 @@ func baseConfig(t *testing.T, rounds int, seed int64) sim.Config {
 	t.Helper()
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(0.7)
-	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, rand.New(rand.NewSource(seed)))
+	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(seed)))
 	return sim.Config{
 		Node:           node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
 		Traces:         traces,

@@ -20,7 +20,7 @@ func cloneBaseConfig(t *testing.T, rounds int, seed int64) sim.Config {
 	n := len(cfg.Traces)
 	tc := energytrace.SunnyDay()
 	tc.Peak = units.Power(0.7)
-	cfg.Traces = energytrace.IndependentSet(tc, 2*n, 5*units.Minute, rand.New(rand.NewSource(seed)))
+	cfg.Traces = energytrace.IndependentSet(tc, 2*n, 5*units.Minute, tc.DayLength(), rand.New(rand.NewSource(seed)))
 	sets := make([]virt.LogicalNode, n)
 	for i := range sets {
 		sets[i] = virt.LogicalNode{ID: i, Clones: []int{i, n + i}}

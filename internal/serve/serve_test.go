@@ -387,6 +387,8 @@ func TestRequestValidation(t *testing.T) {
 		`{"config":{"nodes":-1}}`,                          // invalid shape
 		`{"config":{"FogInstsPerByte":10000000000000000}}`, // per-packet instruction count overflows
 		`{"kind":"simulate","options":{"rounds":10}}`,      // options on a simulate job
+		`{"config":{"nodes":1,"multiplexing":2}}`,          // clone sets need two anchors
+		`{"kind":"fleet","config":{"nodes":1,"multiplexing":2},"chains":2}`,
 		`not json`,
 	} {
 		code, raw, err := doPost(ts, bad)
@@ -400,6 +402,26 @@ func TestRequestValidation(t *testing.T) {
 	if code, _ := getBody(t, ts, "/v1/jobs/j-missing"); code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", code)
 	}
+}
+
+// TestExperimentTooSmallFails runs an artifact on fewer nodes than it
+// records, across parallel sweep workers. The job must end failed with
+// the artifact's error, and the server must keep answering.
+func TestExperimentTooSmallFails(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, sub := postJob(t, ts, `{"experiment":"fig9","options":{"nodes":3,"rounds":5,"parallel":2}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", code)
+	}
+	j := waitStatus(t, ts, sub.Job.ID, StatusFailed)
+	if !strings.Contains(j.Error, "needs at least 6 nodes") {
+		t.Fatalf("failed job error = %q, want fig9's node minimum", j.Error)
+	}
+	code, sub = postJob(t, ts, smallSim)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the failure: status %d, want 202", code)
+	}
+	waitStatus(t, ts, sub.Job.ID, StatusDone)
 }
 
 // TestExperimentsEndpoint lists the servable artifact IDs.

@@ -17,7 +17,7 @@ import (
 func allocConfig(rounds int) Config {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(0.8)
-	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, rand.New(rand.NewSource(3)))
+	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(3)))
 	return Config{
 		Node:           node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
 		Traces:         traces,

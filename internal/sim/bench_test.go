@@ -15,7 +15,7 @@ import (
 func benchRun(b *testing.B, kind node.SystemKind, bal sched.Balancer, nodes int) {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = 0.7
-	traces := energytrace.IndependentSet(cfg, nodes, 5*units.Minute, rand.New(rand.NewSource(1)))
+	traces := energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := Run(Config{

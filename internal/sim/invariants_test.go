@@ -30,7 +30,7 @@ func randomConfig(seed int64) Config {
 
 	tc := energytrace.SunnyDay()
 	tc.Peak = units.Power(0.3 + rng.Float64()*1.2)
-	traces := energytrace.IndependentSet(tc, nodes, 5*units.Minute, rng)
+	traces := energytrace.IndependentSet(tc, nodes, 5*units.Minute, tc.DayLength(), rng)
 
 	cfg := Config{
 		Node:           node.DefaultConfig(kinds[rng.Intn(len(kinds))], apps.BridgeHealth()),
@@ -56,7 +56,7 @@ func randomConfig(seed int64) Config {
 			BackoffBase: units.Duration(1+rng.Intn(20)) * units.Millisecond,
 		}
 		if rng.Intn(3) == 0 {
-			cfg.Traces = energytrace.IndependentSet(tc, 2*nodes, 5*units.Minute, rng)
+			cfg.Traces = energytrace.IndependentSet(tc, 2*nodes, 5*units.Minute, tc.DayLength(), rng)
 			sets := make([]virt.LogicalNode, nodes)
 			for i := range sets {
 				sets[i] = virt.LogicalNode{ID: i, Clones: []int{i, nodes + i}}

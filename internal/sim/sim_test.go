@@ -19,7 +19,7 @@ func forestTraces(t *testing.T, nodes int, peak float64, seed int64) []*energytr
 	t.Helper()
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(peak)
-	return energytrace.IndependentSet(cfg, nodes, 5*units.Minute, rand.New(rand.NewSource(seed)))
+	return energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(seed)))
 }
 
 func run(t *testing.T, kind node.SystemKind, bal sched.Balancer, traces []*energytrace.Sampled, mut func(*Config)) Result {
