@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"neofog/internal/qos"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -112,4 +115,37 @@ func TestGoldenWarmRestart(t *testing.T) {
 		t.Fatalf("warm result: status %d", code)
 	}
 	checkGolden(t, "result.golden", result)
+}
+
+// TestGoldenTenantMetrics pins the /metrics exposition of a multi-tenant
+// daemon: three configured tenants plus the default, two job kinds and
+// a cached hit attributed to a tenant that never ran anything, so every
+// neofog_tenant_* family prints several rows and job_seconds two kinds.
+func TestGoldenTenantMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Tenants: []qos.TenantConfig{
+		{Name: "gold", Weight: 3}, {Name: "bronze", Weight: 1}, {Name: "alpha", Weight: 2},
+	}})
+	for _, step := range []struct {
+		tenant, body string
+		code         int
+	}{
+		{"gold", smallSim, http.StatusAccepted},
+		{"bronze", `{"experiment":"table1"}`, http.StatusAccepted},
+		{"alpha", smallSim, http.StatusOK},
+	} {
+		resp, raw := postRaw(t, ts, "/v1/jobs?tenant="+step.tenant, step.body)
+		if resp.StatusCode != step.code {
+			t.Fatalf("%s submit: status %d, want %d: %s", step.tenant, resp.StatusCode, step.code, raw)
+		}
+		var sub SubmitResponse
+		if err := json.Unmarshal(raw, &sub); err != nil {
+			t.Fatalf("decode submit: %v", err)
+		}
+		waitStatus(t, ts, sub.Job.ID, StatusDone)
+	}
+	code, body := getBody(t, ts, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
+	}
+	checkGolden(t, "metrics_tenants.golden", body)
 }
