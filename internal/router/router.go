@@ -131,7 +131,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		ring:    newRing(names, cfg.Replicas),
 		healthy: make([]atomic.Bool, len(cfg.Shards)),
-		metrics: newRouterMetrics(),
+		metrics: newRouterMetrics(cfg.Shards),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -175,7 +175,7 @@ func (rt *Router) Probe() {
 		ok := rt.probeShard(i)
 		was := rt.healthy[i].Swap(ok)
 		if was != ok {
-			rt.metrics.inc("shard_health_transitions_total", 1)
+			rt.metrics.healthTransitions.Add(1)
 			if rt.cfg.ErrorLog != nil {
 				state := "healthy"
 				if !ok {
@@ -207,7 +207,7 @@ func (rt *Router) probeShard(i int) bool {
 // the prober restores it once /readyz answers again.
 func (rt *Router) markDegraded(i int, err error) {
 	if rt.healthy[i].Swap(false) {
-		rt.metrics.inc("shard_health_transitions_total", 1)
+		rt.metrics.healthTransitions.Add(1)
 		if rt.cfg.ErrorLog != nil {
 			rt.cfg.ErrorLog.Printf("router: shard %s degraded: %v", rt.cfg.Shards[i].Name, err)
 		}
@@ -323,7 +323,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []
 		if r.Context().Err() != nil {
 			return true // the client hung up; nothing left to deliver or retry
 		}
-		rt.metrics.inc("forward_errors_total", 1)
+		rt.metrics.forwardErrors.Add(1)
 		rt.markDegraded(i, err)
 		return false
 	}
@@ -344,7 +344,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []
 	}
 	w.WriteHeader(resp.StatusCode)
 	flushingCopy(w, resp.Body)
-	rt.metrics.incShard(rt.cfg.Shards[i].Name, 1)
+	rt.metrics.shardRequests.Add(1, rt.cfg.Shards[i].Name)
 	return true
 }
 
@@ -418,13 +418,13 @@ func (rt *Router) submitTo(w http.ResponseWriter, r *http.Request, rkey string, 
 	cands := rt.candidates(rkey)
 	for n, i := range cands {
 		if n > 0 {
-			rt.metrics.inc("retries_total", 1)
+			rt.metrics.retries.Add(1)
 		}
 		if rt.forwardSubmit(w, r, i, body, n == len(cands)-1) {
 			return
 		}
 	}
-	rt.metrics.inc("no_shard_total", 1)
+	rt.metrics.noShard.Add(1)
 	writeError(w, http.StatusBadGateway, "no shard reachable for this request")
 }
 
@@ -451,14 +451,14 @@ func (rt *Router) forwardSubmit(w http.ResponseWriter, r *http.Request, i int, b
 		if r.Context().Err() != nil {
 			return true
 		}
-		rt.metrics.inc("forward_errors_total", 1)
+		rt.metrics.forwardErrors.Add(1)
 		rt.markDegraded(i, err)
 		return false
 	}
 	defer resp.Body.Close()
 	if !final && retryableStatus(resp.StatusCode) {
 		io.Copy(io.Discard, resp.Body)
-		rt.metrics.inc("forward_errors_total", 1)
+		rt.metrics.forwardErrors.Add(1)
 		return false
 	}
 	h := w.Header()
@@ -475,7 +475,7 @@ func (rt *Router) forwardSubmit(w http.ResponseWriter, r *http.Request, i int, b
 	}
 	w.WriteHeader(resp.StatusCode)
 	flushingCopy(w, resp.Body)
-	rt.metrics.incShard(shard.Name, 1)
+	rt.metrics.shardRequests.Add(1, shard.Name)
 	return true
 }
 
@@ -507,13 +507,13 @@ func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
 	cands := rt.candidates(routingKeyFromID(r.PathValue("id")))
 	for n, i := range cands {
 		if n > 0 {
-			rt.metrics.inc("retries_total", 1)
+			rt.metrics.retries.Add(1)
 		}
 		if rt.forward(w, r, i, nil) {
 			return
 		}
 	}
-	rt.metrics.inc("no_shard_total", 1)
+	rt.metrics.noShard.Add(1)
 	writeError(w, http.StatusBadGateway, "no shard reachable for job %q", r.PathValue("id"))
 }
 
@@ -525,7 +525,7 @@ func (rt *Router) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.metrics.inc("no_shard_total", 1)
+	rt.metrics.noShard.Add(1)
 	writeError(w, http.StatusBadGateway, "no shard reachable")
 }
 
@@ -551,7 +551,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !reached {
-		rt.metrics.inc("no_shard_total", 1)
+		rt.metrics.noShard.Add(1)
 		writeError(w, http.StatusBadGateway, "no shard reachable")
 		return
 	}

@@ -233,7 +233,9 @@ func TestRouterRetryNextReplica(t *testing.T) {
 	if sub.Job.ID == "" {
 		t.Fatalf("no job ID from the surviving replica")
 	}
-	if c.rt.metrics.counter("retries_total") == 0 {
+	var own strings.Builder
+	c.rt.metrics.reg.WritePrometheus(&own)
+	if strings.Contains(own.String(), "\nneofog_router_retries_total 0\n") {
 		t.Fatalf("retries_total = 0; the router did not record the failover")
 	}
 }

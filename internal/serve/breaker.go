@@ -35,7 +35,7 @@ type breaker struct {
 	threshold  int           // consecutive failures that trip the breaker
 	probeEvery time.Duration // how long open lasts before a probe
 	clock      func() time.Time
-	metrics    *metricsRegistry
+	metrics    *metrics
 
 	state    int
 	failures int // consecutive, reset on any success
@@ -46,7 +46,7 @@ type breaker struct {
 	recoveredPending bool
 }
 
-func newBreaker(threshold int, probeEvery time.Duration, clock func() time.Time, m *metricsRegistry) *breaker {
+func newBreaker(threshold int, probeEvery time.Duration, clock func() time.Time, m *metrics) *breaker {
 	return &breaker{threshold: threshold, probeEvery: probeEvery, clock: clock, metrics: m}
 }
 
@@ -60,7 +60,7 @@ func (b *breaker) allow() bool {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.metrics.inc("breaker_probes_total", 1)
+		b.metrics.breakerProbes.Add(1)
 		return true
 	default:
 		return true
@@ -77,7 +77,7 @@ func (b *breaker) record(err error) {
 		if b.state != breakerClosed {
 			b.state = breakerClosed
 			b.recoveredPending = true
-			b.metrics.inc("breaker_recoveries_total", 1)
+			b.metrics.breakerRecoveries.Add(1)
 		}
 		return
 	}
@@ -90,7 +90,7 @@ func (b *breaker) record(err error) {
 // trip forces the breaker open (boot-level failures call it directly).
 func (b *breaker) trip() {
 	if b.state != breakerOpen {
-		b.metrics.inc("breaker_trips_total", 1)
+		b.metrics.breakerTrips.Add(1)
 	}
 	b.state = breakerOpen
 	b.failures = 0

@@ -89,7 +89,7 @@ func TestDeadlineAdmission(t *testing.T) {
 	defer release()
 
 	// Seed the latency estimate directly: mean job latency 2s.
-	srv.metrics.observeJobSeconds(KindSimulate, 2.0)
+	srv.metrics.jobSeconds.Observe(2.0, KindSimulate)
 
 	// Saturate the single worker.
 	code, running := postJob(t, ts, `{"config":{"nodes":4,"rounds":40,"seed":7}}`)
@@ -250,13 +250,7 @@ func TestDeadlineExpiredWhileRunning(t *testing.T) {
 			t.Fatalf("%s = %d, want 1", name, n)
 		}
 	}
-	srv.metrics.mu.Lock()
-	var observed int64
-	if h := srv.metrics.hists[KindSimulate]; h != nil {
-		observed = h.N
-	}
-	srv.metrics.mu.Unlock()
-	if observed != 1 {
+	if observed := srv.metrics.counter(`job_seconds_count{kind="simulate"}`); observed != 1 {
 		t.Fatalf("job_seconds observations = %d, want 1", observed)
 	}
 	text := <-stream

@@ -86,7 +86,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
-	s.metrics.inc("matrix_requests_total", 1)
+	s.metrics.matrixRequests.Add(1)
 
 	var m MatrixRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -113,7 +113,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.metrics.inc("matrix_cells_total", int64(len(cells)))
+	s.metrics.matrixCells.Add(int64(len(cells)))
 
 	parallel := m.Parallel
 	if parallel <= 0 {

@@ -144,7 +144,7 @@ func (c Config) withDefaults() Config {
 // mount Handler, and call Drain to shut down gracefully.
 type Server struct {
 	cfg     Config
-	metrics *metricsRegistry
+	metrics *metrics
 
 	mu       sync.Mutex
 	store    *resultStore // disk tier bookkeeping; nil when CacheDir is empty
@@ -175,7 +175,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg.withDefaults(),
-		metrics:  newMetrics(),
 		byKey:    map[string]*job{},
 		byID:     map[string]*job{},
 		poisoned: map[string]*poisonRecord{},
@@ -185,13 +184,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.sched = sched
+	s.metrics = newMetrics(s.cfg, sched.Tenants())
 	s.notEmpty = sync.NewCond(&s.mu)
-	// Eager registration keeps the /metrics exposition deterministic
-	// from the first scrape: every configured tenant's families appear
-	// at zero before it has submitted anything.
-	for _, tc := range sched.Tenants() {
-		s.metrics.registerTenant(tc.Name)
-	}
 	if hook := s.cfg.ExecHook; hook != nil {
 		s.beforeExecute = func(j *job) { hook(j.key) }
 	}
@@ -215,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 				break
 			}
 			s.store.dropEntry(victim)
-			s.metrics.inc("cache_evictions_total", 1)
+			s.metrics.cacheEvictions.Add(1)
 			s.removeJobLocked(victim.j)
 		}
 		s.store.flushIndex()
@@ -258,12 +252,12 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	defer s.mu.Unlock()
 
 	if s.draining {
-		s.metrics.inc("submit_rejected_draining_total", 1)
+		s.metrics.rejectedDraining.Add(1)
 		return nil, Job{}, outcomeDraining, 0
 	}
 	tenant = s.sched.Resolve(tenant)
-	s.metrics.inc("jobs_submitted_total", 1)
-	s.metrics.incTenantSubmitted(tenant)
+	s.metrics.jobsSubmitted.Add(1)
+	s.metrics.tenantSubmitted.Add(1, tenant)
 	now := s.cfg.Clock()
 
 	// Quarantine gate: a key whose runs keep panicking is rejected until
@@ -273,7 +267,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		if !now.Before(rec.until) {
 			delete(s.poisoned, key) // quarantine lapsed: clean slate
 		} else if rec.count >= s.cfg.PoisonRetries {
-			s.metrics.inc("submit_rejected_poisoned_total", 1)
+			s.metrics.rejectedPoisoned.Add(1)
 			var snap Job
 			if j, ok := s.byKey[key]; ok {
 				snap = j.snapshot()
@@ -288,12 +282,12 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 			fromDisk := s.store != nil && j.result == nil
 			if s.promoteLocked(j) {
 				if fromDisk {
-					s.metrics.inc("tier_hits_disk_total", 1)
+					s.metrics.tierHitsDisk.Add(1)
 				} else {
-					s.metrics.inc("tier_hits_memory_total", 1)
+					s.metrics.tierHitsMemory.Add(1)
 				}
 				j.hits++
-				s.metrics.inc("cache_hits_total", 1)
+				s.metrics.cacheHits.Add(1)
 				return j, j.snapshot(), outcomeCached, 0
 			}
 			// The persisted result failed verification and was discarded
@@ -301,7 +295,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 			// same key — a corrupt entry must never serve bad bytes.
 		case !j.terminal():
 			j.hits++
-			s.metrics.inc("dedup_hits_total", 1)
+			s.metrics.dedupHits.Add(1)
 			return j, j.snapshot(), outcomeDeduped, 0
 		}
 		// failed, cancelled, or poisoned-below-cap: fall through and retry
@@ -314,7 +308,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	// nobody can use — reject now and tell the client when to retry.
 	wait := s.predictedWaitLocked()
 	if deadline > 0 && wait > deadline {
-		s.metrics.inc("submit_rejected_deadline_total", 1)
+		s.metrics.rejectedDeadline.Add(1)
 		return nil, Job{}, outcomeDeadline, wait
 	}
 
@@ -326,7 +320,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	// relies on. Only a genuinely enqueueable submission reaches the
 	// rate bucket.
 	if s.sched.Len() >= s.cfg.QueueDepth {
-		s.metrics.inc("submit_rejected_full_total", 1)
+		s.metrics.rejectedFull.Add(1)
 		return nil, Job{}, outcomeQueueFull, wait
 	}
 
@@ -338,12 +332,12 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	// refill.
 	switch res, retry := s.sched.Admit(tenant, now); res {
 	case qos.RejectedDepth:
-		s.metrics.inc("submit_rejected_tenant_depth_total", 1)
-		s.metrics.incTenantRejected(tenant, "depth")
+		s.metrics.rejectedTenantDepth.Add(1)
+		s.metrics.tenantRejected.Add(1, "depth", tenant)
 		return nil, Job{}, outcomeTenantDepth, s.queuedWaitLocked(s.sched.TenantLen(tenant))
 	case qos.RejectedRate:
-		s.metrics.inc("submit_rejected_tenant_rate_total", 1)
-		s.metrics.incTenantRejected(tenant, "rate")
+		s.metrics.rejectedTenantRate.Add(1)
+		s.metrics.tenantRejected.Add(1, "rate", tenant)
 		return nil, Job{}, outcomeTenantRate, retry
 	}
 
@@ -371,7 +365,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	s.sched.Push(tenant, class, j)
 	s.notEmpty.Signal()
 	s.addJobLocked(j)
-	s.metrics.inc("cache_misses_total", 1)
+	s.metrics.cacheMisses.Add(1)
 	s.evictLocked()
 	return j, j.snapshot(), outcomeNew, 0
 }
@@ -392,7 +386,7 @@ func (s *Server) predictedWaitLocked() time.Duration {
 // depth-rejection Retry-After to that tenant's backlog rather than the
 // whole shared queue. Callers hold s.mu.
 func (s *Server) queuedWaitLocked(queued int) time.Duration {
-	mean := s.metrics.meanJobSeconds()
+	mean := s.metrics.jobSeconds.Mean()
 	if mean == 0 {
 		mean = s.cfg.AssumedJobSeconds
 	}
@@ -480,7 +474,7 @@ func (s *Server) evictLocked() {
 		if excess > 0 && evictable {
 			delete(s.byKey, key)
 			delete(s.byID, j.id)
-			s.metrics.inc("cache_evictions_total", 1)
+			s.metrics.cacheEvictions.Add(1)
 			excess--
 			continue
 		}
@@ -525,7 +519,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	now := s.cfg.Clock()
-	s.metrics.observeQueueWait(now.Sub(j.submittedAt).Seconds())
+	s.metrics.queueWait.Observe(now.Sub(j.submittedAt).Seconds())
 	// A job whose deadline expired (or that was cancelled) while it sat
 	// in the queue skips execution — don't burn a worker on a result
 	// nobody can use — and goes straight to the terminal switch with its
@@ -538,8 +532,8 @@ func (s *Server) runJob(j *job) {
 		s.running++
 		hook := s.beforeExecute
 		s.mu.Unlock()
-		s.metrics.inc("jobs_executed_total", 1)
-		s.metrics.incTenantExecuted(j.tenant)
+		s.metrics.jobsExecuted.Add(1)
+		s.metrics.tenantExecuted.Add(1, j.tenant)
 		j.bcast.publish("status", Job{ID: j.id, Key: j.key, Kind: j.kind, Status: StatusRunning})
 
 		result, err = s.executeGuarded(j, hook)
@@ -547,7 +541,7 @@ func (s *Server) runJob(j *job) {
 		s.mu.Lock()
 		now = s.cfg.Clock()
 		s.running--
-		s.metrics.observeJobSeconds(j.kind, now.Sub(j.startedAt).Seconds())
+		s.metrics.jobSeconds.Observe(now.Sub(j.startedAt).Seconds(), j.kind)
 	}
 	j.finishedAt = now
 	var pe *panicError
@@ -572,21 +566,21 @@ func (s *Server) runJob(j *job) {
 		j.status = StatusPoisoned
 		j.err = err
 		s.poisonLocked(j.key)
-		s.metrics.inc("jobs_poisoned_total", 1)
+		s.metrics.jobsPoisoned.Add(1)
 		if s.cfg.ErrorLog != nil {
 			s.cfg.ErrorLog.Printf("serve: job %s (key %s) panicked: %v\n%s", j.id, j.key, pe.val, pe.stack)
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.status = StatusCancelled
 		j.err = err
-		s.metrics.inc("jobs_cancelled_total", 1)
+		s.metrics.jobsCancelled.Add(1)
 		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.inc("jobs_deadline_expired_total", 1)
+			s.metrics.jobsDeadlineExpired.Add(1)
 		}
 	default:
 		j.status = StatusFailed
 		j.err = err
-		s.metrics.inc("jobs_failed_total", 1)
+		s.metrics.jobsFailed.Add(1)
 	}
 	snap := j.snapshot()
 	s.mu.Unlock()
@@ -720,7 +714,7 @@ func (s *Server) cancelJob(id string) (Job, bool) {
 		target.status = StatusCancelled
 		target.finishedAt = s.cfg.Clock()
 		target.err = context.Canceled
-		s.metrics.inc("jobs_cancelled_total", 1)
+		s.metrics.jobsCancelled.Add(1)
 		snap := target.snapshot()
 		s.mu.Unlock()
 		target.cancel()

@@ -73,7 +73,7 @@ type resultStore struct {
 	memLimit int    // max memory-resident bodies before demotion
 	fs       FS
 	brk      *breaker
-	metrics  *metricsRegistry
+	metrics  *metrics
 
 	seq       int64 // LRU clock; monotone per store use
 	entries   map[string]*storeEntry
@@ -123,7 +123,7 @@ func (e *storeEntry) inMemory() bool { return e.j.result != nil }
 // created or listed trips the breaker immediately and the store opens
 // cold and degraded — the service runs memory-only and the breaker's
 // probes keep trying the disk.
-func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker, m *metricsRegistry) (*resultStore, []indexEntry) {
+func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker, m *metrics) (*resultStore, []indexEntry) {
 	rs := &resultStore{
 		dir: dir, budget: budget, memLimit: memLimit, fs: fs, brk: brk, metrics: m,
 		entries: map[string]*storeEntry{},
@@ -167,7 +167,7 @@ func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker,
 		if derr != nil {
 			// Mangled index: the catalog (and its hashes) cannot be
 			// trusted, so neither can any file it might have described.
-			rs.metrics.inc("index_resets_total", 1)
+			rs.metrics.indexResets.Add(1)
 			adoptable = false
 		} else {
 			warm = idx.Entries
@@ -282,7 +282,7 @@ func (rs *resultStore) put(j *job, body []byte) (evicted []*job) {
 	case errors.Is(err, errDiskDegraded):
 		// Skipped, not failed: counted by the breaker path already.
 	default:
-		rs.metrics.inc("disk_write_errors_total", 1)
+		rs.metrics.diskWriteErrors.Add(1)
 	}
 
 	rs.demoteOverflow(e)
@@ -292,7 +292,7 @@ func (rs *resultStore) put(j *job, body []byte) (evicted []*job) {
 			break // only the fresh entry remains; it survives until the next put
 		}
 		rs.dropEntry(victim)
-		rs.metrics.inc("cache_evictions_total", 1)
+		rs.metrics.cacheEvictions.Add(1)
 		evicted = append(evicted, victim.j)
 	}
 	rs.sweepRecovered()
@@ -315,9 +315,9 @@ func (rs *resultStore) promote(j *job) bool {
 	}
 	body, err := rs.readResult(j.key, e.sum, e.size)
 	if err != nil {
-		rs.metrics.inc("tier_misses_disk_total", 1)
+		rs.metrics.tierMissesDisk.Add(1)
 		if !os.IsNotExist(err) && !errors.Is(err, errDiskDegraded) {
-			rs.metrics.inc("disk_corrupt_total", 1)
+			rs.metrics.diskCorrupt.Add(1)
 		}
 		rs.dropEntry(e)
 		return false
@@ -325,7 +325,7 @@ func (rs *resultStore) promote(j *job) bool {
 	j.result = body
 	rs.memCount++
 	rs.memBytes += e.size
-	rs.metrics.inc("tier_promotions_total", 1)
+	rs.metrics.tierPromotions.Add(1)
 	rs.demoteOverflow(e)
 	rs.sweepRecovered()
 	return true
@@ -355,7 +355,7 @@ func (rs *resultStore) demoteOverflow(keep *storeEntry) {
 			case errors.Is(err, errDiskDegraded):
 				return // breaker open: stop demoting, overshoot until recovery
 			default:
-				rs.metrics.inc("disk_write_errors_total", 1)
+				rs.metrics.diskWriteErrors.Add(1)
 				victim.lastUsed = rs.tick() // stop reselecting the same unpersistable entry
 				continue
 			}
@@ -363,7 +363,7 @@ func (rs *resultStore) demoteOverflow(keep *storeEntry) {
 		victim.j.result = nil
 		rs.memCount--
 		rs.memBytes -= victim.size
-		rs.metrics.inc("tier_demotions_total", 1)
+		rs.metrics.tierDemotions.Add(1)
 	}
 }
 
@@ -384,7 +384,7 @@ func (rs *resultStore) sweepRecovered() {
 			if errors.Is(err, errDiskDegraded) {
 				break // re-tripped mid-sweep
 			}
-			rs.metrics.inc("disk_write_errors_total", 1)
+			rs.metrics.diskWriteErrors.Add(1)
 			continue
 		}
 		e.onDisk = true
@@ -426,7 +426,7 @@ func (rs *resultStore) dropEntry(e *storeEntry) {
 // is success (the desired state holds), anything else feeds the breaker.
 func (rs *resultStore) removeFile(path string) {
 	if !rs.brk.allow() {
-		rs.metrics.inc("breaker_skipped_total", 1)
+		rs.metrics.breakerSkipped.Add(1)
 		return
 	}
 	err := rs.fs.Remove(path)
@@ -444,7 +444,7 @@ func (rs *resultStore) removeFile(path string) {
 // not disk failure) feeds the breaker's failure streak.
 func (rs *resultStore) writeResult(e *storeEntry) error {
 	if !rs.brk.allow() {
-		rs.metrics.inc("breaker_skipped_total", 1)
+		rs.metrics.breakerSkipped.Add(1)
 		return errDiskDegraded
 	}
 	j := e.j
@@ -503,7 +503,7 @@ func parseResultFile(raw []byte) (indexEntry, []byte, error) {
 // content was bad, which is corruption, not unavailability.
 func (rs *resultStore) readResult(key, wantSum string, wantSize int64) ([]byte, error) {
 	if !rs.brk.allow() {
-		rs.metrics.inc("breaker_skipped_total", 1)
+		rs.metrics.breakerSkipped.Add(1)
 		return nil, errDiskDegraded
 	}
 	raw, err := rs.fs.ReadFile(rs.resultPath(key))
@@ -558,19 +558,19 @@ func (rs *resultStore) indexSnapshot() indexFile {
 // breaker is open.
 func (rs *resultStore) flushIndex() {
 	if !rs.brk.allow() {
-		rs.metrics.inc("breaker_skipped_total", 1)
+		rs.metrics.breakerSkipped.Add(1)
 		return
 	}
 	b, err := encodeIndex(rs.indexSnapshot())
 	if err != nil {
-		rs.metrics.inc("disk_write_errors_total", 1)
+		rs.metrics.diskWriteErrors.Add(1)
 		rs.brk.record(nil) // encoding is not a disk outcome
 		return
 	}
 	err = atomicWriteFile(rs.fs, filepath.Join(rs.dir, indexFileName), b)
 	rs.brk.record(err)
 	if err != nil {
-		rs.metrics.inc("disk_write_errors_total", 1)
+		rs.metrics.diskWriteErrors.Add(1)
 	}
 }
 

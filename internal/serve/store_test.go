@@ -115,7 +115,7 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("budget=%d,mem=%d", shape.budget, shape.memLimit), func(t *testing.T) {
 			dir := t.TempDir()
 			rng := rand.New(rand.NewSource(int64(si)*101 + 17))
-			m := newMetrics()
+			m := newMetrics(Config{}, nil)
 			rs, warm := newResultStore(dir, shape.budget, shape.memLimit, OSFS(), newBreaker(3, time.Minute, time.Now, m), m)
 			if len(warm) != 0 {
 				t.Fatalf("cold dir produced %d warm entries", len(warm))
@@ -167,7 +167,7 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 						t.Fatalf("op %d: promoted bytes differ for %s", op, j.key)
 					}
 				default: // restart: reopen the store from disk
-					rm := newMetrics()
+					rm := newMetrics(Config{}, nil)
 					reopened, warm := newResultStore(dir, shape.budget, shape.memLimit, OSFS(), newBreaker(3, time.Minute, time.Now, rm), rm)
 					seen := map[string]bool{}
 					adopted := map[string]*job{}

@@ -100,7 +100,6 @@ func TestStreamOnlyForwardsAndKeepsNothing(t *testing.T) {
 		r.Count("c", 2)
 		r.SetGauge("g", 1)
 		r.Observe("h", 3)
-		r.RegisterHistogram("custom", []float64{1, 2})
 		r.Span(0, PhaseWake, 0, units.Millisecond, 1)
 		r.Instant(1, PhaseTx, units.Second, 8)
 		r.Sample(0, 1, units.Second, units.Microjoule, 2, true)
@@ -139,7 +138,7 @@ func TestStreamOnlyForwardsAndKeepsNothing(t *testing.T) {
 		}
 
 		if stream.Events() != nil || stream.Samples() != nil || stream.Counter("c") != 0 ||
-			stream.Hist("h") != nil || stream.CounterNames() != nil || stream.GaugeNames() != nil {
+			stream.HistNames() != nil || stream.CounterNames() != nil || stream.GaugeNames() != nil {
 			t.Fatalf("%s: stream-only recorder kept something", name)
 		}
 		if _, ok := stream.Gauge("g"); ok {

@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's deterministic observability layer:
-// a typed metrics registry (counters, gauges, fixed-bucket histograms),
+// a per-run Recorder of counters, gauges and fixed-bucket histograms,
 // span-style event tracing of node phases keyed to RTC slot time, and
 // per-node energy/backlog timeline sampling. Nothing here reads the wall
 // clock or any RNG — every recorded value is a pure function of the
@@ -12,6 +12,10 @@
 // untouched and the Result bit-identical to an unobserved run. Telemetry
 // observes, never perturbs: a Recorder must never feed back into any
 // simulation decision.
+//
+// Registry (registry.go) is the serve daemon's and the router's
+// process-lifetime /metrics set. It shares only Histogram with the
+// Recorder.
 package telemetry
 
 import (
@@ -85,9 +89,8 @@ type Sample struct {
 	Awake   bool
 }
 
-// DefaultBounds are the fixed histogram bucket upper bounds used when a
-// histogram is first observed without explicit registration. The final
-// (overflow) bucket is implicit.
+// DefaultBounds are the fixed bucket upper bounds of a Recorder's
+// histograms. The final (overflow) bucket is implicit.
 var DefaultBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 
 // Histogram is a fixed-bucket histogram; buckets never change after
@@ -121,44 +124,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.Sum / float64(h.N)
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts,
-// interpolating linearly inside the winning bucket — the same estimator
-// Prometheus's histogram_quantile uses, so dashboards and the serve
-// bench harness agree on what "p99" means. The first bucket interpolates
-// from 0; observations past the last bound are clamped to it (a
-// fixed-bucket histogram cannot know its true maximum). Returns 0 when
-// empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.N == 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.N)
-	var cum float64
-	for i, c := range h.Counts {
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(h.Bounds) {
-			return h.Bounds[len(h.Bounds)-1] // overflow bucket: clamp
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.Bounds[i-1]
-		}
-		hi := h.Bounds[i]
-		within := (rank - (cum - float64(c))) / float64(c)
-		return lo + (hi-lo)*within
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }
 
 func (h *Histogram) merge(o *Histogram) {
@@ -250,7 +215,7 @@ func (r *Recorder) Gauge(name string) (float64, bool) {
 }
 
 // Observe adds a value to a named histogram, creating it with
-// DefaultBounds on first use; RegisterHistogram first for custom buckets.
+// DefaultBounds on first use.
 func (r *Recorder) Observe(name string, v float64) {
 	if !r.retains() {
 		return
@@ -261,28 +226,6 @@ func (r *Recorder) Observe(name string, v float64) {
 		r.hists[name] = h
 	}
 	h.Observe(v)
-}
-
-// RegisterHistogram creates (or returns) a histogram with explicit
-// ascending bucket bounds; nil on a nil or stream-only recorder.
-func (r *Recorder) RegisterHistogram(name string, bounds []float64) *Histogram {
-	if !r.retains() {
-		return nil
-	}
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h := newHistogram(bounds)
-	r.hists[name] = h
-	return h
-}
-
-// Hist reads a histogram (nil if never observed).
-func (r *Recorder) Hist(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.hists[name]
 }
 
 // Track names a trace lane (a physical node, or the balancer).
@@ -385,9 +328,9 @@ func (r *Recorder) chainSpan() int {
 }
 
 // MergeNext folds a child recorder into r as the next chain(s), assigning
-// chain ids in call order — RunFleet merges per-chain recorders in input
-// order, so a fleet's telemetry reads exactly as if the chains had run
-// serially. Counters and histograms are summed, gauges are overwritten in
+// chain ids in call order — the facade's SimulateFleet merges per-chain
+// recorders in input order, so a fleet's telemetry reads exactly as if
+// the chains had run serially. Counters and histograms are summed, gauges are overwritten in
 // merge order, and events, samples and track labels are re-tagged with the
 // assigned chain id. It returns the base chain id the child received.
 // A stream-only parent forwards the re-tagged events and samples to its

@@ -77,15 +77,14 @@ func TestRegistry(t *testing.T) {
 	if v, ok := r.Gauge("g"); !ok || v != 2.5 {
 		t.Fatalf("gauge g = %v, %v", v, ok)
 	}
-	r.RegisterHistogram("h", []float64{1, 10})
-	for _, v := range []float64{0.5, 5, 50} {
+	for _, v := range []float64{0.5, 5, 5000} {
 		r.Observe("h", v)
 	}
-	h := r.Hist("h")
-	if h.N != 3 || h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 {
+	h := r.hists["h"]
+	if h.N != 3 || h.Counts[0] != 1 || h.Counts[2] != 1 || h.Counts[len(DefaultBounds)] != 1 {
 		t.Fatalf("histogram mis-bucketed: %+v", h)
 	}
-	if mean := h.Mean(); math.Abs(mean-(0.5+5+50)/3) > 1e-12 {
+	if mean := h.Mean(); math.Abs(mean-(0.5+5+5000)/3) > 1e-12 {
 		t.Fatalf("mean = %v", mean)
 	}
 	names := r.CounterNames()
@@ -126,7 +125,7 @@ func TestMergeDeterministicInInputOrder(t *testing.T) {
 		if got := parent.Counter("c"); got != 1+2+3 {
 			t.Fatalf("merged counter = %d", got)
 		}
-		if h := parent.Hist("h"); h.N != 3 {
+		if h := parent.hists["h"]; h.N != 3 {
 			t.Fatalf("merged histogram N = %d", h.N)
 		}
 		return tr.Bytes(), tl.Bytes()
@@ -207,43 +206,5 @@ func TestSummaryTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := New()
-	h := r.RegisterHistogram("lat", []float64{1, 2, 5, 10})
-
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram Quantile = %v, want 0", got)
-	}
-
-	// 100 observations spread uniformly over (0, 10]: ten per unit.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 10)
-	}
-	cases := []struct {
-		q, want float64
-	}{
-		{0.10, 1},   // exactly the first bound
-		{0.05, 0.5}, // interpolated inside [0,1)
-		{0.20, 2},
-		{0.50, 5},
-		{0.75, 7.5}, // interpolated inside (5,10]
-		{1.00, 10},
-	}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-
-	// Out-of-range q clamps; overflow observations clamp to the last bound.
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Errorf("Quantile(-1) = %v, want %v", got, h.Quantile(0))
-	}
-	h.Observe(1e9)
-	if got := h.Quantile(1); got != 10 {
-		t.Errorf("overflow Quantile(1) = %v, want clamp to 10", got)
 	}
 }
