@@ -54,8 +54,9 @@ type Options struct {
 	// (systems × power profiles × fault intensities): 0 or 1 runs points
 	// serially (the default), N > 1 runs up to N concurrently, and a
 	// negative value uses every available CPU. The pool is bounded by
-	// GOMAXPROCS either way, mirroring sim.RunFleet. Every table, CSV, and
-	// golden is byte-identical at any width — results merge in input order.
+	// GOMAXPROCS either way, mirroring neofog.SimulateFleet. Every table,
+	// CSV, and golden is byte-identical at any width — results merge in
+	// input order.
 	Parallel int
 }
 

@@ -23,7 +23,7 @@ import (
 type sweepPoint func() (sim.Result, *telemetry.Recorder, error)
 
 // workers resolves the Options.Parallel knob to a pool width, bounded the
-// same way sim.RunFleet bounds its chain fan-out.
+// same way neofog.SimulateFleet bounds its chain fan-out.
 func (o Options) workers() int {
 	w := o.Parallel
 	if w < 0 {

@@ -51,7 +51,7 @@ type Campaign struct {
 }
 
 // poolWidth resolves a Parallel knob to a bounded worker count, the same
-// way experiments.Options and sim.RunFleet bound their fan-out.
+// way experiments.Options and neofog.SimulateFleet bound their fan-out.
 func poolWidth(parallel int) int {
 	w := parallel
 	if w < 0 {

@@ -14,7 +14,7 @@ import (
 // hooks stay nil, so an empty plan still compiles to the zero FaultHooks.
 // A nil recorder returns h unchanged. Like the Recorder itself the
 // wrapper is not safe for concurrent use: give each chain its own
-// recorder (RunFleet does this automatically).
+// recorder (neofog.SimulateFleet does this automatically).
 func InstrumentHooks(h sim.FaultHooks, tel *telemetry.Recorder) sim.FaultHooks {
 	if !tel.Enabled() {
 		return h

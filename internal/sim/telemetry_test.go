@@ -167,43 +167,3 @@ func TestTelemetryGoldenExports(t *testing.T) {
 		t.Fatal("bridge scenario result diverges with telemetry attached")
 	}
 }
-
-// TestTelemetryFleetMerge checks RunFleet merges per-chain recorders
-// deterministically in input order: two fleet runs over the same configs
-// produce byte-identical merged exports, and the merged recorder tags
-// events with each chain's index.
-func TestTelemetryFleetMerge(t *testing.T) {
-	run := func() ([]byte, *telemetry.Recorder) {
-		parent := telemetry.New()
-		configs := make([]Config, 3)
-		for i := range configs {
-			configs[i] = randomConfig(int64(100 + i))
-			configs[i].Telemetry = parent
-		}
-		if _, err := RunFleet(configs); err != nil {
-			t.Fatal(err)
-		}
-		var tr bytes.Buffer
-		if err := parent.WriteChromeTrace(&tr); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Bytes(), parent
-	}
-	tr1, rec := run()
-	tr2, _ := run()
-	if !bytes.Equal(tr1, tr2) {
-		t.Fatal("fleet-merged trace export not deterministic")
-	}
-	if err := telemetry.ValidateTraceJSON(tr1); err != nil {
-		t.Fatal(err)
-	}
-	chains := map[int]bool{}
-	for _, ev := range rec.Events() {
-		chains[ev.Chain] = true
-	}
-	for i := 0; i < 3; i++ {
-		if !chains[i] {
-			t.Errorf("no events tagged with chain %d after fleet merge", i)
-		}
-	}
-}

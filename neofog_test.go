@@ -225,16 +225,29 @@ func TestSimulateFleet(t *testing.T) {
 	if len(fleet.PerChain) != 4 || fleet.Aggregate.Nodes != 20 {
 		t.Fatalf("fleet shape: %+v", fleet.Aggregate)
 	}
-	// Chain 0 must equal a standalone run with the same seed.
-	solo, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Chain i must equal a standalone run at seed cfg.Seed+i.
+	var wakeups, fog int
+	for i, got := range fleet.PerChain {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)
+		solo, err := Simulate(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != solo {
+			t.Fatalf("chain %d diverged:\n%+v\n%+v", i, got, solo)
+		}
+		wakeups += solo.Wakeups
+		fog += solo.FogProcessed
 	}
-	if fleet.PerChain[0] != solo {
-		t.Fatalf("chain 0 diverged:\n%+v\n%+v", fleet.PerChain[0], solo)
+	if fleet.Aggregate.Wakeups != wakeups || fleet.Aggregate.FogProcessed != fog {
+		t.Fatalf("aggregate %+v does not sum the chains (wakeups %d, fog %d)", fleet.Aggregate, wakeups, fog)
 	}
 	if _, err := SimulateFleet(cfg, 0); err == nil {
 		t.Fatal("zero chains should error")
+	}
+	if _, err := SimulateFleet(SimulationConfig{Nodes: 1, Multiplexing: 2}, 2); err == nil {
+		t.Fatal("a chain config the simulator refuses should surface its error")
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // with or without a recorder attached, and the nil default costs nothing.
 // Recording from the same seed twice yields byte-identical exports. A
 // Telemetry must not be shared across concurrently running simulations;
-// SimulateFleet and RunFleet handle that internally by giving each chain
-// a private child recorder and merging in chain order.
+// SimulateFleet handles that internally by giving each chain a private
+// child recorder and merging in chain order.
 type Telemetry struct {
 	rec *telemetry.Recorder
 }

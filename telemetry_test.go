@@ -75,31 +75,54 @@ func TestTelemetryFacadeNil(t *testing.T) {
 }
 
 // TestTelemetryFacadeFleet checks SimulateFleet merges per-chain child
-// recorders into the caller's Telemetry without changing the fleet result.
+// recorders into the caller's Telemetry without changing the fleet
+// result: in chain order, chain i tagged i, byte-identical run to run.
 func TestTelemetryFacadeFleet(t *testing.T) {
 	cfg := SimulationConfig{Rounds: 80, Seed: 4}
 	bare, err := SimulateFleet(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := NewTelemetry()
-	cfg.Telemetry = tel
-	traced, err := SimulateFleet(cfg, 3)
-	if err != nil {
+	run := func() ([]byte, *Telemetry) {
+		tel := NewTelemetry()
+		c := cfg
+		c.Telemetry = tel
+		traced, err := SimulateFleet(c, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bare.Aggregate != traced.Aggregate {
+			t.Fatal("telemetry perturbed the fleet aggregate")
+		}
+		if got := tel.Counter("sim.wakeups"); got != int64(traced.Aggregate.Wakeups) {
+			t.Fatalf("merged sim.wakeups = %d, aggregate says %d", got, traced.Aggregate.Wakeups)
+		}
+		var trace bytes.Buffer
+		if err := tel.WriteTrace(&trace); err != nil {
+			t.Fatal(err)
+		}
+		return trace.Bytes(), tel
+	}
+	tr1, tel := run()
+	tr2, _ := run()
+	if !bytes.Equal(tr1, tr2) {
+		t.Fatal("fleet-merged trace export not deterministic")
+	}
+	if err := telemetry.ValidateTraceJSON(tr1); err != nil {
 		t.Fatal(err)
 	}
-	if bare.Aggregate != traced.Aggregate {
-		t.Fatal("telemetry perturbed the fleet aggregate")
+	// Chain i's events are tagged i, and the chains merge in order.
+	seen := map[int]bool{}
+	last := 0
+	for _, ev := range tel.rec.Events() {
+		if ev.Chain < last {
+			t.Fatalf("event tagged chain %d after chain %d", ev.Chain, last)
+		}
+		last = ev.Chain
+		seen[ev.Chain] = true
 	}
-	if got := tel.Counter("sim.wakeups"); got != int64(traced.Aggregate.Wakeups) {
-		t.Fatalf("merged sim.wakeups = %d, aggregate says %d", got, traced.Aggregate.Wakeups)
-	}
-	var trace bytes.Buffer
-	if err := tel.WriteTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.ValidateTraceJSON(trace.Bytes()); err != nil {
-		t.Fatal(err)
+	if len(seen) != 3 || !seen[0] || !seen[1] || !seen[2] {
+		t.Fatalf("events tagged with chains %v, want exactly 0, 1 and 2", seen)
 	}
 }
 
