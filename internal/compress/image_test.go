@@ -139,6 +139,42 @@ func TestImageRoundTripQuality(t *testing.T) {
 	}
 }
 
+// TestImageRoundTripGrid decodes CompressImage's output over sizes,
+// frames and qualities. The encoder ends every block with EOB, also a
+// block whose 64th coefficient is nonzero; noisy frames and quality 100
+// put many such blocks in the stream. Each quality's PSNR floor sits
+// below the noise frame's, and a decoder that skips such an EOB derails
+// into an error or into pixels near 10 dB.
+func TestImageRoundTripGrid(t *testing.T) {
+	minPSNR := map[int]float64{1: 10, 20: 15, 50: 20, 75: 25, 95: 40, 100: 55}
+	for _, sz := range [][2]int{{8, 8}, {16, 8}, {64, 64}, {176, 144}} {
+		w, h := sz[0], sz[1]
+		flat, noise := make([]byte, w*h), make([]byte, w*h)
+		for i := range flat {
+			flat[i] = 128
+		}
+		rand.New(rand.NewSource(3)).Read(noise)
+		for name, frame := range map[string][]byte{"test": testFrame(t, w, h), "flat": flat, "noise": noise} {
+			for q, floor := range minPSNR {
+				blob, _, err := CompressImage(frame, w, h, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, gw, gh, st, err := DecompressImage(blob)
+				if err != nil {
+					t.Fatalf("%dx%d %s q%d: %v", w, h, name, q, err)
+				}
+				if gw != w || gh != h || st.OutBytes != len(back) || len(back) != w*h {
+					t.Fatalf("%dx%d %s q%d: decoded %dx%d, %d pixels", w, h, name, q, gw, gh, len(back))
+				}
+				if psnr := PSNR(frame, back); psnr < floor {
+					t.Errorf("%dx%d %s q%d: PSNR %.1f dB < %.0f", w, h, name, q, psnr, floor)
+				}
+			}
+		}
+	}
+}
+
 func TestImageQualityMonotone(t *testing.T) {
 	const w, h = 64, 64
 	frame := testFrame(t, w, h)
