@@ -247,25 +247,7 @@ func Decompress(blob []byte) ([]byte, Stats, error) {
 	return out, Stats{InBytes: len(blob), OutBytes: origLen, Instructions: inst}, nil
 }
 
-// transpose reorders whole records into plane-major order: byte k of every
-// record is grouped together. A trailing partial record stays in place at
-// the end.
-func transpose(in []byte, stride int) []byte {
-	n := len(in) / stride * stride
-	out := make([]byte, len(in))
-	rows := n / stride
-	idx := 0
-	for p := 0; p < stride; p++ {
-		for r := 0; r < rows; r++ {
-			out[idx] = in[r*stride+p]
-			idx++
-		}
-	}
-	copy(out[n:], in[n:])
-	return out
-}
-
-// untranspose inverts transpose.
+// untranspose inverts Compress's plane-major transposition.
 func untranspose(in []byte, stride int) []byte {
 	n := len(in) / stride * stride
 	out := make([]byte, len(in))
@@ -281,49 +263,9 @@ func untranspose(in []byte, stride int) []byte {
 	return out
 }
 
-// deltaEncode returns out[i] = in[i] - in[i-stride] (first stride bytes
-// verbatim).
-func deltaEncode(in []byte, stride int) []byte {
-	out := make([]byte, len(in))
-	copy(out, in[:stride])
-	for i := stride; i < len(in); i++ {
-		out[i] = in[i] - in[i-stride]
-	}
-	return out
-}
-
-// deltaDecode inverts deltaEncode in place.
+// deltaDecode inverts the delta filter in place: b[i] += b[i-stride].
 func deltaDecode(b []byte, stride int) {
 	for i := stride; i < len(b); i++ {
 		b[i] += b[i-stride]
 	}
-}
-
-// rleEncode converts bytes to a symbol stream where runs of zeros become
-// zrunSym with an extra byte (run length - 1, max 256 per token).
-func rleEncode(in []byte) (syms []uint16, extras []byte) {
-	syms = make([]uint16, 0, len(in)/2+16)
-	i := 0
-	for i < len(in) {
-		if in[i] == 0 {
-			run := 1
-			for i+run < len(in) && in[i+run] == 0 && run < maxRun {
-				run++
-			}
-			if run >= minRun {
-				syms = append(syms, zrunSym)
-				extras = append(extras, byte(run-1))
-				i += run
-				continue
-			}
-			for j := 0; j < run; j++ {
-				syms = append(syms, 0)
-			}
-			i += run
-			continue
-		}
-		syms = append(syms, uint16(in[i]))
-		i++
-	}
-	return syms, extras
 }

@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"container/heap"
-	"errors"
-)
+import "errors"
 
 // code is one canonical Huffman code: the low n bits of bits, MSB-first.
 type code struct {
@@ -11,27 +8,8 @@ type code struct {
 	n    uint8
 }
 
-// buildCodeLengths assigns Huffman code lengths to symbols with the given
-// frequencies, limited to maxLen bits. Symbols with zero frequency get
-// length 0. If the natural tree exceeds maxLen, frequencies are repeatedly
-// flattened (halved with a floor of 1) until it fits — a standard
-// length-limiting fallback that is near-optimal for these alphabets.
-func buildCodeLengths(freq []int, maxLen int) []uint8 {
-	f := make([]int, len(freq))
-	copy(f, freq)
-	for {
-		lengths, ok := huffLengths(f, maxLen)
-		if ok {
-			return lengths
-		}
-		for i, v := range f {
-			if v > 1 {
-				f[i] = (v + 1) / 2
-			}
-		}
-	}
-}
-
+// hnode is one Huffman tree node; hheap orders them by frequency, then
+// symbol, for the tree build in pool.go.
 type hnode struct {
 	freq  int
 	sym   int // -1 for internal
@@ -48,107 +26,7 @@ func (h hheap) Less(i, j int) bool {
 	}
 	return h[i].sym < h[j].sym // deterministic tie-break
 }
-func (h hheap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *hheap) Push(x interface{}) { *h = append(*h, x.(*hnode)) }
-func (h *hheap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-func huffLengths(freq []int, maxLen int) ([]uint8, bool) {
-	h := &hheap{}
-	for s, f := range freq {
-		if f > 0 {
-			heap.Push(h, &hnode{freq: f, sym: s})
-		}
-	}
-	lengths := make([]uint8, len(freq))
-	switch h.Len() {
-	case 0:
-		return lengths, true
-	case 1:
-		lengths[(*h)[0].sym] = 1
-		return lengths, true
-	}
-	for h.Len() > 1 {
-		a := heap.Pop(h).(*hnode)
-		b := heap.Pop(h).(*hnode)
-		heap.Push(h, &hnode{freq: a.freq + b.freq, sym: -1, left: a, right: b})
-	}
-	root := heap.Pop(h).(*hnode)
-	ok := true
-	var walk func(n *hnode, depth int)
-	walk = func(n *hnode, depth int) {
-		if n.sym >= 0 {
-			if depth == 0 {
-				depth = 1
-			}
-			if depth > maxLen {
-				ok = false
-			} else {
-				lengths[n.sym] = uint8(depth)
-			}
-			return
-		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
-	}
-	walk(root, 0)
-	return lengths, ok
-}
-
-// canonicalCodes converts code lengths to canonical codes (shorter codes
-// first, ties broken by symbol order).
-func canonicalCodes(lengths []uint8) []code {
-	maxLen := uint8(0)
-	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	codes := make([]code, len(lengths))
-	next := uint32(0)
-	for l := uint8(1); l <= maxLen; l++ {
-		for s, sl := range lengths {
-			if sl == l {
-				codes[s] = code{bits: next, n: l}
-				next++
-			}
-		}
-		next <<= 1
-	}
-	return codes
-}
-
-// packLengths stores one 4-bit length per symbol (two per byte). Code
-// lengths are limited to 15, so 4 bits suffice.
-func packLengths(lengths []uint8) []byte {
-	out := make([]byte, (len(lengths)+1)/2)
-	for i, l := range lengths {
-		if i%2 == 0 {
-			out[i/2] = l & 0x0F
-		} else {
-			out[i/2] |= (l & 0x0F) << 4
-		}
-	}
-	return out
-}
-
-func unpackLengths(packed []byte) []uint8 {
-	out := make([]uint8, numSyms)
-	for i := range out {
-		b := packed[i/2]
-		if i%2 == 0 {
-			out[i] = b & 0x0F
-		} else {
-			out[i] = b >> 4
-		}
-	}
-	return out
-}
+func (h hheap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
 // bitWriter packs bits MSB-first.
 type bitWriter struct {
@@ -212,41 +90,6 @@ type decoder struct {
 	count      [16]int
 	symsByLen  []int
 	maxLen     uint8
-}
-
-func newDecoder(lengths []uint8, codes []code) (*decoder, error) {
-	d := &decoder{}
-	for _, l := range lengths {
-		if l > 15 {
-			return nil, errors.New("compress: code length exceeds 15")
-		}
-		if l > 0 {
-			d.count[l]++
-			if l > d.maxLen {
-				d.maxLen = l
-			}
-		}
-	}
-	if d.maxLen == 0 {
-		return nil, errors.New("compress: empty code table")
-	}
-	// Symbols ordered by (length, symbol) — canonical order.
-	idx := 0
-	for l := uint8(1); l <= d.maxLen; l++ {
-		d.firstIndex[l] = idx
-		first := true
-		for s, sl := range lengths {
-			if sl == l {
-				if first {
-					d.firstCode[l] = codes[s].bits
-					first = false
-				}
-				d.symsByLen = append(d.symsByLen, s)
-				idx++
-			}
-		}
-	}
-	return d, nil
 }
 
 // next decodes one symbol, returning it and the number of bits consumed.

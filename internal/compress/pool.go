@@ -10,9 +10,10 @@ var (
 	errEmptyTable  = errors.New("compress: empty code table")
 )
 
-// This file holds the pooled scratch state behind Compress and Decompress.
-// The public API is unchanged: callers still receive freshly allocated
-// output slices they own outright. Only the working buffers — delta planes,
+// This file holds the pooled scratch state behind Compress, Decompress,
+// CompressImage and DecompressImage: the one entropy-coder path both
+// codecs run. Callers receive freshly allocated output slices they own
+// outright. Only the working buffers — delta planes,
 // symbol streams, histograms, Huffman trees, bit buffers — are recycled
 // through sync.Pool.
 //
@@ -24,13 +25,13 @@ var (
 // caller may alias pool memory — FuzzPooledCompress proves a recycled
 // buffer never leaks bytes from a previous packet.
 
-// encState is one Compress call's working set.
+// encState is one Compress or CompressImage call's working set.
 type encState struct {
 	plane1, plane2 []byte   // transpose / delta ping-pong planes
-	syms           []uint16 // RLE symbol stream
+	syms           []uint16 // RLE or image symbol stream
 	extras         []byte   // zero-run length bytes
 	freq           []int    // symbol histogram (zeroed per call)
-	flat           []int    // buildCodeLengths' flattening copy
+	flat           []int    // buildCodeLengthsInto's flattening copy
 	lengths        []uint8  // code lengths (zeroed per call)
 	codes          []code   // canonical code table (zeroed per call)
 	table          []byte   // packed length table
@@ -39,7 +40,7 @@ type encState struct {
 	heap           hheap
 }
 
-// decState is one Decompress call's working set.
+// decState is one Decompress or DecompressImage call's working set.
 type decState struct {
 	lengths []uint8
 	codes   []code
@@ -77,7 +78,9 @@ func grow(buf []byte, n int) []byte {
 	return buf[:n]
 }
 
-// transposeInto is transpose writing into a reused plane.
+// transposeInto reorders whole records into plane-major order in a reused
+// plane: byte k of every record is grouped together, and a trailing
+// partial record stays in place at the end.
 func (st *encState) transposeInto(in []byte, stride int) []byte {
 	st.plane1 = grow(st.plane1, len(in))
 	out := st.plane1
@@ -94,10 +97,10 @@ func (st *encState) transposeInto(in []byte, stride int) []byte {
 	return out
 }
 
-// deltaInto is deltaEncode at stride 1 (the only stride Compress uses after
-// transposition) writing into a reused plane. It must never be handed an
-// input aliasing its output plane; Compress alternates plane2 and plane1 to
-// guarantee that.
+// deltaInto writes dst[i] = in[i] - in[i-1] (first byte verbatim) into a
+// reused plane: the delta filter at stride 1, the only stride Compress
+// uses after transposition. It must never be handed an input aliasing its
+// output plane; Compress alternates plane2 and plane1 to guarantee that.
 func deltaInto(dst, in []byte) []byte {
 	dst = grow(dst, len(in))
 	copy(dst, in[:1])
@@ -107,7 +110,9 @@ func deltaInto(dst, in []byte) []byte {
 	return dst
 }
 
-// rleInto is rleEncode appending into the reused symbol buffers.
+// rleInto converts bytes to a symbol stream in the reused buffers: a run
+// of at least minRun zeros becomes zrunSym with an extra byte (run length
+// - 1, at most maxRun per token).
 func (st *encState) rleInto(in []byte) (syms []uint16, extras []byte) {
 	st.syms, st.extras = st.syms[:0], st.extras[:0]
 	i := 0
@@ -135,8 +140,11 @@ func (st *encState) rleInto(in []byte) (syms []uint16, extras []byte) {
 	return st.syms, st.extras
 }
 
-// buildCodeLengthsInto is buildCodeLengths over the arena-backed tree
-// builder; the flattening loop and length limit are identical.
+// buildCodeLengthsInto assigns Huffman code lengths to the symbols of
+// st.freq, limited to maxLen bits; zero-frequency symbols get length 0.
+// If the natural tree exceeds maxLen, frequencies are repeatedly
+// flattened (halved with a floor of 1) until it fits — a standard
+// length-limiting fallback that is near-optimal for these alphabets.
 func (st *encState) buildCodeLengthsInto(maxLen int) []uint8 {
 	copy(st.flat, st.freq)
 	for {
@@ -152,9 +160,10 @@ func (st *encState) buildCodeLengthsInto(maxLen int) []uint8 {
 	}
 }
 
-// huffLengthsInto is huffLengths with nodes drawn from the arena and the
-// result written into st.lengths. The heap ordering (freq, then symbol) and
-// therefore the emitted tree are exactly those of huffLengths.
+// huffLengthsInto builds the Huffman tree over freq with nodes drawn from
+// the arena, writes each symbol's depth into st.lengths, and reports
+// whether every depth fits maxLen. The heap orders by frequency, then
+// symbol, so the tree is deterministic.
 func (st *encState) huffLengthsInto(freq []int, maxLen int) bool {
 	st.nodes = st.nodes[:0]
 	newNode := func(f, sym int, l, r *hnode) *hnode {
@@ -206,7 +215,7 @@ func (st *encState) huffLengthsInto(freq []int, maxLen int) bool {
 }
 
 // canonicalCodesInto fills dst (zeroing stale entries) with the canonical
-// codes for lengths; the assignment order matches canonicalCodes.
+// codes for lengths: shorter codes first, ties broken by symbol order.
 func canonicalCodesInto(dst []code, lengths []uint8) []code {
 	maxLen := uint8(0)
 	for _, l := range lengths {
@@ -230,7 +239,8 @@ func canonicalCodesInto(dst []code, lengths []uint8) []code {
 	return dst
 }
 
-// packLengthsInto is packLengths into a reused buffer.
+// packLengthsInto stores one 4-bit length per symbol (two per byte) in a
+// reused buffer. Code lengths are limited to 15, so 4 bits suffice.
 func (st *encState) packLengthsInto(lengths []uint8) []byte {
 	st.table = grow(st.table, (len(lengths)+1)/2)
 	for i := range st.table {
@@ -246,7 +256,7 @@ func (st *encState) packLengthsInto(lengths []uint8) []byte {
 	return st.table
 }
 
-// unpackLengthsInto is unpackLengths into the reused length buffer.
+// unpackLengthsInto inverts packLengthsInto into the reused length buffer.
 func (ds *decState) unpackLengthsInto(packed []byte) []uint8 {
 	for i := range ds.lengths {
 		b := packed[i/2]
@@ -259,8 +269,9 @@ func (ds *decState) unpackLengthsInto(packed []byte) []uint8 {
 	return ds.lengths
 }
 
-// resetDecoderInto rebuilds ds.dec in place; the canonical table layout is
-// exactly newDecoder's.
+// resetDecoderInto rebuilds ds.dec in place from canonical lengths and
+// codes: per length, the first code, its index among the symbols ordered
+// by (length, symbol), and the count.
 func (ds *decState) resetDecoderInto(lengths []uint8, codes []code) (*decoder, error) {
 	d := &ds.dec
 	d.firstCode = [16]uint32{}
@@ -302,7 +313,8 @@ func (ds *decState) resetDecoderInto(lengths []uint8, codes []code) (*decoder, e
 
 // pushNode and popNode are container/heap's Push/Pop specialised to hheap,
 // avoiding the interface{} boxing of the generic API while performing the
-// identical sift operations (so the tie-broken pop order cannot change).
+// identical sift operations (so the tie-broken pop order cannot change;
+// reference_test.go keeps the container/heap build as the oracle).
 func pushNode(h *hheap, n *hnode) {
 	*h = append(*h, n)
 	// Sift up.

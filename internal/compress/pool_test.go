@@ -183,6 +183,9 @@ func TestDecompressOutputIsCallerOwned(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a build with the race detector (see race_test.go).
+var raceEnabled bool
+
 // TestCompressAllocBudget pins the steady-state allocation budget of a
 // Compress/Decompress round trip once the pools are warm.
 //
@@ -192,7 +195,21 @@ func TestDecompressOutputIsCallerOwned(t *testing.T) {
 // plus pool.Get bookkeeping (≤2). A little slack covers size-class noise;
 // the pre-pooling implementation sat in the hundreds, so the budget of 8
 // still fails loudly on any pooling regression.
+//
+// Under the race detector sync.Pool.Put drops one state in four at
+// random, and the next Get rebuilds it. On this input a rebuilt encState
+// costs 33 allocations (New's 7, plus the planes, symbol streams, length
+// table and bit buffer the call grows again) and a rebuilt decState 10
+// (New's 3, plus the decoder's symbol table and the work buffer): 43 for
+// a round trip that finds both pools empty, as measured on a round trip
+// after two collections. The race build allows that worst case on top,
+// so the luck of the drops never fails it (the mean is about a quarter
+// of it), while an allocation per symbol still costs thousands.
 func TestCompressAllocBudget(t *testing.T) {
+	budget := 8.0
+	if raceEnabled {
+		budget += 43
+	}
 	data := make([]byte, 4096)
 	for i := range data {
 		data[i] = byte(i / 7)
@@ -208,7 +225,7 @@ func TestCompressAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Fatalf("round-trip allocs = %v, want ≤ 8", allocs)
+	if allocs > budget {
+		t.Fatalf("round-trip allocs = %v, want ≤ %v", allocs, budget)
 	}
 }
