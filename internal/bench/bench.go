@@ -175,7 +175,7 @@ func Cases() []Case {
 		}},
 		{"PlanDistributed", func(b *testing.B) {
 			// The Algorithm 1 balancer layer of Fig. 13: one round of the
-			// production path (PlanWith over a warm scratch) on a 50-slot
+			// production path (Plan over a warm scratch) on a 50-slot
 			// rainy-day chain with backlogs in the tens, at the 12 000-tick
 			// slot.
 			rng := rand.New(rand.NewSource(1))
@@ -194,11 +194,11 @@ func Cases() []Case {
 			}
 			var s sched.Scratch
 			bal := sched.Distributed{}
-			sched.PlanWith(bal, &s, nodes, 12000, 0.02, rng)
+			bal.Plan(&s, nodes, 12000, 0.02, rng)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sched.PlanWith(bal, &s, nodes, 12000, 0.02, rng)
+				bal.Plan(&s, nodes, 12000, 0.02, rng)
 			}
 		}},
 		{"TraceIndependentSet", func(b *testing.B) {

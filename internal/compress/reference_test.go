@@ -2,13 +2,17 @@ package compress
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"errors"
+	"fmt"
 )
 
 // The reference implementations of the entropy coder and the byte filters:
 // one fresh allocation per step, no pooling. Production runs the pooled
 // versions in pool.go; these stay as the oracles the pooled and image
-// paths are checked against.
+// paths are checked against. Decompress, the inverse of Compress, is the
+// oracle every Compress round trip is checked against: nodes only ever
+// compress, and the cloud side that decodes is outside the model.
 
 // buildCodeLengths assigns Huffman code lengths to symbols with the given
 // frequencies, limited to maxLen bits. Symbols with zero frequency get
@@ -223,4 +227,115 @@ func rleEncode(in []byte) (syms []uint16, extras []byte) {
 		i++
 	}
 	return syms, extras
+}
+
+// Decompress decodes a blob produced by Compress.
+func Decompress(blob []byte) ([]byte, Stats, error) {
+	var inst int64
+	if len(blob) < 8 {
+		return nil, Stats{}, errors.New("compress: blob too short")
+	}
+	if binary.LittleEndian.Uint16(blob[0:]) != magic {
+		return nil, Stats{}, errors.New("compress: bad magic")
+	}
+	mode := blob[2]
+	stride := int(blob[3] & 0x0F)
+	order := int(blob[3] >> 4)
+	origLen := int(binary.LittleEndian.Uint32(blob[4:]))
+	rest := blob[8:]
+
+	if mode == modeRaw {
+		if len(rest) != origLen {
+			return nil, Stats{}, fmt.Errorf("compress: stored block length %d, want %d", len(rest), origLen)
+		}
+		out := make([]byte, origLen)
+		copy(out, rest)
+		return out, Stats{InBytes: len(blob), OutBytes: origLen, Instructions: int64(origLen)}, nil
+	}
+	if mode != modeHuff {
+		return nil, Stats{}, fmt.Errorf("compress: unknown mode %d", mode)
+	}
+
+	tableLen := numSyms / 2
+	if len(rest) < tableLen {
+		return nil, Stats{}, errors.New("compress: truncated code table")
+	}
+	ds := decPool.Get().(*decState)
+	defer decPool.Put(ds)
+	lengths := ds.unpackLengthsInto(rest[:tableLen])
+	codes := canonicalCodesInto(ds.codes, lengths)
+	dec, err := ds.resetDecoderInto(lengths, codes)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+
+	br := bitReader{data: rest[tableLen:]}
+	if cap(ds.work) < origLen {
+		ds.work = make([]byte, 0, origLen)
+	}
+	work := ds.work[:0]
+	for {
+		s, bits, err := dec.next(&br)
+		inst += int64(bits) * instPerDecodeBit
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		if s == eobSym {
+			break
+		}
+		if s == zrunSym {
+			n, err := br.read(8)
+			if err != nil {
+				return nil, Stats{}, err
+			}
+			run := int(n) + 1
+			for i := 0; i < run; i++ {
+				work = append(work, 0)
+			}
+			continue
+		}
+		work = append(work, byte(s))
+	}
+	ds.work = work // retain the grown buffer for the next call
+	if len(work) != origLen {
+		return nil, Stats{}, fmt.Errorf("compress: decoded %d bytes, want %d", len(work), origLen)
+	}
+
+	for i := 0; i < order && stride > 0; i++ {
+		deltaDecode(work, 1)
+		inst += int64(len(work)) * instPerUndeltaByte
+	}
+	if stride > 1 && order > 0 {
+		// untranspose writes into a fresh slice, so the caller never sees
+		// pool memory.
+		out := untranspose(work, stride)
+		inst += int64(len(work)) * instPerUndeltaByte
+		return out, Stats{InBytes: len(blob), OutBytes: origLen, Instructions: inst}, nil
+	}
+	out := make([]byte, len(work))
+	copy(out, work)
+	return out, Stats{InBytes: len(blob), OutBytes: origLen, Instructions: inst}, nil
+}
+
+// untranspose inverts Compress's plane-major transposition.
+func untranspose(in []byte, stride int) []byte {
+	n := len(in) / stride * stride
+	out := make([]byte, len(in))
+	rows := n / stride
+	idx := 0
+	for p := 0; p < stride; p++ {
+		for r := 0; r < rows; r++ {
+			out[r*stride+p] = in[idx]
+			idx++
+		}
+	}
+	copy(out[n:], in[n:])
+	return out
+}
+
+// deltaDecode inverts the delta filter in place: b[i] += b[i-stride].
+func deltaDecode(b []byte, stride int) {
+	for i := stride; i < len(b); i++ {
+		b[i] += b[i-stride]
+	}
 }

@@ -2,20 +2,6 @@ package cpu
 
 import "testing"
 
-func BenchmarkRunIntermittent(b *testing.B) {
-	p := NewNVP(Default8051())
-	for i := 0; i < b.N; i++ {
-		p.RunIntermittent(100000, 0.1, 2, 0)
-	}
-}
-
-func BenchmarkSpendthriftPick(b *testing.B) {
-	s := DefaultSpendthrift(Default8051())
-	for i := 0; i < b.N; i++ {
-		s.Pick(0.5)
-	}
-}
-
 func BenchmarkForwardProgressRatio(b *testing.B) {
 	vp, nvp := NewVP(Default8051()), NewNVP(Default8051())
 	for i := 0; i < b.N; i++ {

@@ -36,16 +36,6 @@ func (c Config) ActivePower() units.Power {
 	return units.Power(float64(c.EnergyPerClock) * c.ClockHz * 1e-6)
 }
 
-// InstEnergy is the energy of one instruction at the base frequency.
-func (c Config) InstEnergy() units.Energy {
-	return c.EnergyPerClock * units.Energy(c.ClocksPerInst)
-}
-
-// InstTime is the duration of one instruction at the base frequency.
-func (c Config) InstTime() units.Duration {
-	return units.Duration(math.Round(float64(c.ClocksPerInst) / c.ClockHz * 1e6))
-}
-
 // Exec reports the time and energy to execute n instructions at the base
 // frequency with no interruptions.
 func (c Config) Exec(n int64) (units.Duration, units.Energy) {
@@ -117,125 +107,4 @@ func NewNVP(cfg Config) *Processor {
 		BackupTime:    20 * units.Microsecond,
 		BackupEnergy:  cfg.ActivePower().Over(20*units.Microsecond) * 3,
 	}
-}
-
-// RunResult describes an execution attempt.
-type RunResult struct {
-	// Elapsed is wall-clock time including stalls and backup/restore.
-	Elapsed units.Duration
-	// Energy is the total energy consumed, overheads included.
-	Energy units.Energy
-	// Completed reports whether the work finished.
-	Completed bool
-	// Progress is the fraction of the work completed (1 when Completed).
-	Progress float64
-	// PowerCycles is how many power failures were endured.
-	PowerCycles int
-}
-
-// RunStable executes n instructions from a guaranteed power source (the
-// NOS discipline: work only starts once the cap holds enough energy).
-func (p *Processor) RunStable(n int64) RunResult {
-	t, e := p.Cfg.Exec(n)
-	return RunResult{Elapsed: t, Energy: e, Completed: true, Progress: 1}
-}
-
-// RunIntermittent executes n instructions powered directly by the harvest
-// channel delivering `avail` to the load (FIOS discipline). When avail is
-// below the core's active power the NVP duty-cycles: it buffers income in a
-// small decoupling cap and runs in bursts of `burst` useful time, paying
-// one backup+restore per burst. Additional random power failures arrive at
-// failuresPerSecond and cost the same.
-//
-// A VP run intermittently makes no forward progress unless avail covers its
-// active power continuously and no failure occurs — each failure loses all
-// volatile state (Progress resets), which is why NOS systems never tried
-// this. The method models that faithfully: for a VP with duty < 1 or any
-// failures, Completed is false and Progress is 0.
-func (p *Processor) RunIntermittent(n int64, avail units.Power, failuresPerSecond float64, burst units.Duration) RunResult {
-	work, workE := p.Cfg.Exec(n)
-	active := p.Cfg.ActivePower()
-	if avail <= 0 {
-		return RunResult{Progress: 0}
-	}
-	duty := float64(avail) / float64(active)
-	if duty > 1 {
-		duty = 1
-	}
-
-	if p.Kind == VP {
-		if duty < 1 || failuresPerSecond > 0 {
-			// The VP restarts forever without completing: charge one
-			// restart's worth of waste and report failure.
-			return RunResult{
-				Elapsed:     p.RestoreTime,
-				Energy:      p.RestoreEnergy,
-				Completed:   false,
-				Progress:    0,
-				PowerCycles: 1,
-			}
-		}
-		r := p.RunStable(n)
-		return r
-	}
-
-	if burst <= 0 {
-		burst = 10 * units.Millisecond
-	}
-	// Bursts due to duty-cycling.
-	var cycles float64
-	if duty < 1 {
-		cycles = math.Ceil(float64(work) / float64(burst))
-	}
-	// Random failures over the stretched wall-clock time.
-	elapsedUseful := float64(work) / duty
-	cycles += failuresPerSecond * (elapsedUseful / 1e6)
-
-	nCyc := int(math.Ceil(cycles))
-	overheadT := units.Duration(nCyc) * (p.BackupTime + p.RestoreTime)
-	overheadE := units.Energy(nCyc) * (p.BackupEnergy + p.RestoreEnergy)
-
-	return RunResult{
-		Elapsed:     units.Duration(elapsedUseful) + overheadT,
-		Energy:      workE + overheadE,
-		Completed:   true,
-		Progress:    1,
-		PowerCycles: nCyc,
-	}
-}
-
-// ForwardProgressRatio estimates how much more work an NVP completes than a
-// VP under a random on/off power supply with exponentially distributed
-// on-intervals (mean meanOn) separated by outages (mean meanOff), for
-// atomic work units of length `work`. It reproduces the 2.2–5× band the
-// paper cites from [47]: the NVP banks progress across outages while the
-// VP must fit restart plus at least one whole work unit inside a single
-// on-interval, discarding any partial unit.
-func ForwardProgressRatio(vp, nvp *Processor, work, meanOn, meanOff units.Duration) float64 {
-	if work <= 0 || meanOn <= 0 || meanOff <= 0 {
-		panic("cpu: non-positive interval")
-	}
-	cycle := float64(meanOn + meanOff)
-	w, mu := float64(work), float64(meanOn)
-
-	// NVP useful time per power cycle: the on-interval minus one
-	// backup/restore pair; progress is preserved across the outage.
-	nvpUseful := mu - float64(nvp.BackupTime+nvp.RestoreTime)
-	if nvpUseful < 0 {
-		nvpUseful = 0
-	}
-
-	// VP useful time per power cycle: the expected total length of whole
-	// work units completed after a cold restart. With exponential T,
-	// E[#units]·w = w · Σ_{k≥1} P(T > restart + k·w)
-	//            = w · e^{-restart/µ} · e^{-w/µ} / (1 - e^{-w/µ}).
-	r := float64(vp.RestoreTime)
-	ew := math.Exp(-w / mu)
-	vpUseful := w * math.Exp(-r/mu) * ew / (1 - ew)
-
-	if vpUseful == 0 {
-		return math.Inf(1)
-	}
-	_ = cycle // both rates share the same cycle length, so it cancels
-	return nvpUseful / vpUseful
 }

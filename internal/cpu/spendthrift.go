@@ -58,46 +58,12 @@ func DefaultSpendthrift(base Config) *Spendthrift {
 	return NewSpendthrift(base, 0.5, 1, 2, 4, 8)
 }
 
-// Levels returns the operating points in ascending frequency order. The
-// slice is a defensive copy; hot paths that iterate every round should use
-// NumLevels/Level instead, which read the policy without allocating.
-func (s *Spendthrift) Levels() []FreqLevel {
-	out := make([]FreqLevel, len(s.levels))
-	copy(out, s.levels)
-	return out
-}
-
 // NumLevels reports how many operating points the policy holds.
 func (s *Spendthrift) NumLevels() int { return len(s.levels) }
 
 // Level returns operating point i (ascending frequency order) without
 // copying the level table.
 func (s *Spendthrift) Level(i int) FreqLevel { return s.levels[i] }
-
-// Pick selects the highest operating point whose power the available income
-// can sustain; if even the lowest point exceeds the income, the lowest
-// point is returned (the core will duty-cycle).
-func (s *Spendthrift) Pick(avail units.Power) FreqLevel {
-	best := s.levels[0]
-	for _, l := range s.levels {
-		if l.Power <= avail {
-			best = l
-		}
-	}
-	return best
-}
-
-// PickIndex is Pick but reports the level's index, for sharing NVP
-// configuration between nodes during load balancing (§3.2).
-func (s *Spendthrift) PickIndex(avail units.Power) int {
-	idx := 0
-	for i, l := range s.levels {
-		if l.Power <= avail {
-			idx = i
-		}
-	}
-	return idx
-}
 
 // Exec reports the time and energy for n instructions at the given level.
 // Energy per instruction rises with the level's power-to-speed ratio.
@@ -109,10 +75,4 @@ func (s *Spendthrift) Exec(n int64, l FreqLevel) (units.Duration, units.Energy) 
 	t := units.Duration(math.Round(float64(baseT) / l.Mult))
 	e := l.Power.Over(t)
 	return t, e
-}
-
-// EfficiencyRatio reports energy-per-instruction at level l relative to the
-// base frequency (≥1 for levels above 1×).
-func (s *Spendthrift) EfficiencyRatio(l FreqLevel) float64 {
-	return math.Pow(l.Mult, powerExponent-1)
 }

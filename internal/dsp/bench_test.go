@@ -53,15 +53,3 @@ func BenchmarkMatchPattern(b *testing.B) {
 		MatchPattern(x, template)
 	}
 }
-
-func BenchmarkVolumetric(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	points := make([][3]float64, 512)
-	for i := range points {
-		points[i] = [3]float64{rng.Float64(), rng.Float64(), rng.Float64() * 10}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReconstructVolumetric(points, 32)
-	}
-}

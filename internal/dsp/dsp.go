@@ -1,9 +1,8 @@
 // Package dsp implements the fog-computing kernels that NEOFog offloads
 // from the cloud to the nodes (§3.1): FFT, FIR noise filtering,
 // autoregressive model fitting for structural-health damage detection
-// (Yao & Pakzad [84]), cross-correlation pattern matching for heartbeat
-// monitoring, and point-sample volumetric reconstruction for the forest
-// deployment (§5.2.1).
+// (Yao & Pakzad [84]) and cross-correlation pattern matching for heartbeat
+// monitoring.
 //
 // Each kernel both computes a real result (so tests can check mathematical
 // properties) and reports an instruction-count estimate for the 8051-class
@@ -70,23 +69,6 @@ func FFT(x []complex128) (Cost, error) {
 		}
 	}
 	return Cost{int64(butterflies) * instPerButterfly}, nil
-}
-
-// IFFT computes the inverse FFT (same length restriction).
-func IFFT(x []complex128) (Cost, error) {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	c, err := FFT(x)
-	if err != nil {
-		return c, err
-	}
-	invN := complex(1/float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * invN
-	}
-	c.Instructions += int64(len(x)) * instPerMAC
-	return c, nil
 }
 
 // FIRFilter convolves x with taps (causal, zero-padded history) and reports
@@ -246,43 +228,6 @@ func MatchPattern(x, template []float64) (bestLag int, bestCorr float64, cost Co
 	}
 	cost = Cost{int64(lags) * int64(3*m) * instPerMAC / 2}
 	return bestLag, bestCorr, cost
-}
-
-// ReconstructVolumetric builds a coarse volumetric density map from point
-// samples by inverse-distance-weighted splatting onto a grid — the
-// reconstruction kernel of the forest monitoring scenario (§5.2.1).
-// points are (x, y, value) triples in [0,1)²; the result is a side×side
-// grid.
-func ReconstructVolumetric(points [][3]float64, side int) ([]float64, Cost) {
-	if side <= 0 {
-		panic("dsp: non-positive grid side")
-	}
-	grid := make([]float64, side*side)
-	weight := make([]float64, side*side)
-	const radius = 2 // cells
-	for _, p := range points {
-		cx, cy := int(p[0]*float64(side)), int(p[1]*float64(side))
-		for dy := -radius; dy <= radius; dy++ {
-			for dx := -radius; dx <= radius; dx++ {
-				gx, gy := cx+dx, cy+dy
-				if gx < 0 || gy < 0 || gx >= side || gy >= side {
-					continue
-				}
-				fx := (float64(gx)+0.5)/float64(side) - p[0]
-				fy := (float64(gy)+0.5)/float64(side) - p[1]
-				w := 1 / (fx*fx + fy*fy + 1e-6)
-				grid[gy*side+gx] += w * p[2]
-				weight[gy*side+gx] += w
-			}
-		}
-	}
-	for i := range grid {
-		if weight[i] > 0 {
-			grid[i] /= weight[i]
-		}
-	}
-	splat := int64(len(points)) * (2*radius + 1) * (2*radius + 1)
-	return grid, Cost{splat*instPerMAC*3 + int64(side*side)*instPerLoad}
 }
 
 // Bytes16ToFloat converts little-endian int16 records (one channel at the

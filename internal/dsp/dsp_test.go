@@ -224,28 +224,6 @@ func TestMatchPatternDegenerate(t *testing.T) {
 	_ = lag
 }
 
-func TestReconstructVolumetric(t *testing.T) {
-	points := [][3]float64{
-		{0.1, 0.1, 10},
-		{0.9, 0.9, 2},
-	}
-	grid, cost := ReconstructVolumetric(points, 8)
-	if len(grid) != 64 {
-		t.Fatalf("grid size %d", len(grid))
-	}
-	// Cell nearest (0.1,0.1) should be close to 10; nearest (0.9,0.9)
-	// close to 2.
-	if math.Abs(grid[0*8+0]-10) > 1 {
-		t.Fatalf("grid[0,0] = %v", grid[0])
-	}
-	if math.Abs(grid[7*8+7]-2) > 1 {
-		t.Fatalf("grid[7,7] = %v", grid[7*8+7])
-	}
-	if cost.Instructions <= 0 {
-		t.Fatal("reconstruction must report cost")
-	}
-}
-
 func TestByteConversions(t *testing.T) {
 	raw := []byte{0x01, 0x00, 0xFF, 0xFF, 0x10, 0x27} // 1, -1, 10000
 	f := Bytes16ToFloat(raw, 0, 2)
@@ -268,4 +246,21 @@ func TestCostAdd(t *testing.T) {
 	if got := (Cost{3}).Add(Cost{4}); got.Instructions != 7 {
 		t.Fatalf("Add = %+v", got)
 	}
+}
+
+// IFFT computes the inverse FFT (same length restriction).
+func IFFT(x []complex128) (Cost, error) {
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	c, err := FFT(x)
+	if err != nil {
+		return c, err
+	}
+	invN := complex(1/float64(len(x)), 0)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) * invN
+	}
+	c.Instructions += int64(len(x)) * instPerMAC
+	return c, nil
 }

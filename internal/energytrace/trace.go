@@ -54,23 +54,6 @@ func Integrate(tr Trace, from, to, step units.Duration) units.Energy {
 	return total
 }
 
-// Constant is a trace with fixed power for a fixed duration.
-type Constant struct {
-	P   units.Power
-	Len units.Duration
-}
-
-// PowerAt implements Trace.
-func (c Constant) PowerAt(t units.Duration) units.Power {
-	if t < 0 || t >= c.Len {
-		return 0
-	}
-	return c.P
-}
-
-// Duration implements Trace.
-func (c Constant) Duration() units.Duration { return c.Len }
-
 // Sampled is a piecewise-constant trace: Samples[i] holds for
 // [i·Step, (i+1)·Step).
 type Sampled struct {

@@ -11,6 +11,23 @@ import (
 	"neofog/internal/units"
 )
 
+// Constant is a trace with fixed power for a fixed duration.
+type Constant struct {
+	P   units.Power
+	Len units.Duration
+}
+
+// PowerAt implements Trace.
+func (c Constant) PowerAt(t units.Duration) units.Power {
+	if t < 0 || t >= c.Len {
+		return 0
+	}
+	return c.P
+}
+
+// Duration implements Trace.
+func (c Constant) Duration() units.Duration { return c.Len }
+
 func TestConstantTrace(t *testing.T) {
 	c := Constant{P: 5, Len: units.Second}
 	if c.PowerAt(0) != 5 || c.PowerAt(units.Second-1) != 5 {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"neofog/internal/mesh"
 	"neofog/internal/sim"
@@ -104,17 +103,6 @@ func (p *Plan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Active counts the events covering the round.
-func (p *Plan) Active(round int) int {
-	n := 0
-	for _, e := range p.Events {
-		if e.Active(round) {
-			n++
-		}
-	}
-	return n
 }
 
 // LastEnd reports the first round by which every event has cleared (0 for
@@ -272,38 +260,4 @@ func Generate(seed int64, intensity float64, gc GenConfig) (*Plan, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// CountByKind reports how many events of each kind the plan holds, in
-// Kind order — the per-plan summary the campaign report prints.
-func (p *Plan) CountByKind() []int {
-	out := make([]int, len(kindNames))
-	for _, e := range p.Events {
-		out[e.Kind]++
-	}
-	return out
-}
-
-// Describe renders the plan as stable one-line-per-event text (sorted by
-// start round, then kind, then node) for reports and golden tests.
-func (p *Plan) Describe() []string {
-	evs := append([]Event(nil), p.Events...)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Start != evs[j].Start {
-			return evs[i].Start < evs[j].Start
-		}
-		if evs[i].Kind != evs[j].Kind {
-			return evs[i].Kind < evs[j].Kind
-		}
-		return evs[i].Node < evs[j].Node
-	})
-	out := make([]string, len(evs))
-	for i, e := range evs {
-		s := fmt.Sprintf("%s node=%d rounds=[%d,%d)", e.Kind, e.Node, e.Start, e.End)
-		if e.Kind == LinkDegrade {
-			s = fmt.Sprintf("%s success=%.3f rounds=[%d,%d)", e.Kind, e.SuccessRate, e.Start, e.End)
-		}
-		out[i] = s
-	}
-	return out
 }

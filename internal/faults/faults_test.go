@@ -297,8 +297,8 @@ type movesSpy struct {
 }
 
 func (s *movesSpy) Name() string { return s.inner.Name() }
-func (s *movesSpy) Plan(nodes []sched.NodeLoad, maxTime int, intr float64, rng *rand.Rand) sched.Plan {
-	p := s.inner.Plan(nodes, maxTime, intr, rng)
+func (s *movesSpy) Plan(sc *sched.Scratch, nodes []sched.NodeLoad, maxTime int, intr float64, rng *rand.Rand) sched.Plan {
+	p := s.inner.Plan(sc, nodes, maxTime, intr, rng)
 	for _, m := range p.Moves {
 		s.planned += m.Count
 	}
@@ -362,29 +362,5 @@ func TestGeneratedPlanConservesAndDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("faulted run is nondeterministic")
-	}
-}
-
-func TestPlanDescribeAndCounts(t *testing.T) {
-	p := &Plan{Events: []Event{
-		{Kind: LinkDegrade, Node: -1, Start: 30, End: 40, SuccessRate: 0.5},
-		{Kind: Crash, Node: 2, Start: 10, End: 20},
-		{Kind: Crash, Node: 1, Start: 10, End: 15},
-	}}
-	want := []string{
-		"crash node=1 rounds=[10,15)",
-		"crash node=2 rounds=[10,20)",
-		"link-degrade success=0.500 rounds=[30,40)",
-	}
-	got := p.Describe()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Describe() = %v, want %v", got, want)
-	}
-	counts := p.CountByKind()
-	if counts[Crash] != 2 || counts[LinkDegrade] != 1 || counts[Blackout] != 0 {
-		t.Fatalf("CountByKind() = %v", counts)
-	}
-	if p.Active(12) != 2 || p.Active(35) != 1 || p.Active(99) != 0 {
-		t.Fatal("Active() miscounts")
 	}
 }

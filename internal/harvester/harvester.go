@@ -50,9 +50,6 @@ func (c *SuperCap) Stored() units.Energy { return c.stored }
 // Headroom reports how much more energy the cap can accept.
 func (c *SuperCap) Headroom() units.Energy { return c.Capacity - c.stored }
 
-// Full reports whether the cap is at capacity.
-func (c *SuperCap) Full() bool { return c.stored >= c.Capacity }
-
 // Deposit adds energy to the cap, returning how much was actually accepted;
 // the remainder is recorded as overflow.
 func (c *SuperCap) Deposit(e units.Energy) units.Energy {
@@ -111,9 +108,6 @@ func (c *SuperCap) Leak(dt units.Duration) {
 
 // Overflowed reports the cumulative energy rejected because the cap was full.
 func (c *SuperCap) Overflowed() units.Energy { return c.overflow }
-
-// Leaked reports the cumulative self-discharge loss.
-func (c *SuperCap) Leaked() units.Energy { return c.leaked }
 
 // Delivered reports the cumulative energy drawn by the load.
 func (c *SuperCap) Delivered() units.Energy { return c.drawn }

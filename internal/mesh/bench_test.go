@@ -22,6 +22,6 @@ func BenchmarkChainDeliver(b *testing.B) {
 	link := DefaultLink()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Deliver(99, link, rng)
+		c.DeliverDetail(99, link, rng, DeliverOpts{})
 	}
 }

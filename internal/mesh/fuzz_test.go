@@ -50,3 +50,13 @@ func FuzzRetrySchedule(f *testing.F) {
 		}
 	})
 }
+
+// Total is the summed backoff of the whole schedule — the worst-case time a
+// packet is held for ARQ.
+func (s RetrySchedule) Total() units.Duration {
+	var t units.Duration
+	for _, w := range s.waits {
+		t += w
+	}
+	return t
+}

@@ -152,23 +152,6 @@ func (l LinkModel) Deliver(rng *rand.Rand) bool {
 	return rng.Float64() < l.SuccessRate
 }
 
-// WeatherLink varies the per-packet link quality over time: the paper's
-// measured 0.75% loss over ten days was "mainly affected by weather,
-// especially rain" (§4). Rounds inside [RainStart, RainEnd) use the Rain
-// model; all others the Clear one.
-type WeatherLink struct {
-	Clear, Rain        LinkModel
-	RainStart, RainEnd int
-}
-
-// At reports the link model in effect at the given round.
-func (w WeatherLink) At(round int) LinkModel {
-	if round >= w.RainStart && round < w.RainEnd {
-		return w.Rain
-	}
-	return w.Clear
-}
-
 // Chain is an ordered chain mesh (node 0 is nearest the sink). Each node
 // keeps an AssociatedDevList-style next-hop pointer; when a relay dies of
 // energy depletion, its neighbours re-associate around it via the Zigbee
@@ -194,12 +177,6 @@ func NewChain(n int) *Chain {
 	}
 	return c
 }
-
-// Len reports the chain length.
-func (c *Chain) Len() int { return c.n }
-
-// Alive reports whether node i is alive this period.
-func (c *Chain) Alive(i int) bool { return c.alive[i] }
 
 // SetAlive updates node i's liveness, mirroring the paper's §4 protocol:
 // death leaves neighbours' AssociatedDevList entries stale (the orphan scan
@@ -233,32 +210,6 @@ func (c *Chain) aliveBefore(i int) int {
 		}
 	}
 	return -1
-}
-
-// NextHop reports node i's current next hop toward the sink (-1 = sink).
-func (c *Chain) NextHop(i int) int { return c.nextHop[i] }
-
-// RouteToSink returns the relay sequence from node i to the sink given the
-// current liveness (excluding i, ending at -1).
-func (c *Chain) RouteToSink(i int) []int {
-	var path []int
-	cur := i
-	for {
-		next := c.nextHop[cur]
-		path = append(path, next)
-		if next == -1 {
-			return path
-		}
-		cur = next
-	}
-}
-
-// Deliver attempts to relay one packet from node i to the sink: each hop is
-// an independent LinkModel trial, and only alive relays forward. It reports
-// the number of transmissions attempted and whether the packet arrived.
-func (c *Chain) Deliver(i int, link LinkModel, rng *rand.Rand) (hops int, ok bool) {
-	d := c.DeliverDetail(i, link, rng, DeliverOpts{})
-	return d.Hops, d.OK
 }
 
 // DeliverOpts tunes one DeliverDetail relay attempt. The zero value is the
@@ -299,9 +250,10 @@ type Delivery struct {
 	OK bool
 }
 
-// DeliverDetail is Deliver with per-hop ARQ and route repair (see
-// DeliverOpts) and a full outcome report. With zero opts it performs
-// exactly Deliver's trials in the same order.
+// DeliverDetail attempts to relay one packet from node i to the sink: each
+// hop is an independent LinkModel trial, and only alive relays forward.
+// opts adds per-hop ARQ and route repair (see DeliverOpts); with the zero
+// value every hop gets one trial.
 func (c *Chain) DeliverDetail(i int, link LinkModel, rng *rand.Rand, opts DeliverOpts) Delivery {
 	var d Delivery
 	if !c.alive[i] {
@@ -380,23 +332,4 @@ func (c *Chain) Heal() int {
 		}
 	}
 	return repaired
-}
-
-// AliveNeighbors returns the nearest alive chain neighbours of node i on
-// each side (-1 if none) — the peers the distributed load balancer talks to.
-func (c *Chain) AliveNeighbors(i int) (left, right int) {
-	left, right = -1, -1
-	for j := i - 1; j >= 0; j-- {
-		if c.alive[j] {
-			left = j
-			break
-		}
-	}
-	for j := i + 1; j < c.n; j++ {
-		if c.alive[j] {
-			right = j
-			break
-		}
-	}
-	return left, right
 }

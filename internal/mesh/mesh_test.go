@@ -121,32 +121,32 @@ func TestChainOrphanScan(t *testing.T) {
 	// Kill node 1: node 2's pointer is stale; first delivery from 3 fails
 	// at the discovery, repairing 2 → 0.
 	c.SetAlive(1, false)
-	if c.NextHop(2) != 1 {
+	if c.nextHop[2] != 1 {
 		t.Fatal("death must leave the pointer stale until discovered")
 	}
-	_, ok := c.Deliver(3, perfect, rng)
+	_, ok := deliver(c, 3, perfect, rng)
 	if ok {
 		t.Fatal("first delivery through a dead relay must fail")
 	}
-	if c.NextHop(2) != 0 {
-		t.Fatalf("orphan scan should re-route 2 → 0, got %d", c.NextHop(2))
+	if c.nextHop[2] != 0 {
+		t.Fatalf("orphan scan should re-route 2 → 0, got %d", c.nextHop[2])
 	}
 	if c.Rejoins == 0 {
 		t.Fatal("rejoin not counted")
 	}
 	// Second delivery now skips node 1: A→C.
-	hops, ok := c.Deliver(3, perfect, rng)
+	hops, ok := deliver(c, 3, perfect, rng)
 	if !ok || hops != 3 {
 		t.Fatalf("post-repair delivery hops=%d ok=%v, want 3 hops", hops, ok)
 	}
 
 	// Recovery: B broadcasts, node 2 re-adds it: A→B→C again.
 	c.SetAlive(1, true)
-	if c.NextHop(2) != 1 || c.NextHop(1) != 0 {
+	if c.nextHop[2] != 1 || c.nextHop[1] != 0 {
 		t.Fatalf("recovery should restore routing: next(2)=%d next(1)=%d",
-			c.NextHop(2), c.NextHop(1))
+			c.nextHop[2], c.nextHop[1])
 	}
-	hops, ok = c.Deliver(3, perfect, rng)
+	hops, ok = deliver(c, 3, perfect, rng)
 	if !ok || hops != 4 {
 		t.Fatalf("restored delivery hops=%d ok=%v, want 4", hops, ok)
 	}
@@ -155,7 +155,7 @@ func TestChainOrphanScan(t *testing.T) {
 func TestChainDeadSourceCannotSend(t *testing.T) {
 	c := NewChain(3)
 	c.SetAlive(2, false)
-	if _, ok := c.Deliver(2, LinkModel{SuccessRate: 1}, rand.New(rand.NewSource(3))); ok {
+	if _, ok := deliver(c, 2, LinkModel{SuccessRate: 1}, rand.New(rand.NewSource(3))); ok {
 		t.Fatal("dead node must not transmit")
 	}
 }
@@ -167,7 +167,7 @@ func TestChainLossyLink(t *testing.T) {
 	delivered := 0
 	const tries = 2000
 	for i := 0; i < tries; i++ {
-		if _, ok := c.Deliver(9, lossy, rng); ok {
+		if _, ok := deliver(c, 9, lossy, rng); ok {
 			delivered++
 		}
 	}
@@ -175,24 +175,6 @@ func TestChainLossyLink(t *testing.T) {
 	rate := float64(delivered) / tries
 	if rate > 0.01 {
 		t.Fatalf("end-to-end rate %v too high for 0.5^10", rate)
-	}
-}
-
-func TestAliveNeighbors(t *testing.T) {
-	c := NewChain(5)
-	c.SetAlive(1, false)
-	c.SetAlive(3, false)
-	l, r := c.AliveNeighbors(2)
-	if l != 0 || r != 4 {
-		t.Fatalf("neighbors of 2 = (%d,%d), want (0,4)", l, r)
-	}
-	l, r = c.AliveNeighbors(0)
-	if l != -1 || r != 2 {
-		t.Fatalf("neighbors of 0 = (%d,%d), want (-1,2)", l, r)
-	}
-	l, r = c.AliveNeighbors(4)
-	if l != 2 || r != -1 {
-		t.Fatalf("neighbors of 4 = (%d,%d), want (2,-1)", l, r)
 	}
 }
 
@@ -208,13 +190,13 @@ func TestChainRoutingConverges(t *testing.T) {
 			c.SetAlive(i, op%2 == 0)
 		}
 		for i := 0; i < 8; i++ {
-			if !c.Alive(i) {
+			if !c.alive[i] {
 				continue
 			}
 			// At most n repair-failures before a clean route emerges.
 			ok := false
 			for try := 0; try < 9 && !ok; try++ {
-				_, ok = c.Deliver(i, perfect, rng)
+				_, ok = deliver(c, i, perfect, rng)
 			}
 			if !ok {
 				return false
@@ -239,20 +221,6 @@ func TestDensifiedKeepsAnchors(t *testing.T) {
 	// factor < 2 returns the plain line.
 	if got := DensifiedDeployment(10, 90, 1, 4, rng); len(got) != 10 {
 		t.Fatal("factor 1 should return the base deployment")
-	}
-}
-
-func TestWeatherLink(t *testing.T) {
-	w := WeatherLink{
-		Clear:     LinkModel{SuccessRate: 0.9925},
-		Rain:      LinkModel{SuccessRate: 0.90},
-		RainStart: 100, RainEnd: 200,
-	}
-	if w.At(99) != w.Clear || w.At(200) != w.Clear {
-		t.Fatal("outside the window should be clear")
-	}
-	if w.At(100) != w.Rain || w.At(199) != w.Rain {
-		t.Fatal("inside the window should be rain")
 	}
 }
 
@@ -328,8 +296,8 @@ func TestDeliverDetailRouteRepair(t *testing.T) {
 	if !d.OK || d.Retransmits != 1 || d.Orphaned {
 		t.Fatalf("repair delivery = %+v, want delivered with 1 retransmit", d)
 	}
-	if c.NextHop(4) != 1 {
-		t.Fatalf("NextHop(4) = %d after repair, want 1 (around the dead span)", c.NextHop(4))
+	if c.nextHop[4] != 1 {
+		t.Fatalf("NextHop(4) = %d after repair, want 1 (around the dead span)", c.nextHop[4])
 	}
 }
 
@@ -342,8 +310,8 @@ func TestChainHeal(t *testing.T) {
 	if n := c.Heal(); n != 1 {
 		t.Fatalf("Heal repaired %d pointers, want 1 (node 4's)", n)
 	}
-	if c.NextHop(4) != 1 {
-		t.Fatalf("NextHop(4) = %d after heal, want 1", c.NextHop(4))
+	if c.nextHop[4] != 1 {
+		t.Fatalf("NextHop(4) = %d after heal, want 1", c.nextHop[4])
 	}
 	if n := c.Heal(); n != 0 {
 		t.Fatalf("second Heal repaired %d pointers, want 0", n)
@@ -356,34 +324,8 @@ func TestChainHeal(t *testing.T) {
 	}
 	// Recovery re-admission still works.
 	c.SetAlive(3, true)
-	if c.NextHop(4) != 3 {
-		t.Fatalf("NextHop(4) = %d after re-admission, want 3", c.NextHop(4))
-	}
-}
-
-// Zero-valued DeliverOpts reproduces Deliver's trials bit-for-bit.
-func TestDeliverDetailZeroOptsMatchesDeliver(t *testing.T) {
-	prop := func(seed int64) bool {
-		a := NewChain(6)
-		b := NewChain(6)
-		for _, dead := range []int{2, 4} {
-			a.SetAlive(dead, false)
-			b.SetAlive(dead, false)
-		}
-		link := LinkModel{SuccessRate: 0.8}
-		rngA := rand.New(rand.NewSource(seed))
-		rngB := rand.New(rand.NewSource(seed))
-		for i := 0; i < 40; i++ {
-			hops, ok := a.Deliver(5, link, rngA)
-			d := b.DeliverDetail(5, link, rngB, DeliverOpts{})
-			if hops != d.Hops || ok != d.OK {
-				return false
-			}
-		}
-		return a.Rejoins == b.Rejoins
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
+	if c.nextHop[4] != 3 {
+		t.Fatalf("NextHop(4) = %d after re-admission, want 3", c.nextHop[4])
 	}
 }
 
@@ -407,5 +349,27 @@ func TestRetrySchedule(t *testing.T) {
 	// Negative hold forbids retries.
 	if s := NewRetrySchedule(10, 3, -1); s.Len() != 0 {
 		t.Fatalf("negative hold allowed %d retries", s.Len())
+	}
+}
+
+// deliver is one fire-and-forget relay attempt: DeliverDetail with the
+// zero options.
+func deliver(c *Chain, i int, link LinkModel, rng *rand.Rand) (hops int, ok bool) {
+	d := c.DeliverDetail(i, link, rng, DeliverOpts{})
+	return d.Hops, d.OK
+}
+
+// RouteToSink returns the relay sequence from node i to the sink given the
+// current liveness (excluding i, ending at -1).
+func (c *Chain) RouteToSink(i int) []int {
+	var path []int
+	cur := i
+	for {
+		next := c.nextHop[cur]
+		path = append(path, next)
+		if next == -1 {
+			return path
+		}
+		cur = next
 	}
 }

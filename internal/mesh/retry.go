@@ -62,13 +62,3 @@ func (s RetrySchedule) Wait(attempt int) units.Duration {
 	}
 	return s.waits[attempt-1]
 }
-
-// Total is the summed backoff of the whole schedule — the worst-case time a
-// packet is held for ARQ.
-func (s RetrySchedule) Total() units.Duration {
-	var t units.Duration
-	for _, w := range s.waits {
-		t += w
-	}
-	return t
-}

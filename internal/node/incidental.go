@@ -13,10 +13,6 @@ import "neofog/internal/units"
 // Enable it with Config.Resumable; the simulator then calls AdvanceFog for
 // nodes whose slot plan contains no whole-packet work.
 
-// FogInFlight reports the instructions still owed on the partially
-// processed packet (0 = none in flight).
-func (n *Node) FogInFlight() int64 { return n.fogRemaining }
-
 // AdvanceFog spends whatever the current slot affords on the in-flight
 // packet (starting one from the buffer if necessary), at the most
 // efficient Spendthrift level. It reports whether a packet was completed

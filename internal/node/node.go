@@ -287,15 +287,6 @@ func (n *Node) priceFixedCosts() fixedCosts {
 	return c
 }
 
-// Harvest charges the node for dt under the given income power and records
-// the income level for FIOS direct-channel computation this round. It is
-// the one-shot form; slot-accurate callers use BeginSlot/EndSlot so that
-// direct-channel draw and banking split the same income stream.
-func (n *Node) Harvest(income units.Power, dt units.Duration) {
-	n.income = income
-	n.Bank.Step(income, dt)
-}
-
 // BeginSlot records the slot's income level without banking anything yet.
 func (n *Node) BeginSlot(income units.Power) {
 	n.income = income
@@ -317,9 +308,6 @@ func (n *Node) EndSlot(slot units.Duration) {
 		n.Stats.EnergySpent += drained
 	}
 }
-
-// Income reports the income power recorded at the last Harvest.
-func (n *Node) Income() units.Power { return n.income }
 
 // Stored reports the main cap's energy.
 func (n *Node) Stored() units.Energy { return n.Bank.Main.Stored() }
@@ -462,16 +450,6 @@ func (n *Node) FogCost() (units.Energy, units.Duration) {
 	return e, t
 }
 
-// availCompute is the power available to the compute rail: the direct
-// channel for FIOS, otherwise the base active power (the NOS discipline
-// powers any level from the cap).
-func (n *Node) availCompute() units.Power {
-	if n.Cfg.Kind == FIOSNVMote {
-		return units.Power(float64(n.income) * 0.9)
-	}
-	return n.Cfg.Core.ActivePower()
-}
-
 // ProcessFog runs one packet's fog pipeline. For a FIOS mote the energy
 // rides the direct channel (topped up from the cap); NOS nodes — VP
 // included, when the kernel is light enough to be time-feasible — draw
@@ -580,15 +558,6 @@ func (n *Node) ConfigureNVRF(cfg []byte) {
 	}
 	c := n.NVRF.Configure(cfg)
 	n.Bank.Main.Draw(c.Energy)
-}
-
-// SpendthriftLevel reports the index of the node's current operating
-// point, shared with neighbours during load balancing.
-func (n *Node) SpendthriftLevel() int {
-	if n.Spend == nil {
-		return 0
-	}
-	return n.Spend.PickIndex(n.availCompute())
 }
 
 // FogCapacity estimates how many packets the node could fog-process this

@@ -16,7 +16,6 @@ package qos
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -179,28 +178,6 @@ func ParseTenants(s string) ([]TenantConfig, error) {
 		out = append(out, cfg)
 	}
 	return out, nil
-}
-
-// FormatTenants renders a config set back into the flag grammar,
-// normalized (sorted by name, defaults filled). ParseTenants ∘
-// FormatTenants is the identity on the normalized form — the fuzz
-// target holds the codec to that fixed point.
-func FormatTenants(tenants []TenantConfig) string {
-	sorted := make([]TenantConfig, len(tenants))
-	for i, t := range tenants {
-		sorted[i] = t.withDefaults()
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	var b strings.Builder
-	for i, t := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s:%s:%d:%s", t.Name,
-			strconv.FormatFloat(t.Weight, 'g', -1, 64), t.Depth,
-			strconv.FormatFloat(t.Rate, 'g', -1, 64))
-	}
-	return b.String()
 }
 
 // bucket is a token bucket on an injected clock: tokens refill at rate

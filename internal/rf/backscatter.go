@@ -42,12 +42,6 @@ func (b *Backscatter) AirTime(n int) units.Duration {
 	return units.Duration(math.Round(float64(n) * 8 / b.DataRate * 1e6))
 }
 
-// InitCost implements Controller: backscatter has no radio chain to
-// initialise — only the preamble synchronisation.
-func (b *Backscatter) InitCost() Cost {
-	return Cost{Time: b.SetupTime, Energy: b.ModPower.Over(b.SetupTime)}
-}
-
 // TxCost implements Controller.
 func (b *Backscatter) TxCost(n int) Cost {
 	t := b.SetupTime + b.AirTime(n)
@@ -60,7 +54,3 @@ func (b *Backscatter) RxCost(n int) Cost {
 	t := b.SetupTime + b.AirTime(n)
 	return Cost{Time: t, Energy: b.ModPower.Over(t)}
 }
-
-// SelfStarting implements Controller: the modulator is stateless and
-// needs no processor-driven reconfiguration after power loss.
-func (b *Backscatter) SelfStarting() bool { return true }

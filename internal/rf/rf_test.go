@@ -45,9 +45,6 @@ func TestSoftwareRFInit(t *testing.T) {
 	if math.Abs(float64(c.Energy-want)) > 1 {
 		t.Fatalf("init energy = %v, want %v", c.Energy, want)
 	}
-	if s.SelfStarting() {
-		t.Fatal("software RF needs the processor")
-	}
 	// A faster host shortens init proportionally.
 	s.HostClockHz = 2e6
 	if got := s.InitCost().Time; got != 265500 {
@@ -70,19 +67,14 @@ func TestSoftwareTxFormula(t *testing.T) {
 
 func TestNVRFLifecycle(t *testing.T) {
 	n := NewNVRF(ML7266())
-	if n.Configured() || n.SelfStarting() {
-		t.Fatal("fresh NVRF must be unconfigured")
-	}
-	// Unconfigured init costs the full 28 ms configuration.
+	// A fresh NVRF is unconfigured: its init costs the full 28 ms
+	// configuration.
 	if got := n.InitCost().Time; got != 28*units.Millisecond {
 		t.Fatalf("unconfigured init = %v, want 28ms", got)
 	}
 	cfg := n.Configure([]byte{0x01, 0x02, 0x03})
 	if cfg.Time != 28*units.Millisecond {
 		t.Fatalf("configure = %v, want 28ms", cfg.Time)
-	}
-	if !n.Configured() || !n.SelfStarting() {
-		t.Fatal("NVRF should be configured and self-starting")
 	}
 	// Configured init is a microsecond-scale NV restore — the 27×-class
 	// advantage over software RF.
@@ -129,33 +121,6 @@ func TestNVRFAdvantages(t *testing.T) {
 	if float64(swRound.Time)/float64(nvRound.Time) < 6.2 {
 		t.Fatalf("round speedup = %.1f, want ≥6.2", float64(swRound.Time)/float64(nvRound.Time))
 	}
-}
-
-func TestNVRFCloneState(t *testing.T) {
-	donor := NewNVRF(ML7266())
-	donor.Configure([]byte{0xAA, 0xBB})
-	joiner := NewNVRF(ML7266())
-	joiner.CloneStateFrom(donor)
-	if !joiner.Configured() {
-		t.Fatal("clone should configure the joiner")
-	}
-	if !joiner.State().Equal(donor.State()) {
-		t.Fatal("cloned state must match the donor")
-	}
-	// And be independent afterwards.
-	joiner.State().Write(0, []byte{0x00})
-	if donor.State().Read(0, 1)[0] != 0xAA {
-		t.Fatal("clone must not alias donor state")
-	}
-}
-
-func TestCloneFromUnconfiguredPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewNVRF(ML7266()).CloneStateFrom(NewNVRF(ML7266()))
 }
 
 // Property: both controllers' TX cost is monotone in payload size, and
@@ -208,9 +173,6 @@ func TestConfigureTooLargePanics(t *testing.T) {
 
 func TestBackscatterCosts(t *testing.T) {
 	b := NewBackscatter()
-	if !b.SelfStarting() {
-		t.Fatal("backscatter needs no processor-driven init")
-	}
 	// Backscatter's whole reason to exist: orders of magnitude below an
 	// active radio for the same payload.
 	nv := NewNVRF(ML7266())
@@ -225,7 +187,8 @@ func TestBackscatterCosts(t *testing.T) {
 	if b.AirTime(100) <= ML7266().AirTime(100) {
 		t.Fatal("backscatter air time should exceed the active radio's")
 	}
-	if b.InitCost().Time != 2*units.Millisecond {
-		t.Fatalf("init = %v", b.InitCost().Time)
+	// An empty burst costs only the preamble synchronisation.
+	if b.TxCost(0).Time != 2*units.Millisecond {
+		t.Fatalf("preamble = %v", b.TxCost(0).Time)
 	}
 }

@@ -71,12 +71,6 @@ func newRing(names []string, replicas int) *ring {
 	return r
 }
 
-// owner returns the shard owning key: the first point at or clockwise of
-// the key's hash, wrapping at the top of the circle.
-func (r *ring) owner(key string) int {
-	return r.points[r.search(hashKey(key))].shard
-}
-
 // sequence returns every shard in ring order starting at key's owner,
 // deduplicated — the retry order for a degraded primary. The slice is
 // freshly allocated per call.

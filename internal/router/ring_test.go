@@ -113,3 +113,9 @@ func TestRingSequence(t *testing.T) {
 		}
 	}
 }
+
+// owner returns the shard owning key: the first point at or clockwise of
+// the key's hash, wrapping at the top of the circle.
+func (r *ring) owner(key string) int {
+	return r.points[r.search(hashKey(key))].shard
+}

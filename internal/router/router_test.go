@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -320,6 +321,8 @@ func TestChaosShardDeathConverges(t *testing.T) {
 	victim.Store(-1) // no shard parks until the victim is chosen
 	var parkKey atomic.Value
 	parkKey.Store("")
+	parked := make(chan struct{})
+	var parkOnce sync.Once
 	gate := make(chan struct{})
 	var released atomic.Bool
 	release := func() {
@@ -333,6 +336,7 @@ func TestChaosShardDeathConverges(t *testing.T) {
 			Workers: 2,
 			ExecHook: func(key string) {
 				if int32(i) == victim.Load() && key == parkKey.Load().(string) {
+					parkOnce.Do(func() { close(parked) })
 					<-gate
 				}
 			},
@@ -369,27 +373,12 @@ func TestChaosShardDeathConverges(t *testing.T) {
 		done <- runResult{body, err}
 	}()
 
-	// Wait until the job is running (parked) on the victim shard.
-	id := serve.JobID(key)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		code, hdr, body := get(t, c.ts.URL, "/v1/jobs/"+id)
-		if code == http.StatusOK {
-			var j serve.Job
-			if err := json.Unmarshal(body, &j); err != nil {
-				t.Fatalf("decode job: %v", err)
-			}
-			if j.Status == serve.StatusRunning {
-				if got := hdr.Get(shardHeader); got != c.rt.cfg.Shards[owner].Name {
-					t.Fatalf("job running on %q, expected owner %q", got, c.rt.cfg.Shards[owner].Name)
-				}
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running on the victim shard")
-		}
-		time.Sleep(time.Millisecond)
+	// Wait until the job is running (parked) on the victim shard, the
+	// key's owner: only that shard's hook parks.
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never started running on the victim shard")
 	}
 
 	// Kill the owner mid-job: sever live connections and stop listening.
@@ -429,8 +418,18 @@ func TestChaosShardDeathConverges(t *testing.T) {
 		t.Fatalf("post-failover result diverged from direct run\nrouted: %s\ndirect: %s", res.body, want)
 	}
 
-	// The job must now live on a surviving shard, not the corpse.
-	_, hdr, _ := get(t, c.ts.URL, "/v1/jobs/"+id)
+	// The job must now live on a surviving shard, not the corpse. A
+	// resubmission names it, and its ID-addressed read must route there.
+	reqBody, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, raw := post(t, c.ts.URL, string(reqBody))
+	var sub serve.SubmitResponse
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatalf("decode resubmission: %v (%s)", err, raw)
+	}
+	_, hdr, _ := get(t, c.ts.URL, "/v1/jobs/"+sub.Job.ID)
 	if got := hdr.Get(shardHeader); got == c.rt.cfg.Shards[owner].Name || got == "" {
 		t.Fatalf("post-failover job read served by %q", got)
 	}

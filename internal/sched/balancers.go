@@ -1,3 +1,8 @@
+// Package sched implements the load-balancing layer of NEOFog (§3.2): the
+// paper's Algorithm 1 — a distributed dynamic-programming assignment of a
+// node's surplus tasks to its best left/right chain neighbours — plus the
+// baseline up-down tree balancer it is compared against and a no-balancing
+// control.
 package sched
 
 import (
@@ -65,11 +70,12 @@ func (p Plan) TotalMoved() int {
 // Balancer plans one period of task placement over a chain.
 type Balancer interface {
 	Name() string
-	// Plan must not mutate nodes. interruption is the probability that any
-	// given local balancing invocation is cut short by a power failure
-	// ("if load balance algorithm is interrupted, no load balance will
-	// take place at that region", §3.2).
-	Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan
+	// Plan must not mutate nodes. s holds the round's working buffers
+	// (see Scratch); the returned Plan never aliases them. interruption is
+	// the probability that any given local balancing invocation is cut
+	// short by a power failure ("if load balance algorithm is interrupted,
+	// no load balance will take place at that region", §3.2).
+	Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan
 }
 
 func basePlan(nodes []NodeLoad) Plan {
@@ -95,8 +101,8 @@ type NoBalance struct{}
 // Name implements Balancer.
 func (NoBalance) Name() string { return "none" }
 
-// Plan implements Balancer.
-func (NoBalance) Plan(nodes []NodeLoad, _ int, _ float64, _ *rand.Rand) Plan {
+// Plan implements Balancer. NoBalance has no working state.
+func (NoBalance) Plan(_ *Scratch, nodes []NodeLoad, _ int, _ float64, _ *rand.Rand) Plan {
 	return basePlan(nodes)
 }
 
@@ -114,14 +120,9 @@ type Distributed struct {
 // Name implements Balancer.
 func (Distributed) Name() string { return "neofog-distributed" }
 
-// Plan implements Balancer.
-func (d Distributed) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
-	return d.PlanScratch(&Scratch{}, nodes, maxTime, interruption, rng)
-}
-
-// PlanScratch implements ScratchPlanner, with the spare-capacity working
-// array drawn from the scratch.
-func (d Distributed) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
+// Plan implements Balancer, with the spare-capacity working array drawn
+// from the scratch.
+func (d Distributed) Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
 	rounds := d.MaxRounds
 	if rounds <= 0 {
 		rounds = 3
@@ -260,15 +261,10 @@ type BaselineTree struct{}
 // Name implements Balancer.
 func (BaselineTree) Name() string { return "baseline-tree" }
 
-// Plan implements Balancer.
-func (bt BaselineTree) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
-	return bt.PlanScratch(&Scratch{}, nodes, maxTime, interruption, rng)
-}
-
-// PlanScratch implements ScratchPlanner, with the task, visibility and
-// share arrays drawn from the scratch. shares[i] is node i's levelled task
-// count, or -1 when i is not visible to the current coordinator.
-func (bt BaselineTree) PlanScratch(s *Scratch, nodes []NodeLoad, _ int, interruption float64, rng *rand.Rand) Plan {
+// Plan implements Balancer, with the task, visibility and share arrays
+// drawn from the scratch. shares[i] is node i's levelled task count, or -1
+// when i is not visible to the current coordinator.
+func (BaselineTree) Plan(s *Scratch, nodes []NodeLoad, _ int, interruption float64, rng *rand.Rand) Plan {
 	p := basePlan(nodes)
 	n := len(nodes)
 	s.tasks = growInts(s.tasks, n)

@@ -51,17 +51,17 @@ func fig13Loads(rng *rand.Rand) []NodeLoad {
 	return nodes
 }
 
-// benchPlan times the balancer's production path: PlanWith over a warm
+// benchPlan times the balancer's production path: Plan over a warm
 // scratch, at the simulator's 12 000-tick slot.
 func benchPlan(b *testing.B, bal Balancer) {
 	rng := rand.New(rand.NewSource(1))
 	nodes := fig13Loads(rng)
 	var s Scratch
-	PlanWith(bal, &s, nodes, 12000, 0.02, rng)
+	bal.Plan(&s, nodes, 12000, 0.02, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PlanWith(bal, &s, nodes, 12000, 0.02, rng)
+		bal.Plan(&s, nodes, 12000, 0.02, rng)
 	}
 }
 

@@ -26,14 +26,8 @@ type Lease struct {
 // Name implements Balancer.
 func (l *Lease) Name() string { return "lease+" + l.Inner.Name() }
 
-// Plan implements Balancer.
-func (l *Lease) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
-	return l.PlanScratch(&Scratch{}, nodes, maxTime, interruption, rng)
-}
-
-// PlanScratch implements ScratchPlanner by forwarding the scratch to the
-// inner balancer.
-func (l *Lease) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
+// Plan implements Balancer, forwarding the scratch to the inner balancer.
+func (l *Lease) Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
 	if l.pending {
 		l.Retries++
 		l.pending = false
@@ -46,5 +40,5 @@ func (l *Lease) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interrupt
 		l.pending = true
 		return p
 	}
-	return PlanWith(l.Inner, s, nodes, maxTime, interruption, rng)
+	return l.Inner.Plan(s, nodes, maxTime, interruption, rng)
 }

@@ -152,7 +152,7 @@ func conserved(nodes []NodeLoad, p Plan) bool {
 
 func TestNoBalance(t *testing.T) {
 	nodes := chainOf(alive(5, 2, 1), dead(3), alive(0, 4, 1))
-	p := NoBalance{}.Plan(nodes, 100, 0, rand.New(rand.NewSource(1)))
+	p := NoBalance{}.Plan(&Scratch{}, nodes, 100, 0, rand.New(rand.NewSource(1)))
 	if p.Exec[0] != 2 || p.Leftover[0] != 3 {
 		t.Fatalf("node 0: %+v", p)
 	}
@@ -176,7 +176,7 @@ func TestDistributedSpillsBothWays(t *testing.T) {
 		alive(6, 2, 1), // overloaded by 4
 		alive(0, 2, 1), // spare 2
 	)
-	p := Distributed{}.Plan(nodes, 1000, 0, rng)
+	p := Distributed{}.Plan(&Scratch{}, nodes, 1000, 0, rng)
 	if totalExec(p) != 6 {
 		t.Fatalf("all 6 tasks should run: %+v", p)
 	}
@@ -197,7 +197,7 @@ func TestDistributedSecondRoundPushesOutward(t *testing.T) {
 		alive(0, 2, 1), // node 9: small spare
 		alive(0, 9, 1), // node 10: big spare
 	)
-	p := Distributed{}.Plan(nodes, 1000, 0, rng)
+	p := Distributed{}.Plan(&Scratch{}, nodes, 1000, 0, rng)
 	if totalExec(p) != 9 {
 		t.Fatalf("all 9 tasks should run: exec=%v leftover=%v", p.Exec, p.Leftover)
 	}
@@ -216,7 +216,7 @@ func TestDistributedPrefersFasterSide(t *testing.T) {
 		alive(4, 0, 1), // all tasks must move
 		alive(0, 4, 1), // fast right neighbour
 	)
-	p := Distributed{}.Plan(nodes, 1000, 0, rng)
+	p := Distributed{}.Plan(&Scratch{}, nodes, 1000, 0, rng)
 	if p.Exec[2] <= p.Exec[0] {
 		t.Fatalf("faster side should get more work: %+v", p.Exec)
 	}
@@ -229,7 +229,7 @@ func TestDistributedInterruption(t *testing.T) {
 	nodes := chainOf(alive(0, 5, 1), alive(6, 1, 1), alive(0, 5, 1))
 	// interruption = 1: every balancing attempt dies; no moves happen, but
 	// functionality is preserved (local execution still runs).
-	p := Distributed{}.Plan(nodes, 1000, 1.0, rand.New(rand.NewSource(5)))
+	p := Distributed{}.Plan(&Scratch{}, nodes, 1000, 1.0, rand.New(rand.NewSource(5)))
 	if len(p.Moves) != 0 {
 		t.Fatalf("interrupted balancer must not move tasks: %+v", p.Moves)
 	}
@@ -246,7 +246,7 @@ func TestBaselineTreeBalances(t *testing.T) {
 	nodes := chainOf(
 		alive(8, 3, 1), alive(0, 3, 1), alive(0, 3, 1), alive(0, 3, 1),
 	)
-	p := BaselineTree{}.Plan(nodes, 1000, 0, rng)
+	p := BaselineTree{}.Plan(&Scratch{}, nodes, 1000, 0, rng)
 	if totalExec(p) < 8 {
 		t.Fatalf("tree should level 8 tasks across 12 capacity: %+v", p)
 	}
@@ -266,8 +266,8 @@ func TestDeadCoordinatorFailureMode(t *testing.T) {
 		alive(6, 1, 1), dead(0), dead(0), alive(0, 5, 1),
 	)
 	rng := rand.New(rand.NewSource(7))
-	tree := BaselineTree{}.Plan(nodes, 1000, 0, rng)
-	dist := Distributed{}.Plan(nodes, 1000, 0, rng)
+	tree := BaselineTree{}.Plan(&Scratch{}, nodes, 1000, 0, rng)
+	dist := Distributed{}.Plan(&Scratch{}, nodes, 1000, 0, rng)
 	if totalExec(tree) >= totalExec(dist) {
 		t.Fatalf("distributed (%d) should beat tree with dead coordinator (%d)",
 			totalExec(dist), totalExec(tree))
@@ -299,7 +299,7 @@ func TestBalancersInvariantsProperty(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for _, bal := range balancers {
-			p := bal.Plan(nodes, 500, 0.1, rng)
+			p := bal.Plan(&Scratch{}, nodes, 500, 0.1, rng)
 			if !conserved(nodes, p) {
 				return false
 			}
@@ -339,9 +339,9 @@ func TestDistributedBeatsAlternatives(t *testing.T) {
 			}
 		}
 		seedPlan := rand.New(rand.NewSource(int64(trial)))
-		distTotal += totalExec(Distributed{}.Plan(nodes, 500, 0.05, seedPlan))
-		treeTotal += totalExec(BaselineTree{}.Plan(nodes, 500, 0.05, seedPlan))
-		noneTotal += totalExec(NoBalance{}.Plan(nodes, 500, 0.05, seedPlan))
+		distTotal += totalExec(Distributed{}.Plan(&Scratch{}, nodes, 500, 0.05, seedPlan))
+		treeTotal += totalExec(BaselineTree{}.Plan(&Scratch{}, nodes, 500, 0.05, seedPlan))
+		noneTotal += totalExec(NoBalance{}.Plan(&Scratch{}, nodes, 500, 0.05, seedPlan))
 	}
 	t.Logf("totals over 200 trials: distributed=%d tree=%d none=%d", distTotal, treeTotal, noneTotal)
 	if distTotal <= treeTotal || treeTotal <= noneTotal {
@@ -362,7 +362,7 @@ func TestLeaseRollbackAndRetry(t *testing.T) {
 	l := &Lease{Inner: Distributed{}}
 	rng := rand.New(rand.NewSource(1))
 
-	p := l.Plan(loads, 100, 1, rng) // BalanceAbort: interruption forced to 1
+	p := l.Plan(&Scratch{}, loads, 100, 1, rng) // BalanceAbort: interruption forced to 1
 	if !p.RolledBack || len(p.Moves) != 0 {
 		t.Fatalf("aborted round: %+v, want rolled-back plan with no moves", p)
 	}
@@ -373,7 +373,7 @@ func TestLeaseRollbackAndRetry(t *testing.T) {
 		t.Fatalf("Retries = %d before the retry round, want 0", l.Retries)
 	}
 
-	p = l.Plan(loads, 100, 0, rng) // the automatic retry
+	p = l.Plan(&Scratch{}, loads, 100, 0, rng) // the automatic retry
 	if p.RolledBack || len(p.Moves) == 0 {
 		t.Fatalf("retry round: %+v, want committed moves", p)
 	}
@@ -395,7 +395,7 @@ func TestPlanCountsInterruptions(t *testing.T) {
 	}
 	for _, bal := range []Balancer{Distributed{}, BaselineTree{}} {
 		rng := rand.New(rand.NewSource(5))
-		p := bal.Plan(loads, 100, 0.99, rng)
+		p := bal.Plan(&Scratch{}, loads, 100, 0.99, rng)
 		if p.Interrupted == 0 {
 			t.Fatalf("%s: near-certain interruption left Interrupted = 0 (%d runs)", bal.Name(), p.BalanceRuns)
 		}

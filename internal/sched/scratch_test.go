@@ -51,9 +51,10 @@ func randomMaxTime(rng *rand.Rand) int {
 }
 
 // TestPlanScratchMatchesPlan is the planners' contract: for every balancer,
-// PlanScratch with a reused scratch and Plan must both return exactly the
-// plan the reference implementation returns — same RNG draws, same moves,
-// same counters — across many rounds, including rounds with interruption.
+// Plan on a reused scratch and Plan on a fresh scratch must both return
+// exactly the plan the reference implementation returns — same RNG draws,
+// same moves, same counters — across many rounds, including rounds with
+// interruption.
 // The references run the general Algorithm 1 DP where Distributed runs its
 // closed form.
 func TestPlanScratchMatchesPlan(t *testing.T) {
@@ -61,7 +62,7 @@ func TestPlanScratchMatchesPlan(t *testing.T) {
 		ref  func() refPlanner
 		prod func() Balancer
 	}{
-		{func() refPlanner { return NoBalance{} }, func() Balancer { return NoBalance{} }},
+		{func() refPlanner { return refNone{} }, func() Balancer { return NoBalance{} }},
 		{func() refPlanner { return refDistributed{} }, func() Balancer { return Distributed{} }},
 		{func() refPlanner { return refDistributed{MaxRounds: 1} }, func() Balancer { return Distributed{MaxRounds: 1} }},
 		{func() refPlanner { return refTree{} }, func() Balancer { return BaselineTree{} }},
@@ -91,13 +92,13 @@ func TestPlanScratchMatchesPlan(t *testing.T) {
 					interruption = 0.3
 				}
 				want := ref.Plan(nodes, maxTime, interruption, rngRef)
-				got := PlanWith(scratched, &s, nodes, maxTime, interruption, rngScratch)
+				got := scratched.Plan(&s, nodes, maxTime, interruption, rngScratch)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("round %d (maxTime=%d intr=%v):\nreference   = %+v\nPlanScratch = %+v",
+					t.Fatalf("round %d (maxTime=%d intr=%v):\nreference      = %+v\nreused scratch = %+v",
 						round, maxTime, interruption, want, got)
 				}
-				if got := plain.Plan(nodes, maxTime, interruption, rngPlain); !reflect.DeepEqual(want, got) {
-					t.Fatalf("round %d (maxTime=%d intr=%v):\nreference = %+v\nPlan      = %+v",
+				if got := plain.Plan(&Scratch{}, nodes, maxTime, interruption, rngPlain); !reflect.DeepEqual(want, got) {
+					t.Fatalf("round %d (maxTime=%d intr=%v):\nreference     = %+v\nfresh scratch = %+v",
 						round, maxTime, interruption, want, got)
 				}
 			}
@@ -108,7 +109,7 @@ func TestPlanScratchMatchesPlan(t *testing.T) {
 	}
 }
 
-// TestPlanScratchSteadyStateAllocs pins the scratch fast path's per-round
+// TestPlanScratchSteadyStateAllocs pins a reused scratch's per-round
 // allocation budget. basePlan's Exec/Leftover (the plan's caller-owned
 // result) and Move appends are the only remaining sources, so the budget is
 // small and any regression in the scratch plumbing trips it.
@@ -123,12 +124,12 @@ func TestPlanScratchSteadyStateAllocs(t *testing.T) {
 	var s Scratch
 	rng := rand.New(rand.NewSource(1))
 	// Warm the scratch to high-water size.
-	PlanWith(bal, &s, nodes, 4000, 0, rng)
+	bal.Plan(&s, nodes, 4000, 0, rng)
 	allocs := testing.AllocsPerRun(200, func() {
-		PlanWith(bal, &s, nodes, 4000, 0, rng)
+		bal.Plan(&s, nodes, 4000, 0, rng)
 	})
 	// Budget: Exec + Leftover in basePlan, plus Moves growth (≤3 appends).
 	if allocs > 6 {
-		t.Fatalf("PlanScratch steady-state allocs = %v, want ≤ 6", allocs)
+		t.Fatalf("Plan steady-state allocs = %v, want ≤ 6", allocs)
 	}
 }

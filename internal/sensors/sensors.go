@@ -102,20 +102,6 @@ func ECG() Device {
 	}
 }
 
-// LUPA1399 is the image sensor of RF-powered camera systems (WispCam).
-// One "sample" is a 64-byte scanline chunk.
-func LUPA1399() Device {
-	const draw = 5 // mW
-	return Device{
-		Name:           "LUPA1399",
-		InitTime:       20 * units.Millisecond,
-		InitEnergy:     activeDraw(draw, 20*units.Millisecond),
-		SampleTime:     2 * units.Millisecond,
-		SampleEnergy:   activeDraw(draw, 2*units.Millisecond),
-		BytesPerSample: 64,
-	}
-}
-
 // Source produces the raw byte records a device would sense. Sources are
 // deterministic given the rng and their internal phase.
 type Source interface {

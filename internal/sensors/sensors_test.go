@@ -38,7 +38,7 @@ func TestDevicePayloadSizesMatchTable2(t *testing.T) {
 }
 
 func TestDeviceEnergiesPositive(t *testing.T) {
-	for _, d := range []Device{TMP101(), LIS331DLH(), BridgeCable(), UVSensor(), ECG(), LUPA1399()} {
+	for _, d := range []Device{TMP101(), LIS331DLH(), BridgeCable(), UVSensor(), ECG()} {
 		if d.InitEnergy <= 0 || d.SampleEnergy <= 0 || d.InitTime <= 0 || d.SampleTime <= 0 {
 			t.Errorf("%s: non-positive cost fields: %+v", d.Name, d)
 		}

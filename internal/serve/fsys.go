@@ -8,8 +8,9 @@ import (
 // FS abstracts every filesystem operation the disk tier performs, so
 // tests (and the chaos harness) can inject faults deterministically and
 // the circuit breaker has one choke point to guard. The production
-// implementation is osFS; FaultFS wraps any FS with seeded error
-// injection. All methods mirror their os counterparts.
+// implementation is osFS; the tests' FaultFS (faultfs_test.go) wraps any
+// FS with seeded error injection. All methods mirror their os
+// counterparts.
 type FS interface {
 	// MkdirAll creates dir (and parents) like os.MkdirAll.
 	MkdirAll(dir string) error

@@ -18,8 +18,8 @@ import (
 //     loads are fully overwritten each round and need no reset.
 //   - cand is a length-zero append target whose capacity persists; callers
 //     must re-slice to [:0] before each use.
-//   - sched is handed to sched.PlanWith, which guarantees the returned Plan
-//     never aliases scratch memory.
+//   - sched is handed to the balancer's Plan, which guarantees the returned
+//     Plan never aliases scratch memory.
 type runArena struct {
 	awake    []*node.Node     // responsible node per logical slot, or nil
 	awakeIdx []int            // physical index per logical slot

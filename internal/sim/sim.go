@@ -44,8 +44,8 @@ type Config struct {
 	// Link is the per-packet delivery model.
 	Link mesh.LinkModel
 	// LinkAt, when non-nil, overrides Link with a per-round model (e.g. a
-	// mesh.WeatherLink's At method) — rain degrades the radio exactly when
-	// solar income collapses.
+	// rain window) — rain degrades the radio exactly when solar income
+	// collapses.
 	LinkAt func(round int) mesh.LinkModel
 	// CloneSets optionally groups physical nodes into NVD4Q logical nodes;
 	// nil means every physical node is its own logical node.
@@ -521,7 +521,7 @@ func Run(cfg Config) (Result, error) {
 		if cfg.Faults.AbortBalance != nil && cfg.Faults.AbortBalance(round) {
 			interruption = 1
 		}
-		plan := sched.PlanWith(balancer, &ar.sched, loads, maxTicks, interruption, rng)
+		plan := balancer.Plan(&ar.sched, loads, maxTicks, interruption, rng)
 		if err := validatePlan(plan, loads); err != nil {
 			return res, fmt.Errorf("sim: round %d: %w", round, err)
 		}

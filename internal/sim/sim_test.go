@@ -394,12 +394,12 @@ func TestWeatherLinkLoss(t *testing.T) {
 	traces := forestTraces(t, 8, 0.9, 51)
 	clear := run(t, node.FIOSNVMote, sched.Distributed{}, traces, nil)
 	rainy := run(t, node.FIOSNVMote, sched.Distributed{}, traces, func(c *Config) {
-		w := mesh.WeatherLink{
-			Clear:     mesh.DefaultLink(),
-			Rain:      mesh.LinkModel{SuccessRate: 0.80},
-			RainStart: 300, RainEnd: 900,
+		c.LinkAt = func(round int) mesh.LinkModel {
+			if round >= 300 && round < 900 {
+				return mesh.LinkModel{SuccessRate: 0.80}
+			}
+			return mesh.DefaultLink()
 		}
-		c.LinkAt = w.At
 	})
 	if rainy.LostInFlight <= clear.LostInFlight {
 		t.Fatalf("rain should lose more packets: %d vs %d",

@@ -83,7 +83,7 @@ func FuzzTraceExport(f *testing.F) {
 		if err := r.WriteChromeTrace(&trace); err != nil {
 			t.Fatalf("trace export errored: %v", err)
 		}
-		if err := validateTraceJSON(trace.Bytes()); err != nil {
+		if err := ValidateTraceJSON(trace.Bytes()); err != nil {
 			t.Fatalf("%v\n%s", err, trace.String())
 		}
 		var timeline bytes.Buffer

@@ -150,11 +150,10 @@ type Recorder struct {
 	samples  []Sample
 	tracks   map[trackKey]string
 	chains   int
-	sink     Sink
-	// streamOnly recorders (NewStreaming) forward records to sink and
-	// keep nothing; their maps stay nil and every read sees an empty
-	// recorder.
-	streamOnly bool
+	// sink is set only on a stream-only recorder (NewStreaming), which
+	// forwards records to it and keeps nothing: its maps stay nil and
+	// every read sees an empty recorder.
+	sink Sink
 }
 
 // New builds an empty Recorder.
@@ -169,13 +168,18 @@ func New() *Recorder {
 
 // NewStreaming builds a stream-only Recorder: every span, instant and
 // sample — direct or merged from a child chain — goes to s the moment it
-// is recorded, in the order a retaining recorder's sink would see, and
-// nothing is kept. Counters, gauges, histograms and track labels are
-// dropped, so every read and export equals an empty recorder's.
-func NewStreaming(s Sink) *Recorder { return &Recorder{sink: s, streamOnly: true} }
+// is recorded, in the order a retaining recorder keeps them, and nothing
+// is kept. Counters, gauges, histograms and track labels are dropped, so
+// every read and export equals an empty recorder's. s must not be nil.
+func NewStreaming(s Sink) *Recorder {
+	if s == nil {
+		panic("telemetry: nil sink")
+	}
+	return &Recorder{sink: s}
+}
 
 // retains reports whether the recorder keeps what it records.
-func (r *Recorder) retains() bool { return r != nil && !r.streamOnly }
+func (r *Recorder) retains() bool { return r != nil && r.sink == nil }
 
 // Enabled reports whether the recorder is live; it is the idiomatic guard
 // around recording code whose argument preparation itself costs something.
@@ -203,15 +207,6 @@ func (r *Recorder) SetGauge(name string, v float64) {
 		return
 	}
 	r.gauges[name] = v
-}
-
-// Gauge reads a gauge and whether it was ever set.
-func (r *Recorder) Gauge(name string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	v, ok := r.gauges[name]
-	return v, ok
 }
 
 // Observe adds a value to a named histogram, creating it with
@@ -260,24 +255,22 @@ func (r *Recorder) Sample(round, node int, at units.Duration, stored units.Energ
 	r.sample(Sample{Node: node, Round: round, Time: at, Stored: stored, Backlog: backlog, Awake: awake})
 }
 
-// event keeps e (unless stream-only), then hands it to the sink.
+// event hands e to a stream-only recorder's sink, or keeps it.
 func (r *Recorder) event(e Event) {
-	if !r.streamOnly {
-		r.events = append(r.events, e)
-	}
 	if r.sink != nil {
 		r.sink.OnEvent(e)
+		return
 	}
+	r.events = append(r.events, e)
 }
 
-// sample keeps s (unless stream-only), then hands it to the sink.
+// sample hands s to a stream-only recorder's sink, or keeps it.
 func (r *Recorder) sample(s Sample) {
-	if !r.streamOnly {
-		r.samples = append(r.samples, s)
-	}
 	if r.sink != nil {
 		r.sink.OnSample(s)
+		return
 	}
+	r.samples = append(r.samples, s)
 }
 
 // Events returns the recorded events in recording order.
@@ -350,7 +343,7 @@ func (r *Recorder) MergeNext(child *Recorder) int {
 		s.Chain += base
 		r.sample(s)
 	}
-	if r.streamOnly {
+	if r.sink != nil {
 		return base
 	}
 	for k, label := range child.tracks {

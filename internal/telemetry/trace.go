@@ -154,10 +154,6 @@ type parsedTrace struct {
 // per-track timestamp sequence is monotone non-decreasing. Shared with the
 // simulator's golden tests and the fuzz target.
 func ValidateTraceJSON(data []byte) error {
-	return validateTraceJSON(data)
-}
-
-func validateTraceJSON(data []byte) error {
 	if !json.Valid(data) {
 		return errInvalidJSON
 	}

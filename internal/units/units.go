@@ -11,12 +11,11 @@ package units
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Duration is simulated time in microseconds. It is a distinct type from
 // time.Duration (which counts nanoseconds) so that the two cannot be mixed
-// accidentally; convert explicitly with FromStd/Std.
+// accidentally.
 type Duration int64
 
 // Common durations.
@@ -27,13 +26,6 @@ const (
 	Minute      Duration = 60 * Second
 	Hour        Duration = 60 * Minute
 )
-
-// FromStd converts a time.Duration to a simulator Duration, truncating to
-// whole microseconds.
-func FromStd(d time.Duration) Duration { return Duration(d / time.Microsecond) }
-
-// Std converts a simulator Duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) * time.Microsecond }
 
 // Microseconds returns the duration as a count of microseconds.
 func (d Duration) Microseconds() int64 { return int64(d) }
@@ -130,12 +122,3 @@ func (p Power) String() string {
 // Over returns the energy delivered by power p sustained for duration d.
 // With the chosen units this is an exact multiplication: mW × µs = nJ.
 func (p Power) Over(d Duration) Energy { return Energy(float64(p) * float64(d)) }
-
-// DurationAt returns how long energy e can sustain power p. It reports the
-// floor in whole microseconds; p must be positive.
-func (e Energy) DurationAt(p Power) Duration {
-	if p <= 0 {
-		panic("units: DurationAt requires positive power")
-	}
-	return Duration(float64(e) / float64(p))
-}

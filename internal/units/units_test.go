@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestPowerOverIdentity(t *testing.T) {
@@ -61,42 +60,13 @@ func TestMillisecondsConstructor(t *testing.T) {
 	}
 }
 
-func TestFromStdRoundTrip(t *testing.T) {
-	f := func(us int32) bool {
-		d := Duration(us)
-		return FromStd(d.Std()) == d
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if FromStd(1500*time.Nanosecond) != 1 {
-		t.Fatal("FromStd should truncate sub-µs")
-	}
-}
-
-func TestDurationAt(t *testing.T) {
-	e := Power(10).Over(Second) // 10 mW · 1 s
-	if got := e.DurationAt(10); got != Second {
-		t.Fatalf("DurationAt = %v, want 1s", got)
-	}
-	if got := e.DurationAt(20); got != Second/2 {
-		t.Fatalf("DurationAt = %v, want 0.5s", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DurationAt(0) should panic")
-		}
-	}()
-	e.DurationAt(0)
-}
-
 func TestEnergyPowerDurationRoundTrip(t *testing.T) {
-	// Property: for positive power and duration, Over then DurationAt
-	// recovers the duration (within 1 µs of float truncation).
+	// Property: for positive power and duration, dividing Over's energy by
+	// the power recovers the duration (within 1 µs of float truncation).
 	f := func(pRaw, dRaw uint16) bool {
 		p := Power(float64(pRaw%500) + 0.5)
 		d := Duration(dRaw) + 1
-		back := p.Over(d).DurationAt(p)
+		back := Duration(float64(p.Over(d)) / float64(p))
 		diff := back - d
 		return diff >= -1 && diff <= 1
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"neofog/internal/mesh"
-	"neofog/internal/rf"
 )
 
 // LogicalNode is one network identity implemented by one or more physical
@@ -43,19 +42,14 @@ func (l LogicalNode) Responsible(tick int) int {
 	return l.Clones[idx]
 }
 
-// WakeOrder returns the clone candidates for the given RTC tick in
-// failover order: the slot owner first, then the remaining clones by
-// ascending phase distance. This is the NVD4Q clone-failover schedule of
-// the recovery layer: because every clone shares the logical node's NVRF
-// state, the clone whose own slot comes next detects the owner's missed
-// beacon soonest and can absorb the orphaned phase offset — the logical
-// node keeps its QoS at reduced multiplexing while a physical part is dead.
-func (l LogicalNode) WakeOrder(tick int) []int {
-	return l.AppendWakeOrder(make([]int, 0, len(l.Clones)), tick)
-}
-
-// AppendWakeOrder appends the WakeOrder candidates for the given tick to
-// buf and returns the extended slice, so per-round loops can reuse one
+// AppendWakeOrder appends the clone candidates for the given RTC tick to
+// buf in failover order and returns the extended slice: the slot owner
+// first, then the remaining clones by ascending phase distance. This is
+// the NVD4Q clone-failover schedule of the recovery layer: because every
+// clone shares the logical node's NVRF state, the clone whose own slot
+// comes next detects the owner's missed beacon soonest and can absorb the
+// orphaned phase offset — the logical node keeps its QoS at reduced
+// multiplexing while a physical part is dead. Per-round loops reuse one
 // buffer instead of allocating a fresh schedule every slot.
 func (l LogicalNode) AppendWakeOrder(buf []int, tick int) []int {
 	m := len(l.Clones)
@@ -100,50 +94,6 @@ func BuildCloneSets(positions []mesh.Position, anchors int) ([]LogicalNode, erro
 		logical[best].Clones = append(logical[best].Clones, p)
 	}
 	return logical, nil
-}
-
-// Join performs the NVRF half of Algorithm 2 for one joining physical
-// node: clone the donor anchor's NVRF state (configuration, channel and
-// association lists) so the network sees no topology change, then return
-// the joiner's phase offset within the set. The donor must be configured.
-func Join(set *LogicalNode, joinerPhys int, joiner, donor *rf.NVRF) (phase int, err error) {
-	if !donor.Configured() {
-		return 0, fmt.Errorf("virt: donor NVRF unconfigured")
-	}
-	if set.PhaseOf(joinerPhys) != -1 {
-		return 0, fmt.Errorf("virt: node %d already in clone set %d", joinerPhys, set.ID)
-	}
-	joiner.CloneStateFrom(donor)
-	set.Clones = append(set.Clones, joinerPhys)
-	return len(set.Clones) - 1, nil
-}
-
-// Leave removes a physical node from the set (moving-object deployments
-// "frequently request network reconstruction, including re-association of
-// clones"). The anchor (phase 0) cannot leave.
-func Leave(set *LogicalNode, phys int) error {
-	k := set.PhaseOf(phys)
-	if k < 0 {
-		return fmt.Errorf("virt: node %d not in clone set %d", phys, set.ID)
-	}
-	if k == 0 {
-		return fmt.Errorf("virt: anchor of clone set %d cannot leave", set.ID)
-	}
-	set.Clones = append(set.Clones[:k], set.Clones[k+1:]...)
-	return nil
-}
-
-// SlotsOwned reports how many of the next `horizon` ticks belong to phase
-// k of an m-clone set — the per-physical-node duty factor 1/m.
-func SlotsOwned(m, k, horizon int) int {
-	if m <= 0 || k < 0 || k >= m {
-		panic("virt: bad slot parameters")
-	}
-	full := horizon / m
-	if horizon%m > k {
-		full++
-	}
-	return full
 }
 
 // RotateForChain rotates a clone set's phase assignment by the chain

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"neofog/internal/mesh"
-	"neofog/internal/rf"
 )
 
 func TestResponsibleRoundRobin(t *testing.T) {
@@ -59,48 +58,6 @@ func TestBuildCloneSetsErrors(t *testing.T) {
 	}
 	if _, err := BuildCloneSets([]mesh.Position{{}}, 2); err == nil {
 		t.Fatal("anchors beyond positions should error")
-	}
-}
-
-func TestJoinClonesNVRFState(t *testing.T) {
-	donor := rf.NewNVRF(rf.ML7266())
-	donor.Configure([]byte{0xDE, 0xAD})
-	joiner := rf.NewNVRF(rf.ML7266())
-	set := LogicalNode{ID: 0, Clones: []int{0}}
-
-	phase, err := Join(&set, 5, joiner, donor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if phase != 1 {
-		t.Fatalf("phase = %d, want 1", phase)
-	}
-	if !joiner.Configured() || !joiner.State().Equal(donor.State()) {
-		t.Fatal("joiner must carry the donor's network identity")
-	}
-	// Double join rejected.
-	if _, err := Join(&set, 5, joiner, donor); err == nil {
-		t.Fatal("double join should error")
-	}
-	// Unconfigured donor rejected.
-	if _, err := Join(&set, 6, rf.NewNVRF(rf.ML7266()), rf.NewNVRF(rf.ML7266())); err == nil {
-		t.Fatal("unconfigured donor should error")
-	}
-}
-
-func TestLeave(t *testing.T) {
-	set := LogicalNode{ID: 0, Clones: []int{0, 5, 9}}
-	if err := Leave(&set, 5); err != nil {
-		t.Fatal(err)
-	}
-	if set.Multiplexing() != 2 || set.PhaseOf(9) != 1 {
-		t.Fatalf("after leave: %+v", set)
-	}
-	if err := Leave(&set, 0); err == nil {
-		t.Fatal("anchor cannot leave")
-	}
-	if err := Leave(&set, 42); err == nil {
-		t.Fatal("non-member cannot leave")
 	}
 }
 
@@ -177,12 +134,12 @@ func TestRotateForChainStaggersPhases(t *testing.T) {
 	}
 }
 
-// WakeOrder starts at the slot owner and walks the phases in failover
+// AppendWakeOrder starts at the slot owner and walks the phases in failover
 // order, for any tick sign.
 func TestWakeOrder(t *testing.T) {
 	set := LogicalNode{ID: 0, Clones: []int{10, 20, 30}}
 	for tick := -7; tick < 9; tick++ {
-		order := set.WakeOrder(tick)
+		order := set.AppendWakeOrder(nil, tick)
 		if order[0] != set.Responsible(tick) {
 			t.Fatalf("tick %d: order starts at %d, want slot owner %d", tick, order[0], set.Responsible(tick))
 		}
@@ -199,8 +156,21 @@ func TestWakeOrder(t *testing.T) {
 	}
 	// The failover successor is the next phase: if 20 owns the slot, 30
 	// detects the missed beacon first.
-	order := set.WakeOrder(1)
+	order := set.AppendWakeOrder(nil, 1)
 	if order[0] != 20 || order[1] != 30 || order[2] != 10 {
-		t.Fatalf("WakeOrder(1) = %v, want [20 30 10]", order)
+		t.Fatalf("AppendWakeOrder(nil, 1) = %v, want [20 30 10]", order)
 	}
+}
+
+// SlotsOwned reports how many of the next `horizon` ticks belong to phase
+// k of an m-clone set — the per-physical-node duty factor 1/m.
+func SlotsOwned(m, k, horizon int) int {
+	if m <= 0 || k < 0 || k >= m {
+		panic("virt: bad slot parameters")
+	}
+	full := horizon / m
+	if horizon%m > k {
+		full++
+	}
+	return full
 }

@@ -188,7 +188,8 @@ func exports(t *testing.T, tel *Telemetry) (trace, timeline, summary string) {
 // TestStreamingTelemetryContract pins what NewStreamingTelemetry
 // promises for a Simulate, a 3-chain SimulateFleet (merged through
 // MergeNext) and a short experiment: its streamer receives exactly the
-// sequence a retaining collector's sink receives, it keeps nothing (its
+// events and samples a retaining collector keeps, each in recording
+// order, with the same conversion; it keeps nothing (its
 // exports equal an empty collector's and Counter reads 0), and results
 // are bit-identical with it on or off.
 func TestStreamingTelemetryContract(t *testing.T) {
@@ -214,9 +215,8 @@ func TestStreamingTelemetryContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var kept, streamed captureStreamer
+			var streamed captureStreamer
 			retaining := NewTelemetry()
-			retaining.rec.SetSink(streamAdapter{&kept})
 			withRetaining, err := c.run(retaining)
 			if err != nil {
 				t.Fatal(err)
@@ -230,15 +230,34 @@ func TestStreamingTelemetryContract(t *testing.T) {
 			if !reflect.DeepEqual(bare, withStream) || !reflect.DeepEqual(bare, withRetaining) {
 				t.Fatal("telemetry perturbed the result")
 			}
+			// The retaining collector's records as the stream converts
+			// them, events first, against the stream's records in the
+			// same grouping.
+			var kept captureStreamer
+			for _, e := range retaining.rec.Events() {
+				streamAdapter{&kept}.OnEvent(e)
+			}
+			for _, s := range retaining.rec.Samples() {
+				streamAdapter{&kept}.OnSample(s)
+			}
+			var got, samples []streamRecord
+			for _, r := range streamed.got {
+				if r.sample {
+					samples = append(samples, r)
+				} else {
+					got = append(got, r)
+				}
+			}
+			got = append(got, samples...)
 			if len(kept.got) == 0 || retaining.Counter("sim.wakeups") == 0 {
 				t.Fatal("degenerate run: the retaining collector recorded nothing")
 			}
-			if len(streamed.got) != len(kept.got) {
-				t.Fatalf("stream-only sink got %d records, retaining sink %d", len(streamed.got), len(kept.got))
+			if len(got) != len(kept.got) {
+				t.Fatalf("stream-only sink got %d records, retaining collector kept %d", len(got), len(kept.got))
 			}
 			for i := range kept.got {
-				if streamed.got[i] != kept.got[i] {
-					t.Fatalf("record %d differs:\nstream-only %+v\nretaining   %+v", i, streamed.got[i], kept.got[i])
+				if got[i] != kept.got[i] {
+					t.Fatalf("record %d differs:\nstream-only %+v\nretaining   %+v", i, got[i], kept.got[i])
 				}
 			}
 			if c.chains > 1 && streamed.got[len(streamed.got)-1].chain != c.chains-1 {
