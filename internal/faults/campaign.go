@@ -119,49 +119,61 @@ type Report struct {
 }
 
 func (c Campaign) withDefaults() (Campaign, error) {
-	if len(c.Intensities) == 0 {
-		c.Intensities = []float64{0, 0.25, 0.5, 0.75, 1}
-	}
-	if c.Intensities[0] != 0 {
-		return c, fmt.Errorf("faults: campaign needs a zero-intensity baseline first, got %v", c.Intensities[0])
-	}
-	for i, x := range c.Intensities {
-		if x < 0 || x > 1 {
-			return c, fmt.Errorf("faults: intensity %v outside [0, 1]", x)
-		}
-		if i > 0 && x < c.Intensities[i-1] {
-			return c, fmt.Errorf("faults: intensities must be non-decreasing, got %v after %v", x, c.Intensities[i-1])
-		}
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.02
+	if err := sweepDefaults("campaign", "baseline", c.Base, &c.Intensities, &c.Tolerance, &c.Gen); err != nil {
+		return c, err
 	}
 	if c.RecoveryFloor == 0 {
 		c.RecoveryFloor = 0.7
 	}
-	if c.Base.Journal != nil {
-		return c, fmt.Errorf("faults: campaign owns the journal; Base.Journal must be nil")
+	return c, nil
+}
+
+// sweepDefaults fills and checks the settings both campaigns share: the
+// intensity sweep, the tolerance, a base config whose journal and fault
+// hooks the campaign owns, and plan generation sized from the base. name
+// and anchor word the errors ("campaign", "baseline").
+func sweepDefaults(name, anchor string, base sim.Config, intensities *[]float64, tolerance *float64, gen *GenConfig) error {
+	if len(*intensities) == 0 {
+		*intensities = []float64{0, 0.25, 0.5, 0.75, 1}
 	}
-	f := c.Base.Faults
+	xs := *intensities
+	if xs[0] != 0 {
+		return fmt.Errorf("faults: %s needs a zero-intensity %s first, got %v", name, anchor, xs[0])
+	}
+	for i, x := range xs {
+		if x < 0 || x > 1 {
+			return fmt.Errorf("faults: intensity %v outside [0, 1]", x)
+		}
+		if i > 0 && x < xs[i-1] {
+			return fmt.Errorf("faults: intensities must be non-decreasing, got %v after %v", x, xs[i-1])
+		}
+	}
+	if *tolerance == 0 {
+		*tolerance = 0.02
+	}
+	if base.Journal != nil {
+		return fmt.Errorf("faults: %s owns the journal; Base.Journal must be nil", name)
+	}
+	f := base.Faults
 	if f.NodeDown != nil || f.Blackout != nil || f.RFFailed != nil ||
 		f.SensorStuck != nil || f.Link != nil || f.AbortBalance != nil {
-		return c, fmt.Errorf("faults: campaign owns the fault hooks; Base.Faults must be empty")
+		return fmt.Errorf("faults: %s owns the fault hooks; Base.Faults must be empty", name)
 	}
-	if len(c.Base.Traces) == 0 || c.Base.Slot <= 0 {
-		return c, fmt.Errorf("faults: campaign base config needs traces and a slot")
+	if len(base.Traces) == 0 || base.Slot <= 0 {
+		return fmt.Errorf("faults: %s base config needs traces and a slot", name)
 	}
-	if c.Gen.Nodes == 0 {
-		c.Gen.Nodes = len(c.Base.Traces)
+	if gen.Nodes == 0 {
+		gen.Nodes = len(base.Traces)
 	}
-	if c.Gen.Rounds == 0 {
-		rounds := c.Base.Rounds
-		if maxRounds := int(c.Base.Traces[0].Duration() / c.Base.Slot); rounds == 0 || rounds > maxRounds {
+	if gen.Rounds == 0 {
+		rounds := base.Rounds
+		if maxRounds := int(base.Traces[0].Duration() / base.Slot); rounds == 0 || rounds > maxRounds {
 			rounds = maxRounds
 		}
-		c.Gen.Rounds = rounds
+		gen.Rounds = rounds
 	}
-	c.Gen = c.Gen.withDefaults()
-	return c, nil
+	*gen = gen.withDefaults()
+	return nil
 }
 
 // Run executes the sweep and checks every invariant, returning an error

@@ -64,48 +64,12 @@ type ResilienceReport struct {
 }
 
 func (c ResilienceCampaign) withDefaults() (ResilienceCampaign, error) {
-	if len(c.Intensities) == 0 {
-		c.Intensities = []float64{0, 0.25, 0.5, 0.75, 1}
-	}
-	if c.Intensities[0] != 0 {
-		return c, fmt.Errorf("faults: resilience campaign needs a zero-intensity anchor first, got %v", c.Intensities[0])
-	}
-	for i, x := range c.Intensities {
-		if x < 0 || x > 1 {
-			return c, fmt.Errorf("faults: intensity %v outside [0, 1]", x)
-		}
-		if i > 0 && x < c.Intensities[i-1] {
-			return c, fmt.Errorf("faults: intensities must be non-decreasing, got %v after %v", x, c.Intensities[i-1])
-		}
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.02
-	}
-	if c.Base.Journal != nil {
-		return c, fmt.Errorf("faults: resilience campaign owns the journal; Base.Journal must be nil")
+	if err := sweepDefaults("resilience campaign", "anchor", c.Base, &c.Intensities, &c.Tolerance, &c.Gen); err != nil {
+		return c, err
 	}
 	if c.Base.Recovery != (sim.RecoveryConfig{}) {
 		return c, fmt.Errorf("faults: resilience campaign owns the recovery switch; Base.Recovery must be zero")
 	}
-	f := c.Base.Faults
-	if f.NodeDown != nil || f.Blackout != nil || f.RFFailed != nil ||
-		f.SensorStuck != nil || f.Link != nil || f.AbortBalance != nil {
-		return c, fmt.Errorf("faults: resilience campaign owns the fault hooks; Base.Faults must be empty")
-	}
-	if len(c.Base.Traces) == 0 || c.Base.Slot <= 0 {
-		return c, fmt.Errorf("faults: resilience campaign base config needs traces and a slot")
-	}
-	if c.Gen.Nodes == 0 {
-		c.Gen.Nodes = len(c.Base.Traces)
-	}
-	if c.Gen.Rounds == 0 {
-		rounds := c.Base.Rounds
-		if maxRounds := int(c.Base.Traces[0].Duration() / c.Base.Slot); rounds == 0 || rounds > maxRounds {
-			rounds = maxRounds
-		}
-		c.Gen.Rounds = rounds
-	}
-	c.Gen = c.Gen.withDefaults()
 	return c, nil
 }
 

@@ -297,11 +297,16 @@ var hopByHop = map[string]bool{
 // forward relays one exchange to shard i: same method, path, query and
 // headers, the given body (nil for bodiless methods). It reports
 // transport failure (retryable — nothing was written to the client yet)
-// distinctly from a delivered response. Response bodies are copied with
-// a flush per read so SSE events fan through unbuffered; for
-// event-stream responses the server-side write deadline is lifted first,
-// mirroring the shards' own SSE exemption.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []byte) (delivered bool) {
+// distinctly from a delivered response. With retryStatus set, a delivered
+// 502/503/504 is swallowed and reported as a failure too, so the caller
+// tries the next replica: submissions set it on every candidate but the
+// last, since a submission is idempotent by content address — re-sending
+// the same body to another shard at worst computes the result there too,
+// it can never fork the answer. Response bodies are copied with a flush
+// per read so SSE events fan through unbuffered; for streaming responses
+// (SSE job streams, ndjson matrix streams) the server-side write deadline
+// is lifted first, mirroring the shards' own SSE exemption.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []byte, retryStatus bool) (delivered bool) {
 	shard := rt.cfg.Shards[i]
 	var rdr io.Reader
 	if body != nil {
@@ -328,6 +333,11 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []
 		return false
 	}
 	defer resp.Body.Close()
+	if retryStatus && retryableStatus(resp.StatusCode) {
+		io.Copy(io.Discard, resp.Body)
+		rt.metrics.forwardErrors.Add(1)
+		return false
+	}
 
 	h := w.Header()
 	for k, vs := range resp.Header {
@@ -344,7 +354,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []
 	}
 	w.WriteHeader(resp.StatusCode)
 	flushingCopy(w, resp.Body)
-	rt.metrics.shardRequests.Add(1, rt.cfg.Shards[i].Name)
+	rt.metrics.shardRequests.Add(1, shard.Name)
 	return true
 }
 
@@ -412,71 +422,21 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.submitTo(w, r, rkey, body)
 }
 
-// submitTo walks rkey's candidate shards in ring order with forwardSubmit's
-// retry rules, answering 502 when no shard takes the submission.
+// submitTo walks rkey's candidate shards in ring order, retrying the next
+// replica on a transport failure or a 502/503/504 from any but the last,
+// and answers 502 when no shard takes the submission.
 func (rt *Router) submitTo(w http.ResponseWriter, r *http.Request, rkey string, body []byte) {
 	cands := rt.candidates(rkey)
 	for n, i := range cands {
 		if n > 0 {
 			rt.metrics.retries.Add(1)
 		}
-		if rt.forwardSubmit(w, r, i, body, n == len(cands)-1) {
+		if rt.forward(w, r, i, body, n < len(cands)-1) {
 			return
 		}
 	}
 	rt.metrics.noShard.Add(1)
 	writeError(w, http.StatusBadGateway, "no shard reachable for this request")
-}
-
-// forwardSubmit is forward with submit-specific retry semantics: a
-// delivered 502/503/504 from a non-final candidate is swallowed and the
-// next replica tried — submission is idempotent by content address, so
-// re-sending the same body to another shard at worst computes the result
-// there too, it can never fork the answer.
-func (rt *Router) forwardSubmit(w http.ResponseWriter, r *http.Request, i int, body []byte, final bool) bool {
-	shard := rt.cfg.Shards[i]
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, shard.URL+r.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		rt.markDegraded(i, err)
-		return false
-	}
-	for k, vs := range r.Header {
-		if hopByHop[http.CanonicalHeaderKey(k)] {
-			continue
-		}
-		req.Header[k] = vs
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return true
-		}
-		rt.metrics.forwardErrors.Add(1)
-		rt.markDegraded(i, err)
-		return false
-	}
-	defer resp.Body.Close()
-	if !final && retryableStatus(resp.StatusCode) {
-		io.Copy(io.Discard, resp.Body)
-		rt.metrics.forwardErrors.Add(1)
-		return false
-	}
-	h := w.Header()
-	for k, vs := range resp.Header {
-		if hopByHop[k] {
-			continue
-		}
-		h[k] = vs
-	}
-	h.Set(shardHeader, shard.Name)
-	if streamingContentType(resp.Header.Get("Content-Type")) {
-		// Matrix submissions answer with a long-lived cell stream.
-		http.NewResponseController(w).SetWriteDeadline(time.Time{})
-	}
-	w.WriteHeader(resp.StatusCode)
-	flushingCopy(w, resp.Body)
-	rt.metrics.shardRequests.Add(1, shard.Name)
-	return true
 }
 
 // handleMatrix routes a whole experiment matrix as one unit: the batch's
@@ -509,7 +469,7 @@ func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
 		if n > 0 {
 			rt.metrics.retries.Add(1)
 		}
-		if rt.forward(w, r, i, nil) {
+		if rt.forward(w, r, i, nil, false) {
 			return
 		}
 	}
@@ -521,7 +481,7 @@ func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
 // list is identical on every shard (it is compiled in).
 func (rt *Router) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, i := range rt.candidates("experiments") {
-		if rt.forward(w, r, i, nil) {
+		if rt.forward(w, r, i, nil, false) {
 			return
 		}
 	}

@@ -62,7 +62,7 @@ func newMetrics(cfg Config, tenants []qos.TenantConfig) *metrics {
 	m.jobsPoisoned = counter("jobs_poisoned_total", "Runs that panicked; the key was quarantined.")
 	m.jobsSubmitted = counter("jobs_submitted_total", "Submissions accepted (including cache and dedup hits).")
 	m.matrixCells = counter("matrix_cells_total", "Matrix cells fanned out into content-addressed jobs.")
-	m.matrixRequests = counter("matrix_requests_total", "Batch matrix submissions accepted (either flavor).")
+	m.matrixRequests = counter("matrix_requests_total", "Batch matrix submissions received with an accepted Content-Type, counted before the body is decoded.")
 	m.rejectedDeadline = counter("submit_rejected_deadline_total", "Submissions rejected with 429 because the predicted queue wait exceeded the deadline.")
 	m.rejectedDraining = counter("submit_rejected_draining_total", "Submissions rejected with 503 during drain.")
 	m.rejectedFull = counter("submit_rejected_full_total", "Submissions rejected with 429 because the queue was full.")
