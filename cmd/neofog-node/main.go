@@ -35,7 +35,7 @@ func main() {
 		return
 	}
 	if *appName == "" {
-		fmt.Println(experiments.Table2(*seed).Format())
+		fmt.Println(experiments.Table2(experiments.Options{Seed: *seed}).Format())
 		return
 	}
 

@@ -15,6 +15,53 @@ func testFrame(t testing.TB, w, h int) []byte {
 	return sensors.Fill(&sensors.ImageSource{}, w*h, rng)
 }
 
+// TestDCTMatchesCosineOracle checks the table-driven transforms against
+// refDCT8 and refIDCT8 bit for bit, on every row of level-shifted random,
+// all-0 and all-255 blocks and on the coefficients those rows transform
+// to.
+func TestDCTMatchesCosineOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var blocks [][64]byte
+	for b := 0; b < 64; b++ {
+		var px [64]byte
+		rng.Read(px[:])
+		blocks = append(blocks, px)
+	}
+	var zero, full [64]byte
+	for i := range full {
+		full[i] = 255
+	}
+	blocks = append(blocks, zero, full)
+
+	same := func(a, b [8]float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for bi, px := range blocks {
+		for y := 0; y < blockSize; y++ {
+			var row, got, want [8]float64
+			for x := range row {
+				row[x] = float64(px[y*8+x]) - 128
+			}
+			dct8(row[:], got[:])
+			refDCT8(row[:], want[:])
+			if !same(got, want) {
+				t.Fatalf("block %d row %d: dct8 %v, oracle %v", bi, y, got, want)
+			}
+			coef := got
+			idct8(coef[:], got[:])
+			refIDCT8(coef[:], want[:])
+			if !same(got, want) {
+				t.Fatalf("block %d row %d: idct8 %v, oracle %v", bi, y, got, want)
+			}
+		}
+	}
+}
+
 func TestZigzagIsPermutation(t *testing.T) {
 	seen := map[int]bool{}
 	for _, p := range zigzag {

@@ -15,6 +15,7 @@ import (
 	"neofog/internal/mesh"
 	"neofog/internal/metrics"
 	"neofog/internal/node"
+	"neofog/internal/pool"
 	"neofog/internal/rf"
 	"neofog/internal/sched"
 	"neofog/internal/sim"
@@ -51,12 +52,12 @@ type Options struct {
 	// bit-identical with or without it.
 	Telemetry *telemetry.Recorder
 	// Parallel is the worker-pool width for independent sweep points
-	// (systems × power profiles × fault intensities): 0 or 1 runs points
-	// serially (the default), N > 1 runs up to N concurrently, and a
-	// negative value uses every available CPU. The pool is bounded by
-	// GOMAXPROCS either way, mirroring neofog.SimulateFleet. Every table,
-	// CSV, and golden is byte-identical at any width — results merge in
-	// input order.
+	// (systems × power profiles × fault intensities, and Table 2's
+	// applications): 0 or 1 runs points serially (the default), N > 1 runs
+	// up to N concurrently, and a negative value uses every available CPU.
+	// The pool is bounded by GOMAXPROCS either way (pool.Width). Every
+	// table, CSV, and golden is byte-identical at any width — results merge
+	// in input order.
 	Parallel int
 }
 
@@ -106,27 +107,41 @@ func Table1() *metrics.Table {
 
 // Table2 reproduces Table 2: per-application energy distribution under the
 // naive and buffered strategies. The naive columns are exact; the buffered
-// columns are measured by running the fog kernels and compressor.
-func Table2(seed int64) *metrics.Table {
+// columns are measured by running the fog kernels and compressor. Only
+// opts.Seed and opts.Parallel are read, and the seed is used as given.
+// Each application draws its signal from its own rng seeded with it, so
+// the applications fan out through the pool, the one with the most naive
+// instructions (Pattern Matching, the slowest to evaluate) first, and the
+// rows keep application order.
+func Table2(opts Options) *metrics.Table {
 	core := cpu.Default8051()
 	radio := rf.ML7266()
 	t := metrics.NewTable("Table 2: energy distribution, naive vs buffered strategy",
 		"App", "Inst. NO.", "Compute nJ", "TX nJ", "Compute ratio",
 		"Buf compute mJ", "Buf TX mJ", "Buf ratio", "Energy saved")
-	for _, a := range apps.All() {
-		rng := rand.New(rand.NewSource(seed))
-		saved, naive, buf := a.EnergySaved(core, radio, apps.BufferSize, rng)
-		t.AddRow(
-			a.Name,
-			metrics.Itoa(int(a.NaiveInsts)),
-			metrics.Ftoa(float64(naive.ComputeEnergy), 3),
-			metrics.Ftoa(float64(naive.TxEnergy), 1),
-			metrics.Percent(naive.ComputeRatio()),
-			metrics.Ftoa(buf.ComputeEnergy.Millijoules(), 1),
-			metrics.Ftoa(buf.TxEnergy.Millijoules(), 2),
-			metrics.Percent(buf.ComputeRatio()),
-			metrics.Percent(saved),
-		)
+	all := apps.All()
+	rows := make([][]string, len(all))
+	pool.Run(len(all), pool.Width(opts.Parallel),
+		func(i int) int { return int(all[i].NaiveInsts) },
+		func(i int) bool {
+			a := all[i]
+			rng := rand.New(rand.NewSource(opts.Seed))
+			saved, naive, buf := a.EnergySaved(core, radio, apps.BufferSize, rng)
+			rows[i] = []string{
+				a.Name,
+				metrics.Itoa(int(a.NaiveInsts)),
+				metrics.Ftoa(float64(naive.ComputeEnergy), 3),
+				metrics.Ftoa(float64(naive.TxEnergy), 1),
+				metrics.Percent(naive.ComputeRatio()),
+				metrics.Ftoa(buf.ComputeEnergy.Millijoules(), 1),
+				metrics.Ftoa(buf.TxEnergy.Millijoules(), 2),
+				metrics.Percent(buf.ComputeRatio()),
+				metrics.Percent(saved),
+			}
+			return true
+		})
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	return t
 }
@@ -251,26 +266,32 @@ func systemConfig(kind node.SystemKind, bal sched.Balancer, traces []*energytrac
 	}
 }
 
-// systemPoint packages one system run as an independent sweep point. Each
-// underlying run records into its own child recorder; runSweep merges the
-// child into the experiment's recorder in input order, tagging the run as
-// the next chain, so experiment telemetry is as deterministic as the
-// experiment itself. The point only reads traces and any state the mut
-// closure captures — sweeps sharing a trace set across concurrent points
-// rely on sim.Run never mutating it.
-func systemPoint(kind node.SystemKind, bal sched.Balancer, traces []*energytrace.Sampled,
+// systemPoint packages one system run over a shared trace set as an
+// independent sweep point of the given cost. traces runs on the worker;
+// sweeps sharing one set across concurrent points pass a sync.OnceValue
+// and rely on sim.Run never mutating the set. The point only reads the set
+// and any state the mut closure captures.
+func systemPoint(kind node.SystemKind, bal sched.Balancer, cost int, traces func() []*energytrace.Sampled,
 	opts Options, mut func(*sim.Config)) sweepPoint {
-	return func() (sim.Result, *telemetry.Recorder, error) {
-		cfg := systemConfig(kind, bal, traces, opts)
+	return sweepPoint{cost: cost, run: func() (sim.Result, *telemetry.Recorder, error) {
+		cfg := systemConfig(kind, bal, traces(), opts)
 		if mut != nil {
 			mut(&cfg)
 		}
-		var child *telemetry.Recorder
-		if opts.Telemetry.Enabled() {
-			child = telemetry.New()
-			cfg.Telemetry = child
-		}
-		res, err := sim.Run(cfg)
-		return res, child, err
+		return simulate(cfg, opts)
+	}}
+}
+
+// simulate runs one sweep point's configuration. The run records into its
+// own child recorder; runSweep merges the child into the experiment's
+// recorder in input order, tagging the run as the next chain, so
+// experiment telemetry is as deterministic as the experiment itself.
+func simulate(cfg sim.Config, opts Options) (sim.Result, *telemetry.Recorder, error) {
+	var child *telemetry.Recorder
+	if opts.Telemetry.Enabled() {
+		child = telemetry.New()
+		cfg.Telemetry = child
 	}
+	res, err := sim.Run(cfg)
+	return res, child, err
 }

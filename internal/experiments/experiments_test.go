@@ -33,7 +33,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2ReproducesNaiveColumns(t *testing.T) {
-	tb := Table2(1)
+	tb := Table2(Options{Seed: 1})
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

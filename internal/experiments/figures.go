@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"neofog/internal/energytrace"
 	"neofog/internal/mesh"
@@ -11,6 +12,7 @@ import (
 	"neofog/internal/node"
 	"neofog/internal/sched"
 	"neofog/internal/sim"
+	"neofog/internal/telemetry"
 	"neofog/internal/units"
 	"neofog/internal/virt"
 )
@@ -60,14 +62,20 @@ func figPackets(title string, traceGen func(profile, nodes int, seed int64) []*e
 		"Profile", "System", "Wakeups", "Total processed", "Fog processed", "Cloud processed")
 	avgs := map[string]SystemAverages{}
 	const profiles = 5
-	// Trace generation stays serial and up front — the three systems of a
-	// profile share one read-only trace set, exactly as the serial sweep
-	// shared it. The 15 (profile, system) runs then fan out.
+	// The three systems of a profile share one read-only trace set. Each
+	// profile's set is built once, on the worker that runs whichever of its
+	// points starts first. The profile's first point is charged the
+	// synthesis, so in parallel all five builds start before any point
+	// that only reads a set.
 	var points []sweepPoint
 	for p := 1; p <= profiles; p++ {
-		traces := traceGen(p, opts.Nodes, opts.Seed)
-		for _, s := range systems() {
-			points = append(points, systemPoint(s.Kind, s.Bal, traces, opts, nil))
+		traces := sync.OnceValue(func() []*energytrace.Sampled { return traceGen(p, opts.Nodes, opts.Seed) })
+		for si, s := range systems() {
+			cost := opts.Nodes
+			if si == 0 {
+				cost += opts.Nodes
+			}
+			points = append(points, systemPoint(s.Kind, s.Bal, cost, traces, opts, nil))
 		}
 	}
 	results, err := runSweep(opts, points)
@@ -128,35 +136,51 @@ type Fig9Result struct {
 // so the no-LB reference here is the same NVP stack without balancing —
 // see EXPERIMENTS.md.)
 func Fig9StoredEnergy(opts Options) (*Fig9Result, error) {
-	opts = opts.withDefaults()
+	return fig9(opts, fig9Traces)
+}
+
+// fig9Traces is the Fig. 9 income: daytime solar with dependent per-node
+// variance, scaled by deck shadow along the bridge, which gives
+// consecutive cable nodes very different exposure: one shaded, one
+// half-lit, one in full sun. This is the stored-energy imbalance Fig. 9
+// visualises.
+func fig9Traces(nodes int, seed int64) []*energytrace.Sampled {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = 4.4
 	cfg.CloudAttenuation = 0.45
+	gains := []float64{0.35, 1.0, 1.8}
+	traces := energytrace.DependentSet(cfg, nodes, 0.15, rand.New(rand.NewSource(seed)))
+	for i, tr := range traces {
+		traces[i] = tr.Scale(gains[i%len(gains)])
+	}
+	return traces
+}
+
+// fig9 runs Fig. 9 over the income traceGen synthesises.
+func fig9(opts Options, traceGen func(nodes int, seed int64) []*energytrace.Sampled) (*Fig9Result, error) {
+	opts = opts.withDefaults()
 	record := []int{3, 4, 5}
 	if last := record[len(record)-1]; opts.Nodes <= last {
 		return nil, fmt.Errorf("experiments: fig9 records nodes %d–%d, so it needs at least %d nodes, got %d",
 			record[0], last, last+1, opts.Nodes)
 	}
-	// Deck shadow along the bridge gives consecutive cable nodes very
-	// different exposure: one shaded, one half-lit, one in full sun. This
-	// is the stored-energy imbalance Fig. 9 visualises.
-	gains := []float64{0.35, 1.0, 1.8}
 
 	out := &Fig9Result{
 		Table:    metrics.NewTable("Fig. 9: stored energy of 3 consecutive nodes", "System", "Node", "Mean stored", "Max stored", "Overflowed"),
 		Series:   map[string]map[int][]units.Energy{},
 		Overflow: map[string]units.Energy{},
 	}
-	// Each variant gets its own freshly generated (but identical, same-seed)
-	// trace set so no point writes state another reads; the three runs then
-	// fan out and merge in variant order.
+	// The three variants share one read-only trace set, built by whichever
+	// point starts first, as in figPackets; the three runs fan out and
+	// merge in variant order.
+	traces := sync.OnceValue(func() []*energytrace.Sampled { return traceGen(opts.Nodes, opts.Seed) })
 	var points []sweepPoint
-	for _, s := range lbVariants() {
-		traces := energytrace.DependentSet(cfg, opts.Nodes, 0.15, rand.New(rand.NewSource(opts.Seed)))
-		for i, tr := range traces {
-			traces[i] = tr.Scale(gains[i%len(gains)])
+	for si, s := range lbVariants() {
+		cost := opts.Nodes
+		if si == 0 {
+			cost += opts.Nodes
 		}
-		points = append(points, systemPoint(s.Kind, s.Bal, traces, opts, func(c *sim.Config) {
+		points = append(points, systemPoint(s.Kind, s.Bal, cost, traces, opts, func(c *sim.Config) {
 			c.RecordEnergy = record
 		}))
 	}
@@ -235,29 +259,31 @@ func runMultiplex(trace multiplexTrace, opts Options, factors ...int) ([]Multipl
 	if opts.Nodes < 2 {
 		return nil, fmt.Errorf("experiments: clone sets anchor on a line of at least 2 nodes, got %d", opts.Nodes)
 	}
-	light := func(c *sim.Config) { c.Node.FogInstsPerByte = kernel }
 
-	// Trace and clone-set generation stay serial so each point closes over
-	// finished, read-only inputs before the fan-out.
+	// Each point synthesises its own traces and clone sets on its worker,
+	// so no point's income exists before that point starts. It simulates
+	// and synthesises its physical nodes, so the largest factor is
+	// dispatched first.
 	sweepPts := make([]sweepPoint, len(factors))
 	for i, factor := range factors {
+		kind, bal := node.FIOSNVMote, sched.Balancer(sched.Distributed{})
 		if factor == 0 {
-			sweepPts[i] = systemPoint(node.NOSVP, sched.NoBalance{}, trace(opts.Nodes, opts.Seed), opts, light)
-			continue
+			kind, bal = node.NOSVP, sched.NoBalance{}
 		}
-		physical := opts.Nodes * factor
-		traces := trace(physical, opts.Seed+int64(factor))
-		sets, err := cloneSets(opts.Nodes, physical, opts.Seed+int64(factor))
-		if err != nil {
-			return nil, err
-		}
-		factor := factor
-		sweepPts[i] = systemPoint(node.FIOSNVMote, sched.Distributed{}, traces, opts, func(c *sim.Config) {
-			light(c)
+		physical := opts.Nodes * max(factor, 1)
+		seed := opts.Seed + int64(factor)
+		sweepPts[i] = sweepPoint{cost: 2 * physical, run: func() (sim.Result, *telemetry.Recorder, error) {
+			cfg := systemConfig(kind, bal, trace(physical, seed), opts)
+			cfg.Node.FogInstsPerByte = kernel
 			if factor > 1 {
-				c.CloneSets = sets
+				sets, err := cloneSets(opts.Nodes, physical, seed)
+				if err != nil {
+					return sim.Result{}, nil, err
+				}
+				cfg.CloneSets = sets
 			}
-		})
+			return simulate(cfg, opts)
+		}}
 	}
 	results, err := runSweep(opts, sweepPts)
 	if err != nil {

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"neofog/internal/energytrace"
 	"neofog/internal/metrics"
 	"neofog/internal/telemetry"
 )
@@ -59,6 +61,9 @@ func abHarnesses() []abHarness {
 				return nil, nil, err
 			}
 			return r.Table, r.Report, nil
+		}},
+		{"table2", func(o Options) (*metrics.Table, interface{}, error) {
+			return Table2(o), nil, nil
 		}},
 	}
 }
@@ -124,5 +129,46 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedIncomeBuiltOnce counts trace synthesis: each Fig. 10/11
+// profile's set, shared by its three systems, and the Fig. 9 set, shared
+// by its three balancers, is built exactly once at every width, by
+// whichever of the points sharing it runs first.
+func TestSharedIncomeBuiltOnce(t *testing.T) {
+	profiles := map[string]func(profile, nodes int, seed int64) []*energytrace.Sampled{
+		"fig10": forestProfile,
+		"fig11": bridgeProfile,
+	}
+	for _, w := range []int{1, 2, -1} {
+		opts := Options{Seed: 1, Rounds: 60, Parallel: w}
+		for name, gen := range profiles {
+			var built [6]atomic.Int64
+			counted := func(profile, nodes int, seed int64) []*energytrace.Sampled {
+				built[profile].Add(1)
+				return gen(profile, nodes, seed)
+			}
+			if _, _, err := figPackets(name, counted, opts); err != nil {
+				t.Fatalf("%s, width %d: %v", name, w, err)
+			}
+			for p := 1; p <= 5; p++ {
+				if n := built[p].Load(); n != 1 {
+					t.Errorf("%s, width %d: profile %d built %d times", name, w, p, n)
+				}
+			}
+		}
+
+		var built atomic.Int64
+		counted := func(nodes int, seed int64) []*energytrace.Sampled {
+			built.Add(1)
+			return fig9Traces(nodes, seed)
+		}
+		if _, err := fig9(opts, counted); err != nil {
+			t.Fatalf("fig9, width %d: %v", w, err)
+		}
+		if n := built.Load(); n != 1 {
+			t.Errorf("fig9, width %d: trace set built %d times", w, n)
+		}
 	}
 }

@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"neofog/internal/metrics"
+	"neofog/internal/pool"
 	"neofog/internal/sim"
 )
 
@@ -48,51 +47,6 @@ type Campaign struct {
 	// the invariant verdicts, and which error surfaces are identical at any
 	// width — the cross-point checks always scan the points in input order.
 	Parallel int
-}
-
-// poolWidth resolves a Parallel knob to a bounded worker count, the same
-// way experiments.Options and neofog.SimulateFleet bound their fan-out.
-func poolWidth(parallel int) int {
-	w := parallel
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runIndexed runs fn(i) for i in [0, n) with up to w concurrent workers.
-// Serially (w <= 1) it stops after the first index for which stop(i)
-// reports true, matching the historical early-abort loop; in parallel every
-// index runs and the caller's in-order scan discards results past the first
-// error, so the observable outcome is the same.
-func runIndexed(n, w int, fn func(int), stop func(int) bool) {
-	if w <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-			if stop(i) {
-				break
-			}
-		}
-		return
-	}
-	sem := make(chan struct{}, w)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // Point is one intensity's outcome.
@@ -202,9 +156,10 @@ func (c Campaign) Run() (*Report, error) {
 	// and errors match the serial sweep exactly.
 	pts := make([]Point, len(c.Intensities))
 	errs := make([]error, len(c.Intensities))
-	runIndexed(len(c.Intensities), poolWidth(c.Parallel),
-		func(i int) { pts[i], errs[i] = c.runPoint(c.Intensities[i], tailStart, rounds) },
-		func(i int) bool { return errs[i] != nil })
+	pool.Run(len(c.Intensities), pool.Width(c.Parallel), nil, func(i int) bool {
+		pts[i], errs[i] = c.runPoint(c.Intensities[i], tailStart, rounds)
+		return errs[i] == nil
+	})
 
 	rep := &Report{TailStart: tailStart}
 	for i := range pts {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"neofog/internal/metrics"
+	"neofog/internal/pool"
 	"neofog/internal/sim"
 )
 
@@ -88,9 +89,10 @@ func (c ResilienceCampaign) Run() (*ResilienceReport, error) {
 	// sweep exactly.
 	pts := make([]ArmPoint, len(c.Intensities))
 	errs := make([]error, len(c.Intensities))
-	runIndexed(len(c.Intensities), poolWidth(c.Parallel),
-		func(i int) { pts[i], errs[i] = c.runArmPoint(c.Intensities[i]) },
-		func(i int) bool { return errs[i] != nil })
+	pool.Run(len(c.Intensities), pool.Width(c.Parallel), nil, func(i int) bool {
+		pts[i], errs[i] = c.runArmPoint(c.Intensities[i])
+		return errs[i] == nil
+	})
 
 	rep := &ResilienceReport{}
 	strict := false

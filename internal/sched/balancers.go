@@ -70,24 +70,26 @@ func (p Plan) TotalMoved() int {
 // Balancer plans one period of task placement over a chain.
 type Balancer interface {
 	Name() string
-	// Plan must not mutate nodes. s holds the round's working buffers
-	// (see Scratch); the returned Plan never aliases them. interruption is
+	// Plan must not mutate nodes. s holds the round's working buffers,
+	// and the returned Plan's slices are among them, so the plan is valid
+	// until the next Plan call on s (see Scratch). interruption is
 	// the probability that any given local balancing invocation is cut
 	// short by a power failure ("if load balance algorithm is interrupted,
 	// no load balance will take place at that region", §3.2).
 	Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan
 }
 
-func basePlan(nodes []NodeLoad) Plan {
-	p := Plan{Exec: make([]int, len(nodes)), Leftover: make([]int, len(nodes))}
+// basePlan is the local-only plan every balancer starts from: an alive
+// node executes what fits its capacity and holds the rest, a dead node
+// holds everything. Its slices are the scratch's (see Scratch).
+func basePlan(s *Scratch, nodes []NodeLoad) Plan {
+	s.exec = growInts(s.exec, len(nodes))
+	s.leftover = growInts(s.leftover, len(nodes))
+	p := Plan{Exec: s.exec, Leftover: s.leftover, Moves: s.moves[:0]}
 	for i, n := range nodes {
-		if !n.Alive {
-			p.Leftover[i] = n.Tasks
-			continue
-		}
-		ex := n.Tasks
-		if ex > n.Capacity {
-			ex = n.Capacity
+		ex := 0
+		if n.Alive {
+			ex = min(n.Tasks, n.Capacity)
 		}
 		p.Exec[i] = ex
 		p.Leftover[i] = n.Tasks - ex
@@ -101,9 +103,9 @@ type NoBalance struct{}
 // Name implements Balancer.
 func (NoBalance) Name() string { return "none" }
 
-// Plan implements Balancer. NoBalance has no working state.
-func (NoBalance) Plan(_ *Scratch, nodes []NodeLoad, _ int, _ float64, _ *rand.Rand) Plan {
-	return basePlan(nodes)
+// Plan implements Balancer. NoBalance needs only the plan's own buffers.
+func (NoBalance) Plan(s *Scratch, nodes []NodeLoad, _ int, _ float64, _ *rand.Rand) Plan {
+	return basePlan(s, nodes)
 }
 
 // Distributed is the paper's proposed bottom-up balancer: each overloaded
@@ -127,7 +129,7 @@ func (d Distributed) Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruptio
 	if rounds <= 0 {
 		rounds = 3
 	}
-	p := basePlan(nodes)
+	p := basePlan(s, nodes)
 	n := len(nodes)
 
 	s.spare = growInts(s.spare, n)
@@ -179,6 +181,7 @@ func (d Distributed) Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruptio
 			break
 		}
 	}
+	s.moves = p.Moves // keep any growth for the next round
 	return p
 }
 
@@ -265,7 +268,7 @@ func (BaselineTree) Name() string { return "baseline-tree" }
 // drawn from the scratch. shares[i] is node i's levelled task count, or -1
 // when i is not visible to the current coordinator.
 func (BaselineTree) Plan(s *Scratch, nodes []NodeLoad, _ int, interruption float64, rng *rand.Rand) Plan {
-	p := basePlan(nodes)
+	p := basePlan(s, nodes)
 	n := len(nodes)
 	s.tasks = growInts(s.tasks, n)
 	s.up = growBools(s.up, n)
@@ -386,6 +389,7 @@ func (BaselineTree) Plan(s *Scratch, nodes []NodeLoad, _ int, interruption float
 		p.Exec[i] = ex
 		p.Leftover[i] = tasks[i] - ex
 	}
+	s.moves = p.Moves // keep any growth for the next round
 	return p
 }
 

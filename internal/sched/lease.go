@@ -35,7 +35,7 @@ func (l *Lease) Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruption flo
 	if interruption >= 1 {
 		// The lease cannot possibly commit; skip the doomed balancing
 		// traffic entirely and schedule the retry.
-		p := basePlan(nodes)
+		p := basePlan(s, nodes)
 		p.RolledBack = true
 		l.pending = true
 		return p

@@ -43,10 +43,6 @@ type Config struct {
 	LBInterruption float64
 	// Link is the per-packet delivery model.
 	Link mesh.LinkModel
-	// LinkAt, when non-nil, overrides Link with a per-round model (e.g. a
-	// rain window) — rain degrades the radio exactly when solar income
-	// collapses.
-	LinkAt func(round int) mesh.LinkModel
 	// CloneSets optionally groups physical nodes into NVD4Q logical nodes;
 	// nil means every physical node is its own logical node.
 	CloneSets []virt.LogicalNode
@@ -368,9 +364,6 @@ func Run(cfg Config) (Result, error) {
 	for round := 0; round < rounds; round++ {
 		t0 := cfg.Slot * units.Duration(round)
 		link := cfg.Link
-		if cfg.LinkAt != nil {
-			link = cfg.LinkAt(round)
-		}
 		if cfg.Faults.Link != nil {
 			if lm, ok := cfg.Faults.Link(round); ok {
 				link = lm

@@ -394,11 +394,8 @@ func TestWeatherLinkLoss(t *testing.T) {
 	traces := forestTraces(t, 8, 0.9, 51)
 	clear := run(t, node.FIOSNVMote, sched.Distributed{}, traces, nil)
 	rainy := run(t, node.FIOSNVMote, sched.Distributed{}, traces, func(c *Config) {
-		c.LinkAt = func(round int) mesh.LinkModel {
-			if round >= 300 && round < 900 {
-				return mesh.LinkModel{SuccessRate: 0.80}
-			}
-			return mesh.DefaultLink()
+		c.Faults.Link = func(round int) (mesh.LinkModel, bool) {
+			return mesh.LinkModel{SuccessRate: 0.80}, round >= 300 && round < 900
 		}
 	})
 	if rainy.LostInFlight <= clear.LostInFlight {

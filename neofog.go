@@ -28,10 +28,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"neofog/internal/apps"
 	"neofog/internal/energytrace"
@@ -39,6 +37,7 @@ import (
 	"neofog/internal/mesh"
 	"neofog/internal/metrics"
 	"neofog/internal/node"
+	"neofog/internal/pool"
 	"neofog/internal/sched"
 	"neofog/internal/sim"
 	"neofog/internal/units"
@@ -337,35 +336,28 @@ func SimulateFleet(cfg SimulationConfig, chains int) (FleetResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	// Run Simulate per chain in parallel rather than duplicating its
-	// assembly logic at the internal layer — each call is already
-	// deterministic and independent.
+	// Run Simulate per chain on one worker per CPU rather than duplicating
+	// its assembly logic at the internal layer — each call is already
+	// deterministic and independent, and the scan below reports the first
+	// failed chain in chain order at any width.
 	results := make([]SimulationResult, chains)
 	errs := make([]error, chains)
 	journals := make([]*bytes.Buffer, chains)
 	recorders := make([]*Telemetry, chains)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < chains; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c := cfg
-			c.Seed = cfg.Seed + int64(i)
-			if cfg.Journal != nil {
-				journals[i] = &bytes.Buffer{}
-				c.Journal = journals[i]
-			}
-			if cfg.Telemetry != nil {
-				recorders[i] = NewTelemetry()
-				c.Telemetry = recorders[i]
-			}
-			results[i], errs[i] = Simulate(c)
-		}(i)
-	}
-	wg.Wait()
+	pool.Run(chains, pool.Width(-1), nil, func(i int) bool {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)
+		if cfg.Journal != nil {
+			journals[i] = &bytes.Buffer{}
+			c.Journal = journals[i]
+		}
+		if cfg.Telemetry != nil {
+			recorders[i] = NewTelemetry()
+			c.Telemetry = recorders[i]
+		}
+		results[i], errs[i] = Simulate(c)
+		return errs[i] == nil
+	})
 	for i, err := range errs {
 		if err != nil {
 			return FleetResult{}, fmt.Errorf("neofog: chain %d: %w", i, err)
@@ -493,7 +485,7 @@ func ExperimentIDs() []string {
 
 var experimentRunners = map[string]func(opts experiments.Options) (*metrics.Table, error){
 	"table1": func(experiments.Options) (*metrics.Table, error) { return experiments.Table1(), nil },
-	"table2": func(o experiments.Options) (*metrics.Table, error) { return experiments.Table2(o.Seed), nil },
+	"table2": func(o experiments.Options) (*metrics.Table, error) { return experiments.Table2(o), nil },
 	"fig4":   func(experiments.Options) (*metrics.Table, error) { return experiments.Fig4Timing(), nil },
 	"fig6":   func(o experiments.Options) (*metrics.Table, error) { return experiments.Fig6Scenario(o.Seed), nil },
 	"fig7":   func(o experiments.Options) (*metrics.Table, error) { return experiments.Fig7Hops(o.Seed) },
