@@ -414,7 +414,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// single daemon's.
 	rkey := "invalid-request"
 	var req serve.Request
-	if jerr := json.Unmarshal(body, &req); jerr == nil {
+	if serve.DecodeBody(bytes.NewReader(body), &req) == nil {
 		if _, key, nerr := serve.Normalize(req); nerr == nil {
 			rkey = routingKey(key)
 		}
@@ -451,7 +451,7 @@ func (rt *Router) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	rkey := "invalid-request"
 	var m serve.MatrixRequest
-	if json.Unmarshal(body, &m) == nil {
+	if serve.DecodeBody(bytes.NewReader(body), &m) == nil {
 		if _, _, key, merr := serve.MatrixCells(m); merr == nil {
 			rkey = routingKey(key)
 		}

@@ -9,12 +9,16 @@
 // (PR1), byte-identical under parallelism (PR4) and under observation
 // (PR3), so the service can:
 //
-//   - content-address results: the cache key is the SHA-256 of the
-//     canonical request (neofog.CanonicalConfig plus the request
-//     envelope), and a job's ID is derived from that key, which makes
-//     submission idempotent — resubmitting a configuration returns the
-//     cached result, byte for byte the same body a fresh run would
-//     produce;
+//   - content-address results: the normalized request is its own
+//     canonical form — the cache key is the SHA-256 of its JSON
+//     encoding (the envelope with neofog.CanonicalConfig's bytes as
+//     its config, and options.parallel left out), and a job's ID is
+//     derived from that key, which makes submission idempotent —
+//     resubmitting a configuration returns the cached result, byte for
+//     byte the same body a fresh run would produce. Bodies are decoded
+//     strictly (DecodeBody): an unknown key or trailing data is a 400
+//     that names the fault, and the router decodes through the same
+//     function;
 //   - single-flight deduplicate: identical requests that arrive while a
 //     matching job is queued or running attach to that job instead of
 //     spawning another run;

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"strconv"
@@ -163,14 +165,30 @@ func negotiateContentType(r *http.Request) (string, bool) {
 	return mt, mt == "application/json"
 }
 
+// DecodeBody decodes one POST body into v, strictly: a key that names no
+// field of v is an error that names the key, and so is anything but
+// whitespace after the JSON value. Both of the daemon's POST handlers
+// decode through it, and so does the router, which routes exactly the
+// bodies a shard would accept.
+func DecodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if mt, ok := negotiateContentType(r); !ok {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	if err := DecodeBody(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

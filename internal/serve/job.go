@@ -24,7 +24,9 @@ const (
 // Request is the submission envelope. Exactly one payload applies per
 // kind: Config for "simulate" and "fleet" (with Chains), Experiment plus
 // Options for "experiment". An empty Kind means "simulate", and an empty
-// Config means the facade's default deployment.
+// Config means the facade's default deployment. A normalized Request is
+// its own canonical form: its JSON encoding, with Options.Parallel
+// zeroed, is what the cache key hashes.
 type Request struct {
 	// Kind selects the facade entry point: simulate (default), fleet, or
 	// experiment.
@@ -38,24 +40,14 @@ type Request struct {
 	// Experiment is the artifact ID for experiment jobs (see
 	// GET /v1/experiments; any `-exp` ID is servable).
 	Experiment string `json:"experiment,omitempty"`
-	// Options tunes experiment jobs.
-	Options *ExperimentOptions `json:"options,omitempty"`
+	// Options tunes experiment jobs. Its Parallel width is deliberately
+	// excluded from the cache key: sweeps are proven byte-identical at
+	// every width, so two requests differing only in Parallel are the
+	// same job. Context and Telemetry are not part of the wire format.
+	Options *neofog.ExperimentOptions `json:"options,omitempty"`
 	// Format is the experiment output encoding: "table" (default) or
 	// "csv".
 	Format string `json:"format,omitempty"`
-}
-
-// ExperimentOptions is the wire form of neofog.ExperimentOptions.
-type ExperimentOptions struct {
-	Seed             int64     `json:"seed,omitempty"`
-	Nodes            int       `json:"nodes,omitempty"`
-	Rounds           int       `json:"rounds,omitempty"`
-	FaultSeed        int64     `json:"fault_seed,omitempty"`
-	FaultIntensities []float64 `json:"fault_intensities,omitempty"`
-	// Parallel is the sweep pool width. It is deliberately excluded from
-	// the cache key: sweeps are proven byte-identical at every width, so
-	// two requests differing only in Parallel are the same job.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // Job is the public snapshot of one submission, as served by the API.
@@ -145,26 +137,6 @@ type MatrixDone struct {
 	Failed int `json:"failed"`
 }
 
-// canonicalRequest is the hashed form of a normalized Request: fixed
-// field order, defaults filled, simulation config replaced by its
-// canonical encoding, non-semantic knobs (Parallel) dropped.
-type canonicalRequest struct {
-	Kind       string            `json:"kind"`
-	Config     json.RawMessage   `json:"config,omitempty"`
-	Chains     int               `json:"chains,omitempty"`
-	Experiment string            `json:"experiment,omitempty"`
-	Options    *canonicalExpOpts `json:"options,omitempty"`
-	Format     string            `json:"format,omitempty"`
-}
-
-type canonicalExpOpts struct {
-	Seed             int64     `json:"seed"`
-	Nodes            int       `json:"nodes"`
-	Rounds           int       `json:"rounds"`
-	FaultSeed        int64     `json:"fault_seed"`
-	FaultIntensities []float64 `json:"fault_intensities,omitempty"`
-}
-
 // experimentIDs is the servable-artifact set, computed once.
 var experimentIDs = func() map[string]bool {
 	m := make(map[string]bool)
@@ -176,9 +148,10 @@ var experimentIDs = func() map[string]bool {
 
 // normalizeRequest validates req, fills its defaults, and returns the
 // normalized request together with its content address — the hex SHA-256
-// of the canonical encoding. Requests the facade would treat identically
-// normalize to the same key; that equivalence is what makes the key a
-// sound address for cached results.
+// of the normalized request's JSON encoding with Options.Parallel
+// zeroed. Requests the facade would treat identically normalize to the
+// same key; that equivalence is what makes the key a sound address for
+// cached results.
 func normalizeRequest(req Request) (Request, string, error) {
 	out := req
 	if out.Kind == "" {
@@ -188,8 +161,6 @@ func normalizeRequest(req Request) (Request, string, error) {
 			out.Kind = KindSimulate
 		}
 	}
-	can := canonicalRequest{Kind: out.Kind}
-
 	switch out.Kind {
 	case KindSimulate, KindFleet:
 		if out.Experiment != "" || out.Options != nil || out.Format != "" {
@@ -203,16 +174,10 @@ func normalizeRequest(req Request) (Request, string, error) {
 			return Request{}, "", err
 		}
 		out.Config = &norm
-		cb, err := neofog.CanonicalConfig(norm)
-		if err != nil {
-			return Request{}, "", err
-		}
-		can.Config = cb
 		if out.Kind == KindFleet {
 			if out.Chains < 1 {
 				return Request{}, "", fmt.Errorf("fleet jobs need chains ≥ 1, got %d", out.Chains)
 			}
-			can.Chains = out.Chains
 		} else if out.Chains != 0 {
 			return Request{}, "", fmt.Errorf("chains is only valid for fleet jobs")
 		}
@@ -234,7 +199,7 @@ func normalizeRequest(req Request) (Request, string, error) {
 			return Request{}, "", fmt.Errorf("unknown format %q (table or csv)", out.Format)
 		}
 		if out.Options == nil {
-			out.Options = &ExperimentOptions{}
+			out.Options = &neofog.ExperimentOptions{}
 		}
 		o := *out.Options
 		if o.Seed == 0 {
@@ -253,21 +218,18 @@ func normalizeRequest(req Request) (Request, string, error) {
 			o.FaultIntensities = nil
 		}
 		out.Options = &o
-		can.Experiment = out.Experiment
-		can.Format = out.Format
-		can.Options = &canonicalExpOpts{
-			Seed:             o.Seed,
-			Nodes:            o.Nodes,
-			Rounds:           o.Rounds,
-			FaultSeed:        o.FaultSeed,
-			FaultIntensities: o.FaultIntensities,
-		}
 
 	default:
 		return Request{}, "", fmt.Errorf("unknown kind %q (simulate, fleet or experiment)", out.Kind)
 	}
 
-	b, err := json.Marshal(can)
+	keyed := out
+	if out.Options != nil && out.Options.Parallel != 0 {
+		serial := *out.Options
+		serial.Parallel = 0
+		keyed.Options = &serial
+	}
+	b, err := json.Marshal(keyed)
 	if err != nil {
 		return Request{}, "", err
 	}

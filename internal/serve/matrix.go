@@ -89,8 +89,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	s.metrics.matrixRequests.Add(1)
 
 	var m MatrixRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&m); err != nil {
+	if err := DecodeBody(http.MaxBytesReader(w, r.Body, 1<<20), &m); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

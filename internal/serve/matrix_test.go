@@ -208,7 +208,7 @@ func TestMatrixJSON(t *testing.T) {
 }
 
 // TestMatrixValidation pins the 400 paths: empty axes, an unbounded
-// fan-out, and a weather the simulator rejects.
+// fan-out, and a weather or a panel peak the simulator rejects.
 func TestMatrixValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -225,6 +225,12 @@ func TestMatrixValidation(t *testing.T) {
 			Systems:     []string{"neofog"},
 			Weathers:    []string{"hail"},
 			Intensities: []float64{0},
+			Nodes:       3, Rounds: 10,
+		}},
+		{"negative intensity", MatrixRequest{
+			Systems:     []string{"neofog"},
+			Weathers:    []string{"sunny"},
+			Intensities: []float64{0, -1},
 			Nodes:       3, Rounds: 10,
 		}},
 	}

@@ -641,17 +641,9 @@ func (s *Server) execute(j *job) (json.RawMessage, error) {
 		return json.Marshal(res)
 
 	case KindExperiment:
-		o := j.req.Options
-		opts := neofog.ExperimentOptions{
-			Context:          j.ctx,
-			Seed:             o.Seed,
-			Nodes:            o.Nodes,
-			Rounds:           o.Rounds,
-			FaultSeed:        o.FaultSeed,
-			FaultIntensities: o.FaultIntensities,
-			Parallel:         o.Parallel,
-			Telemetry:        tel,
-		}
+		opts := *j.req.Options
+		opts.Context = j.ctx
+		opts.Telemetry = tel
 		var output string
 		if j.req.Format == "csv" {
 			var buf bytes.Buffer

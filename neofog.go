@@ -91,59 +91,63 @@ const (
 	AppHeartbeat    Application = "heartbeat"
 )
 
-// SimulationConfig describes one WSN deployment to simulate.
+// SimulationConfig describes one WSN deployment to simulate. Its JSON
+// names are the wire schema of the simulation service and the canonical
+// form its cache keys hash (see CanonicalConfig); the observers are not
+// part of either.
 type SimulationConfig struct {
 	// System is the node architecture (default SystemNEOFog).
-	System System
+	System System `json:"system"`
 	// Balancer is the load-balancing policy (default: distributed for
 	// SystemNEOFog, tree for SystemNVP, none for SystemVP).
-	Balancer Balancer
+	Balancer Balancer `json:"balancer"`
 	// Application is the workload (default AppBridgeHealth).
-	Application Application
+	Application Application `json:"application"`
 	// Nodes is the number of logical chain nodes (default 10).
-	Nodes int
+	Nodes int `json:"nodes"`
 	// Rounds is the number of RTC slots to simulate (default: as many as
 	// the generated traces cover — 1500 slots = 5 h).
-	Rounds int
+	Rounds int `json:"rounds"`
 	// SlotSeconds is the RTC wake interval (default 12 s).
-	SlotSeconds float64
+	SlotSeconds float64 `json:"slot_seconds"`
 	// Weather picks the solar regime (default WeatherSunny).
-	Weather Weather
+	Weather Weather `json:"weather"`
 	// SolarPeakMilliwatts overrides the regime's clear-sky panel peak
-	// (0 keeps the regime default).
-	SolarPeakMilliwatts float64
+	// (0 keeps the regime default; negative and non-finite peaks are
+	// refused).
+	SolarPeakMilliwatts float64 `json:"solar_peak_mw"`
 	// Correlated selects dependent per-node traces (the bridge recipe)
 	// instead of independent ones (the forest recipe).
-	Correlated bool
+	Correlated bool `json:"correlated"`
 	// Multiplexing is the NVD4Q clone count per logical node (default 1 =
 	// no virtualization). Physical node count = Nodes × Multiplexing.
-	Multiplexing int
+	Multiplexing int `json:"multiplexing"`
 	// FogInstsPerByte overrides the fog-kernel cost (0 keeps the
 	// heavyweight bridge pipeline default).
-	FogInstsPerByte int64
+	FogInstsPerByte int64 `json:"fog_insts_per_byte"`
 	// Resumable enables the incidental-computing extension: NV nodes make
 	// partial fog progress on scraps of energy, checkpointed across power
 	// cycles, instead of discarding work they cannot afford whole.
-	Resumable bool
+	Resumable bool `json:"resumable"`
 	// WakeupRadio fits the nano-watt RF wake-up receiver extension: nodes
 	// whose clock died during a blackout rejoin for microjoules instead of
 	// a costly blind listen (§2.3 future work).
-	WakeupRadio bool
+	WakeupRadio bool `json:"wakeup_radio"`
 	// Recovery enables the self-healing protocol layer: energy-aware
 	// link-layer ARQ, persistent route repair, NVD4Q clone failover, and
 	// abort-safe (lease/commit) load balancing. Off by default; every
 	// recovery action is paid for through the node's rf model.
-	Recovery bool
+	Recovery bool `json:"recovery"`
 	// Journal, when non-nil, receives one JSON line per simulated round
 	// (round, awake count, fog/cloud/dropped deltas, LB moves, mean stored
 	// energy) for plotting and debugging.
-	Journal io.Writer
+	Journal io.Writer `json:"-"`
 	// Telemetry, when non-nil, records phase spans, counters and per-node
 	// energy/backlog timelines during the run (see NewTelemetry). Purely
 	// observational: results are bit-identical with or without it.
-	Telemetry *Telemetry
+	Telemetry *Telemetry `json:"-"`
 	// Seed makes the run reproducible (default 1).
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 // SimulationResult summarises a run.
@@ -172,65 +176,33 @@ func (r SimulationResult) TotalProcessed() int { return r.FogProcessed + r.Cloud
 
 // Simulate runs one deployment.
 func Simulate(cfg SimulationConfig) (SimulationResult, error) {
-	app, err := application(cfg.Application)
+	d, err := resolve(cfg)
 	if err != nil {
 		return SimulationResult{}, err
 	}
-	kind, err := systemKind(cfg.System)
-	if err != nil {
-		return SimulationResult{}, err
-	}
-	bal, err := balancer(cfg.Balancer, kind)
-	if err != nil {
-		return SimulationResult{}, err
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 10
-	}
-	if cfg.Multiplexing == 0 {
-		cfg.Multiplexing = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	slot := units.Seconds(cfg.SlotSeconds)
-	if cfg.SlotSeconds == 0 {
-		slot = 12 * units.Second
-	}
-	if err := checkShape(cfg, slot); err != nil {
-		return SimulationResult{}, err
-	}
-	nodeCfg, err := nodeConfig(kind, app, cfg)
-	if err != nil {
-		return SimulationResult{}, err
-	}
-
-	solar, err := solarConfig(cfg.Weather, cfg.SolarPeakMilliwatts)
-	if err != nil {
-		return SimulationResult{}, err
-	}
+	cfg, slot := d.cfg, d.slot
 	physical := cfg.Nodes * cfg.Multiplexing
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var traces []*energytrace.Sampled
 	if cfg.Correlated {
-		traces = energytrace.DependentSet(solar, physical, 0.3, rng)
+		traces = energytrace.DependentSet(d.solar, physical, 0.3, rng)
 	} else {
 		// Synthesise only the income the run reads: Rounds slots when they
 		// end inside the day (checked before multiplying, so the product
 		// cannot overflow), the whole day otherwise.
-		span := solar.DayLength()
+		span := d.solar.DayLength()
 		if cfg.Rounds > 0 && units.Duration(cfg.Rounds) <= span/slot {
 			span = units.Duration(cfg.Rounds) * slot
 		}
-		traces = energytrace.IndependentSet(solar, physical, 5*units.Minute, span, rng)
+		traces = energytrace.IndependentSet(d.solar, physical, 5*units.Minute, span, rng)
 	}
 
 	simCfg := sim.Config{
-		Node:           nodeCfg,
+		Node:           d.node,
 		Traces:         traces,
 		Slot:           slot,
 		Rounds:         cfg.Rounds,
-		Balancer:       bal,
+		Balancer:       d.bal,
 		LBInterruption: 0.02,
 		Link:           mesh.DefaultLink(),
 		Journal:        cfg.Journal,
@@ -272,21 +244,86 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 	}, nil
 }
 
-// checkShape is the one deployment-shape check, shared by Simulate and
-// NormalizeConfig on a config whose defaults are filled, so every shape
-// the cache admits is one the simulator can build. slot is the resolved
-// RTC interval. A multiplexed deployment lays its anchors on a line to
+// deployment is a normalized SimulationConfig together with the
+// simulator parts it resolves to.
+type deployment struct {
+	cfg   SimulationConfig
+	node  node.Config
+	bal   sched.Balancer
+	solar energytrace.SolarConfig
+	slot  units.Duration
+}
+
+// resolve is the one place a SimulationConfig's defaults are filled and
+// its values checked; NormalizeConfig returns its config and Simulate
+// runs on its parts. The checks run in a fixed order (application,
+// system, fog-kernel cost, balancer, weather and solar peak, slot, then
+// the deployment shape), so a config with several faults always reports
+// the same one. A multiplexed deployment lays its anchors on a line to
 // build clone sets, and a line needs two nodes.
-func checkShape(cfg SimulationConfig, slot units.Duration) error {
-	if cfg.Nodes < 1 || cfg.Multiplexing < 1 || slot <= 0 || cfg.Rounds < 0 {
-		return fmt.Errorf("neofog: invalid deployment shape (nodes=%d, multiplexing=%d, slot=%v, rounds=%d)",
-			cfg.Nodes, cfg.Multiplexing, slot, cfg.Rounds)
+func resolve(cfg SimulationConfig) (deployment, error) {
+	d := deployment{cfg: cfg}
+	c := &d.cfg
+	if c.Application == "" {
+		c.Application = AppBridgeHealth
 	}
-	if cfg.Multiplexing > 1 && cfg.Nodes < 2 {
-		return fmt.Errorf("neofog: multiplexing %d needs at least 2 nodes to build clone sets, got %d",
-			cfg.Multiplexing, cfg.Nodes)
+	app, err := application(c.Application)
+	if err != nil {
+		return deployment{}, err
 	}
-	return nil
+	if c.System == "" {
+		c.System = SystemNEOFog
+	}
+	kind, defaultBalancer, err := systemKind(c.System)
+	if err != nil {
+		return deployment{}, err
+	}
+	if d.node, err = nodeConfig(kind, app, *c); err != nil {
+		return deployment{}, err
+	}
+	if c.Balancer == "" {
+		c.Balancer = defaultBalancer
+	}
+	if d.bal, err = balancer(c.Balancer); err != nil {
+		return deployment{}, err
+	}
+	if c.Weather == "" {
+		c.Weather = WeatherSunny
+	}
+	if d.solar, err = solarConfig(c.Weather, c.SolarPeakMilliwatts); err != nil {
+		return deployment{}, err
+	}
+	// A zero peak means "the regime default"; pin the resolved value so
+	// {sunny} and {sunny, peak: 0.7} share a cache entry. units.Power is
+	// milliwatts, so the conversion is the identity.
+	c.SolarPeakMilliwatts = float64(d.solar.Peak)
+	if c.Nodes == 0 {
+		c.Nodes = 10
+	}
+	if c.Multiplexing == 0 {
+		c.Multiplexing = 1
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.SlotSeconds == 0 {
+		c.SlotSeconds = 12
+	}
+	// units.Seconds rounds to whole microseconds in an int64; refuse a
+	// slot whose count has no int64 before converting it.
+	if us := math.Round(c.SlotSeconds * float64(units.Second)); !(math.Abs(us) < 1<<63) {
+		return deployment{}, fmt.Errorf("neofog: slot %v s is out of range (its microsecond count must be a finite int64)", c.SlotSeconds)
+	}
+	d.slot = units.Seconds(c.SlotSeconds)
+	if c.Nodes < 1 || c.Multiplexing < 1 || d.slot <= 0 || c.Rounds < 0 {
+		return deployment{}, fmt.Errorf("neofog: invalid deployment shape (nodes=%d, multiplexing=%d, slot=%v, rounds=%d)",
+			c.Nodes, c.Multiplexing, d.slot, c.Rounds)
+	}
+	if c.Multiplexing > 1 && c.Nodes < 2 {
+		return deployment{}, fmt.Errorf("neofog: multiplexing %d needs at least 2 nodes to build clone sets, got %d",
+			c.Multiplexing, c.Nodes)
+	}
+	return d, nil
 }
 
 // nodeConfig builds a deployment's per-node template. It holds the one
@@ -333,9 +370,12 @@ func SimulateFleet(cfg SimulationConfig, chains int) (FleetResult, error) {
 	if chains < 1 {
 		return FleetResult{}, fmt.Errorf("neofog: fleet needs ≥1 chain, got %d", chains)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	d, err := resolve(cfg)
+	if err != nil {
+		// Every chain runs this config, so chain 0 is the first to fail.
+		return FleetResult{}, fmt.Errorf("neofog: chain 0: %w", err)
 	}
+	cfg = d.cfg
 	// Run Simulate per chain on one worker per CPU rather than duplicating
 	// its assembly logic at the internal layer — each call is already
 	// deterministic and independent, and the scan below reports the first
@@ -402,7 +442,7 @@ func SimulateFleet(cfg SimulationConfig, chains int) (FleetResult, error) {
 
 func application(a Application) (apps.App, error) {
 	switch a {
-	case AppBridgeHealth, "":
+	case AppBridgeHealth:
 		return apps.BridgeHealth(), nil
 	case AppUVMeter:
 		return apps.UVMeter(), nil
@@ -417,20 +457,22 @@ func application(a Application) (apps.App, error) {
 	}
 }
 
-func systemKind(s System) (node.SystemKind, error) {
+// systemKind resolves a system stack to its node kind and the balancer
+// the paper pairs it with.
+func systemKind(s System) (node.SystemKind, Balancer, error) {
 	switch s {
 	case SystemVP:
-		return node.NOSVP, nil
+		return node.NOSVP, BalanceNone, nil
 	case SystemNVP:
-		return node.NOSNVP, nil
-	case SystemNEOFog, "":
-		return node.FIOSNVMote, nil
+		return node.NOSNVP, BalanceTree, nil
+	case SystemNEOFog:
+		return node.FIOSNVMote, BalanceDistributed, nil
 	default:
-		return 0, fmt.Errorf("neofog: unknown system %q", s)
+		return 0, "", fmt.Errorf("neofog: unknown system %q", s)
 	}
 }
 
-func balancer(b Balancer, kind node.SystemKind) (sched.Balancer, error) {
+func balancer(b Balancer) (sched.Balancer, error) {
 	switch b {
 	case BalanceNone:
 		return sched.NoBalance{}, nil
@@ -438,24 +480,17 @@ func balancer(b Balancer, kind node.SystemKind) (sched.Balancer, error) {
 		return sched.BaselineTree{}, nil
 	case BalanceDistributed:
 		return sched.Distributed{}, nil
-	case "":
-		switch kind {
-		case node.NOSVP:
-			return sched.NoBalance{}, nil
-		case node.NOSNVP:
-			return sched.BaselineTree{}, nil
-		default:
-			return sched.Distributed{}, nil
-		}
 	default:
 		return nil, fmt.Errorf("neofog: unknown balancer %q", b)
 	}
 }
 
+// solarConfig resolves a weather regime and a panel-peak override; a
+// zero peak keeps the regime's calibrated peak.
 func solarConfig(w Weather, peak float64) (energytrace.SolarConfig, error) {
 	var cfg energytrace.SolarConfig
 	switch w {
-	case WeatherSunny, "":
+	case WeatherSunny:
 		cfg = energytrace.SunnyDay()
 		cfg.Peak = 0.7 // the calibrated Fig. 10 regime
 	case WeatherOvercast:
@@ -465,6 +500,9 @@ func solarConfig(w Weather, peak float64) (energytrace.SolarConfig, error) {
 		cfg.Peak = 0.5
 	default:
 		return cfg, fmt.Errorf("neofog: unknown weather %q", w)
+	}
+	if !(peak >= 0) || math.IsInf(peak, 1) {
+		return cfg, fmt.Errorf("neofog: solar peak %v mW is not a finite non-negative power", peak)
 	}
 	if peak > 0 {
 		cfg.Peak = units.Power(peak)
@@ -587,33 +625,35 @@ func runExperimentTable(id string, opts ExperimentOptions) (*metrics.Table, erro
 	return run(o)
 }
 
-// ExperimentOptions tunes RunExperiment.
+// ExperimentOptions tunes RunExperiment. Its JSON names are the wire
+// schema of the simulation service's experiment jobs; the context and
+// the observer are not part of it.
 type ExperimentOptions struct {
 	// Context, when non-nil, cancels the experiment between sweep points
 	// (the simulation service uses this for job cancellation and drain
 	// deadlines). Points already running finish; the experiment returns
 	// the context's error. nil means "never cancelled".
-	Context context.Context
+	Context context.Context `json:"-"`
 	// Seed drives all randomness (default 1).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Nodes overrides the chain length (default 10).
-	Nodes int
+	Nodes int `json:"nodes"`
 	// Rounds overrides the RTC slot count (default 1500; use less for a
 	// quick look).
-	Rounds int
+	Rounds int `json:"rounds"`
 	// FaultSeed drives fault-plan generation for the chaos and resilience
 	// campaigns independently of Seed (default: Seed).
-	FaultSeed int64
+	FaultSeed int64 `json:"fault_seed"`
 	// FaultIntensities overrides those campaigns' intensity sweep
 	// (non-decreasing in [0, 1], starting at 0).
-	FaultIntensities []float64
+	FaultIntensities []float64 `json:"fault_intensities,omitempty"`
 	// Telemetry, when non-nil, collects telemetry from every simulation the
 	// experiment runs, one trace chain per run; results are bit-identical
 	// with or without it.
-	Telemetry *Telemetry
+	Telemetry *Telemetry `json:"-"`
 	// Parallel is the worker-pool width for independent sweep points: 0 or
 	// 1 runs them serially, N > 1 runs up to N concurrently, negative uses
 	// every CPU (always bounded by GOMAXPROCS). Output is byte-identical at
 	// any width.
-	Parallel int
+	Parallel int `json:"parallel,omitempty"`
 }
