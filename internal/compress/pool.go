@@ -45,7 +45,6 @@ type decState struct {
 	lengths []uint8
 	codes   []code
 	dec     decoder
-	work    []byte // decoded plane before the caller-owned copy
 }
 
 var encPool = sync.Pool{New: func() interface{} {

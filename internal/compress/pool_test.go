@@ -191,18 +191,18 @@ var raceEnabled bool
 //
 // Budget accounting — Compress: the caller-owned output slice plus at most
 // one append when the stored-block fallback copies the input (≤2).
-// Decompress: the caller-owned output slice (direct or via untranspose)
-// plus pool.Get bookkeeping (≤2). A little slack covers size-class noise;
+// Decompress: its decode buffer, which it returns unless untranspose
+// copies it into a fresh slice, plus pool.Get bookkeeping (≤3). A little slack covers size-class noise;
 // the pre-pooling implementation sat in the hundreds, so the budget of 8
 // still fails loudly on any pooling regression.
 //
 // Under the race detector sync.Pool.Put drops one state in four at
 // random, and the next Get rebuilds it. On this input a rebuilt encState
 // costs 33 allocations (New's 7, plus the planes, symbol streams, length
-// table and bit buffer the call grows again) and a rebuilt decState 10
-// (New's 3, plus the decoder's symbol table and the work buffer): 43 for
-// a round trip that finds both pools empty, as measured on a round trip
-// after two collections. The race build allows that worst case on top,
+// table and bit buffer the call grows again) and a rebuilt decState at
+// most 10 (New's 3, plus the decoder's symbol table): 43 for a round trip
+// that finds both pools empty, as measured on a round trip after two
+// collections. The race build allows that worst case on top,
 // so the luck of the drops never fails it (the mean is about a quarter
 // of it), while an allocation per symbol still costs thousands.
 func TestCompressAllocBudget(t *testing.T) {

@@ -271,10 +271,7 @@ func Decompress(blob []byte) ([]byte, Stats, error) {
 	}
 
 	br := bitReader{data: rest[tableLen:]}
-	if cap(ds.work) < origLen {
-		ds.work = make([]byte, 0, origLen)
-	}
-	work := ds.work[:0]
+	work := make([]byte, 0, origLen)
 	for {
 		s, bits, err := dec.next(&br)
 		inst += int64(bits) * instPerDecodeBit
@@ -297,7 +294,6 @@ func Decompress(blob []byte) ([]byte, Stats, error) {
 		}
 		work = append(work, byte(s))
 	}
-	ds.work = work // retain the grown buffer for the next call
 	if len(work) != origLen {
 		return nil, Stats{}, fmt.Errorf("compress: decoded %d bytes, want %d", len(work), origLen)
 	}
@@ -307,15 +303,11 @@ func Decompress(blob []byte) ([]byte, Stats, error) {
 		inst += int64(len(work)) * instPerUndeltaByte
 	}
 	if stride > 1 && order > 0 {
-		// untranspose writes into a fresh slice, so the caller never sees
-		// pool memory.
 		out := untranspose(work, stride)
 		inst += int64(len(work)) * instPerUndeltaByte
 		return out, Stats{InBytes: len(blob), OutBytes: origLen, Instructions: inst}, nil
 	}
-	out := make([]byte, len(work))
-	copy(out, work)
-	return out, Stats{InBytes: len(blob), OutBytes: origLen, Instructions: inst}, nil
+	return work, Stats{InBytes: len(blob), OutBytes: origLen, Instructions: inst}, nil
 }
 
 // untranspose inverts Compress's plane-major transposition.

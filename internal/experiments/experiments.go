@@ -230,18 +230,18 @@ func Fig7Hops(seed int64) (*metrics.Table, error) {
 	return t, nil
 }
 
-// systems returns the three system stacks of Figs. 9–11 in presentation
-// order.
-func systems() []struct {
+// systemRow is one row of a figure that compares system stacks: its
+// label, node stack and load balancer.
+type systemRow struct {
 	Name string
 	Kind node.SystemKind
 	Bal  sched.Balancer
-} {
-	return []struct {
-		Name string
-		Kind node.SystemKind
-		Bal  sched.Balancer
-	}{
+}
+
+// systems returns the three system stacks of Figs. 9–11 in presentation
+// order.
+func systems() []systemRow {
+	return []systemRow{
 		{"NOS-VP (no LB)", node.NOSVP, sched.NoBalance{}},
 		{"NOS-NVP (baseline LB)", node.NOSNVP, sched.BaselineTree{}},
 		{"FIOS-NEOFog (distributed LB)", node.FIOSNVMote, sched.Distributed{}},
@@ -255,14 +255,12 @@ func systems() []struct {
 func systemConfig(kind node.SystemKind, bal sched.Balancer, traces []*energytrace.Sampled,
 	opts Options) sim.Config {
 	return sim.Config{
-		Node:           node.DefaultConfig(kind, apps.BridgeHealth()),
-		Traces:         traces,
-		Slot:           Slot,
-		Rounds:         opts.Rounds,
-		Balancer:       bal,
-		LBInterruption: 0.02,
-		Link:           mesh.DefaultLink(),
-		Seed:           opts.Seed,
+		Node:     node.DefaultConfig(kind, apps.BridgeHealth()),
+		Traces:   traces,
+		Slot:     Slot,
+		Rounds:   opts.Rounds,
+		Balancer: bal,
+		Seed:     opts.Seed,
 	}
 }
 

@@ -304,16 +304,8 @@ func runMultiplex(trace multiplexTrace, opts Options, factors ...int) ([]Multipl
 
 // lbVariants are the Fig. 9 rows: the same NVP node stack under the three
 // load-balancing policies.
-func lbVariants() []struct {
-	Name string
-	Kind node.SystemKind
-	Bal  sched.Balancer
-} {
-	return []struct {
-		Name string
-		Kind node.SystemKind
-		Bal  sched.Balancer
-	}{
+func lbVariants() []systemRow {
+	return []systemRow{
 		{"NVP without LB", node.NOSNVP, sched.NoBalance{}},
 		{"NVP baseline LB", node.NOSNVP, sched.BaselineTree{}},
 		{"NVP proposed distributed LB", node.NOSNVP, sched.Distributed{}},

@@ -26,20 +26,9 @@ type Campaign struct {
 	// starting at 0 — the zero-fault run is the baseline all invariants
 	// are judged against. Default {0, 0.25, 0.5, 0.75, 1}.
 	Intensities []float64
-	// Gen shapes plan generation; Nodes and Rounds are filled in from
-	// Base when zero.
-	Gen GenConfig
 	// Seed drives plan generation (independent of Base.Seed, which
 	// drives the simulation itself).
 	Seed int64
-	// Tolerance is the relative slack allowed by the monotonicity check
-	// (default 0.02): injected faults perturb the run's RNG stream, so
-	// adjacent intensities can jitter by a little even though the trend
-	// must not improve.
-	Tolerance float64
-	// RecoveryFloor is the fraction of the baseline tail-window rates a
-	// faulted run must regain after its faults clear (default 0.7).
-	RecoveryFloor float64
 	// Parallel is the worker-pool width for the intensity points: 0 or 1
 	// runs them serially (the default), N > 1 runs up to N concurrently,
 	// and a negative value uses every available CPU (bounded by GOMAXPROCS
@@ -72,77 +61,82 @@ type Report struct {
 	Table *metrics.Table
 }
 
-func (c Campaign) withDefaults() (Campaign, error) {
-	if err := sweepDefaults("campaign", "baseline", c.Base, &c.Intensities, &c.Tolerance, &c.Gen); err != nil {
-		return c, err
-	}
-	if c.RecoveryFloor == 0 {
-		c.RecoveryFloor = 0.7
-	}
-	return c, nil
+// The campaigns' verdicts share two settings.
+const (
+	// tolerance is the relative slack (at least 3 packets) the
+	// monotonicity and weak-dominance checks allow: injected faults and
+	// the recovery path perturb the run's RNG stream, so adjacent
+	// intensities or a faulted A/B pair can jitter by a little even though
+	// the trend must not improve and recovery systematically wins. The
+	// resilience campaign's strict-improvement invariant and golden table
+	// carry the positive claim with no slack at all.
+	tolerance = 0.02
+	// recoveryFloor is the fraction of the baseline tail-window rates a
+	// faulted run must regain after its faults clear.
+	recoveryFloor = 0.7
+)
+
+// slack is how far a count may fall short of (or rise above) a
+// reference of n packets before a check calls it a real change.
+func slack(n int) float64 { return max(tolerance*float64(n), 3) }
+
+// sweep is what both campaigns resolve before running: the intensity
+// points and the run shape the fault plans are generated for.
+type sweep struct {
+	intensities   []float64
+	nodes, rounds int
 }
 
-// sweepDefaults fills and checks the settings both campaigns share: the
-// intensity sweep, the tolerance, a base config whose journal and fault
-// hooks the campaign owns, and plan generation sized from the base. name
-// and anchor word the errors ("campaign", "baseline").
-func sweepDefaults(name, anchor string, base sim.Config, intensities *[]float64, tolerance *float64, gen *GenConfig) error {
-	if len(*intensities) == 0 {
-		*intensities = []float64{0, 0.25, 0.5, 0.75, 1}
+// newSweep checks the settings both campaigns share — the intensity
+// sweep (default {0, 0.25, 0.5, 0.75, 1}) and a base config whose journal
+// and fault hooks the campaign owns — and sizes plan generation from the
+// base. name and anchor word the errors ("campaign", "baseline").
+func newSweep(name, anchor string, base sim.Config, intensities []float64) (sweep, error) {
+	if len(intensities) == 0 {
+		intensities = []float64{0, 0.25, 0.5, 0.75, 1}
 	}
-	xs := *intensities
-	if xs[0] != 0 {
-		return fmt.Errorf("faults: %s needs a zero-intensity %s first, got %v", name, anchor, xs[0])
+	if intensities[0] != 0 {
+		return sweep{}, fmt.Errorf("faults: %s needs a zero-intensity %s first, got %v", name, anchor, intensities[0])
 	}
-	for i, x := range xs {
+	for i, x := range intensities {
 		if x < 0 || x > 1 {
-			return fmt.Errorf("faults: intensity %v outside [0, 1]", x)
+			return sweep{}, fmt.Errorf("faults: intensity %v outside [0, 1]", x)
 		}
-		if i > 0 && x < xs[i-1] {
-			return fmt.Errorf("faults: intensities must be non-decreasing, got %v after %v", x, xs[i-1])
+		if i > 0 && x < intensities[i-1] {
+			return sweep{}, fmt.Errorf("faults: intensities must be non-decreasing, got %v after %v", x, intensities[i-1])
 		}
-	}
-	if *tolerance == 0 {
-		*tolerance = 0.02
 	}
 	if base.Journal != nil {
-		return fmt.Errorf("faults: %s owns the journal; Base.Journal must be nil", name)
+		return sweep{}, fmt.Errorf("faults: %s owns the journal; Base.Journal must be nil", name)
 	}
 	f := base.Faults
 	if f.NodeDown != nil || f.Blackout != nil || f.RFFailed != nil ||
 		f.SensorStuck != nil || f.Link != nil || f.AbortBalance != nil {
-		return fmt.Errorf("faults: %s owns the fault hooks; Base.Faults must be empty", name)
+		return sweep{}, fmt.Errorf("faults: %s owns the fault hooks; Base.Faults must be empty", name)
 	}
 	if len(base.Traces) == 0 || base.Slot <= 0 {
-		return fmt.Errorf("faults: %s base config needs traces and a slot", name)
+		return sweep{}, fmt.Errorf("faults: %s base config needs traces and a slot", name)
 	}
-	if gen.Nodes == 0 {
-		gen.Nodes = len(base.Traces)
+	rounds := base.Rounds
+	if maxRounds := int(base.Traces[0].Duration() / base.Slot); rounds == 0 || rounds > maxRounds {
+		rounds = maxRounds
 	}
-	if gen.Rounds == 0 {
-		rounds := base.Rounds
-		if maxRounds := int(base.Traces[0].Duration() / base.Slot); rounds == 0 || rounds > maxRounds {
-			rounds = maxRounds
-		}
-		gen.Rounds = rounds
-	}
-	*gen = gen.withDefaults()
-	return nil
+	return sweep{intensities: intensities, nodes: len(base.Traces), rounds: rounds}, nil
 }
 
 // Run executes the sweep and checks every invariant, returning an error
 // naming the first violated one.
 func (c Campaign) Run() (*Report, error) {
-	c, err := c.withDefaults()
+	sw, err := newSweep("campaign", "baseline", c.Base, c.Intensities)
 	if err != nil {
 		return nil, err
 	}
 
 	// The recovery window: after every generated fault has cleared, with
 	// at least the last quarter of the run when the window allows it.
-	rounds := c.Gen.Rounds
+	rounds := sw.rounds
 	tailStart := rounds - rounds/4
-	if byWindow := int(math.Ceil(c.Gen.WindowEnd * float64(rounds))); tailStart < byWindow {
+	if byWindow := int(math.Ceil(faultWindowEnd * float64(rounds))); tailStart < byWindow {
 		tailStart = byWindow
 	}
 	if tailStart >= rounds {
@@ -154,10 +148,10 @@ func (c Campaign) Run() (*Report, error) {
 	// per-point work and per-point invariants live in runPoint; the
 	// cross-point invariants below always scan in input order, so verdicts
 	// and errors match the serial sweep exactly.
-	pts := make([]Point, len(c.Intensities))
-	errs := make([]error, len(c.Intensities))
-	pool.Run(len(c.Intensities), pool.Width(c.Parallel), nil, func(i int) bool {
-		pts[i], errs[i] = c.runPoint(c.Intensities[i], tailStart, rounds)
+	pts := make([]Point, len(sw.intensities))
+	errs := make([]error, len(sw.intensities))
+	pool.Run(len(sw.intensities), pool.Width(c.Parallel), nil, func(i int) bool {
+		pts[i], errs[i] = c.runPoint(sw, sw.intensities[i], tailStart)
 		return errs[i] == nil
 	})
 
@@ -171,11 +165,7 @@ func (c Campaign) Run() (*Report, error) {
 		// RNG-stream jitter, never a real improvement.
 		if n := len(rep.Points); n > 0 {
 			prev := rep.Points[n-1]
-			slack := c.Tolerance * float64(prev.Result.TotalProcessed())
-			if slack < 3 {
-				slack = 3
-			}
-			if float64(pt.Result.TotalProcessed()) > float64(prev.Result.TotalProcessed())+slack {
+			if float64(pt.Result.TotalProcessed()) > float64(prev.Result.TotalProcessed())+slack(prev.Result.TotalProcessed()) {
 				return nil, fmt.Errorf("faults: intensity %v processed %d packets, more than %d at intensity %v",
 					pt.Intensity, pt.Result.TotalProcessed(), prev.Result.TotalProcessed(), prev.Intensity)
 			}
@@ -184,20 +174,20 @@ func (c Campaign) Run() (*Report, error) {
 	}
 
 	// Invariant: once the faults clear, every run's tail rates recover to
-	// within RecoveryFloor of the zero-fault baseline.
+	// within recoveryFloor of the zero-fault baseline.
 	base := rep.Points[0]
 	for _, pt := range rep.Points[1:] {
-		if pt.TailWakeRate < c.RecoveryFloor*base.TailWakeRate {
+		if pt.TailWakeRate < recoveryFloor*base.TailWakeRate {
 			return nil, fmt.Errorf("faults: intensity %v wake rate %.2f/round never recovered (baseline %.2f/round)",
 				pt.Intensity, pt.TailWakeRate, base.TailWakeRate)
 		}
-		if pt.TailProcRate < c.RecoveryFloor*base.TailProcRate {
+		if pt.TailProcRate < recoveryFloor*base.TailProcRate {
 			return nil, fmt.Errorf("faults: intensity %v processing rate %.2f/round never recovered (baseline %.2f/round)",
 				pt.Intensity, pt.TailProcRate, base.TailProcRate)
 		}
 	}
 
-	rep.Table = c.table(rep)
+	rep.Table = c.table(sw, rep)
 	return rep, nil
 }
 
@@ -205,8 +195,8 @@ func (c Campaign) Run() (*Report, error) {
 // simulation with a private journal, the tail-rate measurement, and the
 // per-point conservation invariant. It touches nothing shared beyond the
 // read-only base configuration, so points can run concurrently.
-func (c Campaign) runPoint(intensity float64, tailStart, rounds int) (Point, error) {
-	plan, err := Generate(c.Seed, intensity, c.Gen)
+func (c Campaign) runPoint(sw sweep, intensity float64, tailStart int) (Point, error) {
+	plan, err := Generate(c.Seed, intensity, sw.nodes, sw.rounds)
 	if err != nil {
 		return Point{}, err
 	}
@@ -225,7 +215,7 @@ func (c Campaign) runPoint(intensity float64, tailStart, rounds int) (Point, err
 	}
 
 	pt := Point{Intensity: intensity, Events: len(plan.Events), Plan: plan, Result: res}
-	pt.TailWakeRate, pt.TailProcRate, err = tailRates(journal.Bytes(), tailStart, rounds)
+	pt.TailWakeRate, pt.TailProcRate, err = tailRates(journal.Bytes(), tailStart, sw.rounds)
 	if err != nil {
 		return Point{}, fmt.Errorf("faults: intensity %v: %w", intensity, err)
 	}
@@ -240,10 +230,10 @@ func (c Campaign) runPoint(intensity float64, tailStart, rounds int) (Point, err
 }
 
 // table renders the sweep as the chaos report.
-func (c Campaign) table(rep *Report) *metrics.Table {
+func (c Campaign) table(sw sweep, rep *Report) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("Chaos campaign: %d nodes, %d rounds, fault seed %d, recovery window from round %d",
-			c.Gen.Nodes, c.Gen.Rounds, c.Seed, rep.TailStart),
+			sw.nodes, sw.rounds, c.Seed, rep.TailStart),
 		"Intensity", "Events", "Wakeups", "Samples", "Fog", "Cloud", "Dropped",
 		"LostRaw", "LostResults", "Unexecuted", "Queued", "CrashedSlots",
 		"StuckSamples", "TailWake/rnd", "TailProc/rnd",

@@ -180,47 +180,30 @@ func (p *Plan) Hooks() sim.FaultHooks {
 // Apply installs the plan's hooks on the config.
 func (p *Plan) Apply(cfg *sim.Config) { cfg.Faults = p.Hooks() }
 
-// GenConfig shapes seeded plan generation.
-type GenConfig struct {
-	// Nodes is the physical node count of the target run; Rounds its RTC
-	// slot count. Both are required.
-	Nodes, Rounds int
-	// MaxEvents is the event count at intensity 1 (default 2×Nodes).
-	MaxEvents int
-	// WindowStart and WindowEnd bound the fault window as fractions of
-	// the run (defaults 0.25 and 0.60): all generated events start and
-	// clear inside it, leaving a clean tail to measure recovery against.
-	WindowStart, WindowEnd float64
-}
+// Generated plans have a fixed shape. At intensity 1 a plan carries
+// eventsPerNode events per node, and every event starts and clears inside
+// [faultWindowStart, faultWindowEnd) of the run, leaving a clean tail to
+// measure recovery against.
+const (
+	eventsPerNode                    = 2
+	faultWindowStart, faultWindowEnd = 0.25, 0.60
+)
 
-func (g GenConfig) withDefaults() GenConfig {
-	if g.MaxEvents == 0 {
-		g.MaxEvents = 2 * g.Nodes
-	}
-	if g.WindowStart == 0 && g.WindowEnd == 0 {
-		g.WindowStart, g.WindowEnd = 0.25, 0.60
-	}
-	return g
-}
-
-// Generate builds a seeded plan at the given intensity in [0, 1]. Plans
-// are nested: for a fixed seed and GenConfig, a lower-intensity plan's
-// events are a prefix of a higher-intensity plan's, so sweeping intensity
-// compares supersets of the same adversity rather than unrelated draws.
-func Generate(seed int64, intensity float64, gc GenConfig) (*Plan, error) {
-	gc = gc.withDefaults()
-	if gc.Nodes <= 0 || gc.Rounds <= 0 {
-		return nil, fmt.Errorf("faults: generation needs a run shape (nodes=%d, rounds=%d)", gc.Nodes, gc.Rounds)
+// Generate builds a seeded plan at the given intensity in [0, 1] for a
+// run of nodes physical nodes and rounds RTC slots. Plans are nested: for
+// a fixed seed and run shape, a lower-intensity plan's events are a
+// prefix of a higher-intensity plan's, so sweeping intensity compares
+// supersets of the same adversity rather than unrelated draws.
+func Generate(seed int64, intensity float64, nodes, rounds int) (*Plan, error) {
+	if nodes <= 0 || rounds <= 0 {
+		return nil, fmt.Errorf("faults: generation needs a run shape (nodes=%d, rounds=%d)", nodes, rounds)
 	}
 	if intensity < 0 || intensity > 1 {
 		return nil, fmt.Errorf("faults: intensity %v outside [0, 1]", intensity)
 	}
-	if gc.WindowStart < 0 || gc.WindowEnd > 1 || gc.WindowEnd <= gc.WindowStart {
-		return nil, fmt.Errorf("faults: bad fault window [%v, %v)", gc.WindowStart, gc.WindowEnd)
-	}
 
-	lo := int(gc.WindowStart * float64(gc.Rounds))
-	hi := int(gc.WindowEnd * float64(gc.Rounds))
+	lo := int(faultWindowStart * float64(rounds))
+	hi := int(faultWindowEnd * float64(rounds))
 	if hi <= lo {
 		hi = lo + 1
 	}
@@ -230,9 +213,10 @@ func Generate(seed int64, intensity float64, gc GenConfig) (*Plan, error) {
 		maxDur = 1
 	}
 
+	maxEvents := eventsPerNode * nodes
 	rng := rand.New(rand.NewSource(seed))
-	all := make([]Event, 0, gc.MaxEvents)
-	for i := 0; i < gc.MaxEvents; i++ {
+	all := make([]Event, 0, maxEvents)
+	for i := 0; i < maxEvents; i++ {
 		kind := Kind(rng.Intn(len(kindNames)))
 		start := lo + rng.Intn(span)
 		dur := 1 + rng.Intn(maxDur)
@@ -240,7 +224,7 @@ func Generate(seed int64, intensity float64, gc GenConfig) (*Plan, error) {
 		if end > hi {
 			end = hi
 		}
-		e := Event{Kind: kind, Node: rng.Intn(gc.Nodes), Start: start, End: end}
+		e := Event{Kind: kind, Node: rng.Intn(nodes), Start: start, End: end}
 		switch kind {
 		case LinkDegrade:
 			e.Node = -1
@@ -251,7 +235,7 @@ func Generate(seed int64, intensity float64, gc GenConfig) (*Plan, error) {
 		all = append(all, e)
 	}
 
-	take := int(math.Ceil(intensity * float64(gc.MaxEvents)))
+	take := int(math.Ceil(intensity * float64(maxEvents)))
 	if take > len(all) {
 		take = len(all)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"neofog/internal/apps"
 	"neofog/internal/energytrace"
-	"neofog/internal/mesh"
 	"neofog/internal/node"
 	"neofog/internal/sched"
 	"neofog/internal/sim"
@@ -21,14 +20,12 @@ func baseConfig(t *testing.T, rounds int, seed int64) sim.Config {
 	cfg.Peak = units.Power(0.7)
 	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(seed)))
 	return sim.Config{
-		Node:           node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
-		Traces:         traces,
-		Slot:           12 * units.Second,
-		Rounds:         rounds,
-		Balancer:       sched.Distributed{},
-		LBInterruption: 0.02,
-		Link:           mesh.DefaultLink(),
-		Seed:           7,
+		Node:     node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
+		Traces:   traces,
+		Slot:     12 * units.Second,
+		Rounds:   rounds,
+		Balancer: sched.Distributed{},
+		Seed:     7,
 	}
 }
 
@@ -79,38 +76,33 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	gc := GenConfig{Nodes: 10, Rounds: 100}
-	if _, err := Generate(1, 0.5, GenConfig{}); err == nil {
+	if _, err := Generate(1, 0.5, 0, 0); err == nil {
 		t.Error("missing run shape should error")
 	}
-	if _, err := Generate(1, -0.1, gc); err == nil {
+	if _, err := Generate(1, -0.1, 10, 100); err == nil {
 		t.Error("negative intensity should error")
 	}
-	if _, err := Generate(1, 1.1, gc); err == nil {
+	if _, err := Generate(1, 1.1, 10, 100); err == nil {
 		t.Error("intensity > 1 should error")
-	}
-	if _, err := Generate(1, 0.5, GenConfig{Nodes: 10, Rounds: 100, WindowStart: 0.8, WindowEnd: 0.2}); err == nil {
-		t.Error("inverted window should error")
 	}
 }
 
 func TestGenerateDeterministicAndNested(t *testing.T) {
-	gc := GenConfig{Nodes: 10, Rounds: 1000}
-	full, err := Generate(42, 1, gc)
+	full, err := Generate(42, 1, 10, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full.Events) != 20 {
-		t.Fatalf("full plan has %d events, want MaxEvents default 2×nodes = 20", len(full.Events))
+		t.Fatalf("full plan has %d events, want 2×nodes = 20", len(full.Events))
 	}
-	again, err := Generate(42, 1, gc)
+	again, err := Generate(42, 1, 10, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(full, again) {
 		t.Fatal("same seed produced different plans")
 	}
-	other, err := Generate(43, 1, gc)
+	other, err := Generate(43, 1, 10, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +112,7 @@ func TestGenerateDeterministicAndNested(t *testing.T) {
 
 	// Nesting: a lower-intensity plan is a prefix of the full plan.
 	for _, intensity := range []float64{0, 0.1, 0.25, 0.5, 0.75} {
-		p, err := Generate(42, intensity, gc)
+		p, err := Generate(42, intensity, 10, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +341,7 @@ func TestBalanceAbortFault(t *testing.T) {
 // conserve packets exactly and keep the run deterministic.
 func TestGeneratedPlanConservesAndDeterministic(t *testing.T) {
 	cfg := baseConfig(t, 400, 8)
-	plan, err := Generate(99, 1, GenConfig{Nodes: 10, Rounds: 400})
+	plan, err := Generate(99, 1, 10, 400)
 	if err != nil {
 		t.Fatal(err)
 	}

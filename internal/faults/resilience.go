@@ -20,27 +20,14 @@ import (
 // arms and must come out bit-identical.
 type ResilienceCampaign struct {
 	// Base is the shared configuration. The campaign owns its Faults,
-	// Journal, and Recovery fields; all three must be zero.
+	// Journal, and Recovery fields; all three must be zero. The on arm
+	// switches Recovery on only when the plan is non-empty.
 	Base sim.Config
-	// Recovery carries the on arm's tunables; Enabled is set by the
-	// campaign per intensity (only when the plan is non-empty).
-	Recovery sim.RecoveryConfig
 	// Intensities are the sweep points, non-decreasing in [0, 1] and
 	// starting at 0. Default {0, 0.25, 0.5, 0.75, 1}.
 	Intensities []float64
-	// Gen shapes plan generation; Nodes and Rounds are filled in from
-	// Base when zero.
-	Gen GenConfig
 	// Seed drives plan generation (independent of Base.Seed).
 	Seed int64
-	// Tolerance is the relative slack the weak-dominance check allows the
-	// on arm to fall short by (default 0.02, absolute floor 3 packets, the
-	// same slack the chaos campaign's monotonicity check uses): the
-	// recovery path perturbs the run's RNG stream, so a faulted pair can
-	// jitter by a little even when recovery systematically wins. The
-	// strict-improvement invariant and the golden table carry the positive
-	// claim with no slack at all.
-	Tolerance float64
 	// Parallel is the worker-pool width for the intensity points, resolved
 	// exactly like Campaign.Parallel. Each point still runs its two arms
 	// concurrently, so up to 2×width simulations are in flight. Reports,
@@ -64,22 +51,15 @@ type ResilienceReport struct {
 	Table *metrics.Table
 }
 
-func (c ResilienceCampaign) withDefaults() (ResilienceCampaign, error) {
-	if err := sweepDefaults("resilience campaign", "anchor", c.Base, &c.Intensities, &c.Tolerance, &c.Gen); err != nil {
-		return c, err
-	}
-	if c.Base.Recovery != (sim.RecoveryConfig{}) {
-		return c, fmt.Errorf("faults: resilience campaign owns the recovery switch; Base.Recovery must be zero")
-	}
-	return c, nil
-}
-
 // Run executes the paired sweep and checks the A/B invariants, returning
 // an error naming the first violated one.
 func (c ResilienceCampaign) Run() (*ResilienceReport, error) {
-	c, err := c.withDefaults()
+	sw, err := newSweep("resilience campaign", "anchor", c.Base, c.Intensities)
 	if err != nil {
 		return nil, err
+	}
+	if c.Base.Recovery {
+		return nil, fmt.Errorf("faults: resilience campaign owns the recovery switch; Base.Recovery must be false")
 	}
 
 	// Run phase: the paired points fan out through the pool (each still
@@ -87,10 +67,10 @@ func (c ResilienceCampaign) Run() (*ResilienceReport, error) {
 	// runArmPoint. The scan below is in input order, so the cross-point
 	// strict-improvement verdict and which error surfaces match the serial
 	// sweep exactly.
-	pts := make([]ArmPoint, len(c.Intensities))
-	errs := make([]error, len(c.Intensities))
-	pool.Run(len(c.Intensities), pool.Width(c.Parallel), nil, func(i int) bool {
-		pts[i], errs[i] = c.runArmPoint(c.Intensities[i])
+	pts := make([]ArmPoint, len(sw.intensities))
+	errs := make([]error, len(sw.intensities))
+	pool.Run(len(sw.intensities), pool.Width(c.Parallel), nil, func(i int) bool {
+		pts[i], errs[i] = c.runArmPoint(sw, sw.intensities[i])
 		return errs[i] == nil
 	})
 
@@ -121,15 +101,15 @@ func (c ResilienceCampaign) Run() (*ResilienceReport, error) {
 		return nil, fmt.Errorf("faults: recovery never strictly improved delivery at any nonzero intensity")
 	}
 
-	rep.Table = c.table(rep)
+	rep.Table = c.table(sw, rep)
 	return rep, nil
 }
 
 // runArmPoint executes one intensity's A/B pair and its per-point
 // invariants. It reads only the immutable campaign fields, so points can
 // run concurrently.
-func (c ResilienceCampaign) runArmPoint(intensity float64) (ArmPoint, error) {
-	plan, err := Generate(c.Seed, intensity, c.Gen)
+func (c ResilienceCampaign) runArmPoint(sw sweep, intensity float64) (ArmPoint, error) {
+	plan, err := Generate(c.Seed, intensity, sw.nodes, sw.rounds)
 	if err != nil {
 		return ArmPoint{}, err
 	}
@@ -137,10 +117,9 @@ func (c ResilienceCampaign) runArmPoint(intensity float64) (ArmPoint, error) {
 	offCfg, onCfg := c.Base, c.Base
 	plan.Apply(&offCfg)
 	plan.Apply(&onCfg)
-	onCfg.Recovery = c.Recovery
 	// Recovery only arms against actual adversity: with an empty plan
 	// the on arm is the identical control run, which anchors the A/B.
-	onCfg.Recovery.Enabled = len(plan.Events) > 0
+	onCfg.Recovery = len(plan.Events) > 0
 
 	// The two arms are independent simulations; running them
 	// concurrently halves the sweep and puts the recovery path under
@@ -181,13 +160,6 @@ func (c ResilienceCampaign) runArmPoint(intensity float64) (ArmPoint, error) {
 	}
 	// Invariant: recovery weakly dominates on delivered packets and on
 	// fog tasks at every intensity (modulo RNG-jitter slack).
-	slack := func(off int) float64 {
-		s := c.Tolerance * float64(off)
-		if s < 3 {
-			s = 3
-		}
-		return s
-	}
 	if float64(on.TotalProcessed()) < float64(off.TotalProcessed())-slack(off.TotalProcessed()) {
 		return ArmPoint{}, fmt.Errorf("faults: intensity %v: recovery lost packets: %d on vs %d off",
 			intensity, on.TotalProcessed(), off.TotalProcessed())
@@ -200,10 +172,10 @@ func (c ResilienceCampaign) runArmPoint(intensity float64) (ArmPoint, error) {
 }
 
 // table renders the paired sweep as the resilience A/B report.
-func (c ResilienceCampaign) table(rep *ResilienceReport) *metrics.Table {
+func (c ResilienceCampaign) table(sw sweep, rep *ResilienceReport) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("Resilience A/B: %d nodes, %d rounds, fault seed %d (off = no recovery, on = ARQ + failover + lease)",
-			c.Gen.Nodes, c.Gen.Rounds, c.Seed),
+			sw.nodes, sw.rounds, c.Seed),
 		"Intensity", "Events", "OffFog", "OffCloud", "OffTotal", "OnFog", "OnCloud",
 		"OnTotal", "DeltaTotal", "Retransmits", "Failovers", "BalRetries",
 		"OffOrphans", "OnOrphans",

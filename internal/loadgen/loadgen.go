@@ -315,14 +315,14 @@ type Summary struct {
 	Measured Measured     `json:"measured"` // wall-clock; differs run to run
 }
 
-// Opts tunes a run. The zero value works.
+// pollInterval paces job-status polling for accepted (non-cached)
+// submissions: the harness must observe completions promptly or it
+// measures its own polling, not the server.
+const pollInterval = 5 * time.Millisecond
+
+// Opts tunes a run. The zero value works. Requests go through
+// http.DefaultClient.
 type Opts struct {
-	// Client is the HTTP client (default http.DefaultClient).
-	Client *http.Client
-	// PollInterval paces job-status polling for accepted (non-cached)
-	// submissions (default 5ms — the harness must observe completions
-	// promptly or it measures its own polling, not the server).
-	PollInterval time.Duration
 	// MaxInFlight caps concurrently outstanding requests (default 1024).
 	// An open-loop generator must not block the schedule, so arrivals
 	// past the cap are counted as dropped instead of waiting — a nonzero
@@ -332,12 +332,6 @@ type Opts struct {
 }
 
 func (o Opts) withDefaults() Opts {
-	if o.Client == nil {
-		o.Client = http.DefaultClient
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 5 * time.Millisecond
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 1024
 	}
@@ -403,7 +397,7 @@ dispatch:
 		go func(i int, sr ScheduledRequest) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			outcomes[i] = doOne(ctx, opts, baseURL, sr)
+			outcomes[i] = doOne(ctx, baseURL, sr)
 			if outcomes[i].completed {
 				markDone()
 			}
@@ -519,7 +513,7 @@ func quantile(sorted []float64, q float64) float64 {
 // jobs poll to a terminal state. Latency spans send to observed
 // completion — it includes queue wait and poll granularity, exactly what
 // a real client experiences.
-func doOne(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) outcome {
+func doOne(ctx context.Context, baseURL string, sr ScheduledRequest) outcome {
 	sendStart := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/jobs", strings.NewReader(string(sr.Body)))
 	if err != nil {
@@ -527,7 +521,7 @@ func doOne(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) 
 	}
 	req.Header.Set("Content-Type", "application/json")
 	setQoSHeaders(req, sr)
-	resp, err := opts.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return outcome{err: true}
 	}
@@ -559,7 +553,7 @@ func doOne(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) 
 
 	o.deduped = sub.Deduped
 	for {
-		t := time.NewTimer(opts.PollInterval)
+		t := time.NewTimer(pollInterval)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
@@ -567,7 +561,7 @@ func doOne(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) 
 			o.err = true
 			return o
 		}
-		body, code, err := getBody(ctx, opts, baseURL+"/v1/jobs/"+sub.Job.ID)
+		body, code, err := getBody(ctx, baseURL+"/v1/jobs/"+sub.Job.ID)
 		o.rx += int64(len(body))
 		if err != nil || code != http.StatusOK {
 			o.err = true
@@ -592,12 +586,12 @@ func doOne(ctx context.Context, opts Opts, baseURL string, sr ScheduledRequest) 
 
 // getBody is one GET with the body read whole; the caller counts bytes
 // whether or not the exchange succeeded.
-func getBody(ctx context.Context, opts Opts, url string) ([]byte, int, error) {
+func getBody(ctx context.Context, url string) ([]byte, int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := opts.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}

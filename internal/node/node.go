@@ -173,7 +173,6 @@ type Stats struct {
 	WakeFailures  int // RTC slots missed for lack of energy
 	Samples       int
 	FogProcessed  int // packets processed locally (or on behalf of peers)
-	CloudRaw      int // raw packets shipped for cloud processing
 	Dropped       int // packets lost to energy shortage
 	TxAttempts    int
 	TxDied        int // transmissions that browned out mid-flight

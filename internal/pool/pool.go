@@ -1,7 +1,9 @@
 // Package pool is the module's one bounded worker pool. The paper
 // sweeps, the fault campaigns, Table 2 and the facade's chain fleet all
 // fan their independent indices out through Run, and each keeps its own
-// in-order merge, so what they return never depends on the width.
+// in-order merge, so what they return never depends on the width. The
+// serve matrix endpoint runs its cells through Run too and streams them
+// in completion order, as its API documents.
 package pool
 
 import (

@@ -51,12 +51,11 @@ func newRouterMetrics(shards []Shard) *routerMetrics {
 // first shard that exported it, series values summed across shards in
 // first-seen order (which preserves ascending histogram buckets).
 type metricFamily struct {
-	name    string
-	help    string
-	typ     string
-	order   []string
-	series  map[string]float64
-	counted map[string]bool
+	name   string
+	help   string
+	typ    string
+	order  []string
+	series map[string]float64
 }
 
 // aggregateMetrics parses one shard's Prometheus text exposition into

@@ -112,12 +112,13 @@ func (NoBalance) Plan(s *Scratch, nodes []NodeLoad, _ int, _ float64, _ *rand.Ra
 // node inspects its nearest alive neighbours' shared state and calls
 // Algorithm 1 to split its surplus between the best left and right
 // candidates; over-assigned neighbours trigger a second round that pushes
-// tasks further outward (the node-8-to-node-10 case of Fig. 6d).
-type Distributed struct {
-	// MaxRounds bounds the outward push; the paper notes several rounds
-	// may be needed and optimality is not guaranteed. Default 3.
-	MaxRounds int
-}
+// tasks further outward (the node-8-to-node-10 case of Fig. 6d), for at
+// most distributedRounds rounds.
+type Distributed struct{}
+
+// distributedRounds bounds the outward push; the paper notes several
+// rounds may be needed and optimality is not guaranteed.
+const distributedRounds = 3
 
 // Name implements Balancer.
 func (Distributed) Name() string { return "neofog-distributed" }
@@ -125,10 +126,6 @@ func (Distributed) Name() string { return "neofog-distributed" }
 // Plan implements Balancer, with the spare-capacity working array drawn
 // from the scratch.
 func (d Distributed) Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
-	rounds := d.MaxRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
 	p := basePlan(s, nodes)
 	n := len(nodes)
 
@@ -141,7 +138,7 @@ func (d Distributed) Plan(s *Scratch, nodes []NodeLoad, maxTime int, interruptio
 		}
 	}
 
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < distributedRounds; round++ {
 		moved := false
 		for i := 0; i < n; i++ {
 			if !nodes[i].Alive || p.Leftover[i] == 0 {

@@ -31,13 +31,9 @@ func refBasePlan(nodes []NodeLoad) Plan {
 	return p
 }
 
-type refDistributed struct{ MaxRounds int }
+type refDistributed struct{}
 
 func (d refDistributed) Plan(nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
-	rounds := d.MaxRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
 	p := refBasePlan(nodes)
 	n := len(nodes)
 
@@ -53,7 +49,7 @@ func (d refDistributed) Plan(nodes []NodeLoad, maxTime int, interruption float64
 		}
 	}
 
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < distributedRounds; round++ {
 		moved := false
 		for i := 0; i < n; i++ {
 			if !nodes[i].Alive || p.Leftover[i] == 0 {

@@ -73,7 +73,6 @@ func TestPlanScratchMatchesPlan(t *testing.T) {
 	}{
 		{func() refPlanner { return refNone{} }, func() Balancer { return NoBalance{} }},
 		{func() refPlanner { return refDistributed{} }, func() Balancer { return Distributed{} }},
-		{func() refPlanner { return refDistributed{MaxRounds: 1} }, func() Balancer { return Distributed{MaxRounds: 1} }},
 		{func() refPlanner { return refTree{} }, func() Balancer { return BaselineTree{} }},
 		{func() refPlanner { return &refLease{inner: refDistributed{}} }, func() Balancer { return &Lease{Inner: Distributed{}} }},
 		{func() refPlanner { return &refLease{inner: refTree{}} }, func() Balancer { return &Lease{Inner: BaselineTree{}} }},

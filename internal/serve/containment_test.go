@@ -273,8 +273,8 @@ func TestPanicQuarantine(t *testing.T) {
 	var poisonArmed atomic.Bool
 	poisonArmed.Store(true)
 	srv.mu.Lock()
-	srv.beforeExecute = func(j *job) {
-		if j.key == pillKey && poisonArmed.Load() {
+	srv.cfg.ExecHook = func(key string) {
+		if key == pillKey && poisonArmed.Load() {
 			panic("injected: poison pill")
 		}
 	}
@@ -549,6 +549,9 @@ func TestQueueWaitHistogram(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("gated submit: status %d", code)
 	}
+	// The worker must pop the gated job (a zero wait) before the clock
+	// moves, or that job's wait would count the 3 seconds too.
+	waitStatus(t, ts, gated.Job.ID, StatusRunning)
 	code, queued := postJob(t, ts, `{"config":{"nodes":4,"rounds":40,"seed":8}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("queued submit: status %d", code)

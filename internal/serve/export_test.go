@@ -15,11 +15,7 @@ import (
 func SetExecHookForTest(s *Server, fn func(key string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fn == nil {
-		s.beforeExecute = nil
-		return
-	}
-	s.beforeExecute = func(j *job) { fn(j.key) }
+	s.cfg.ExecHook = fn
 }
 
 // CounterForTest reads one metrics counter.

@@ -9,10 +9,10 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"neofog"
+	"neofog/internal/pool"
 	"neofog/internal/qos"
 )
 
@@ -118,9 +118,6 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
 
 	// The stream can outlive any sane write timeout; lift the server-wide
 	// write deadline for this response only, like the SSE endpoint does.
@@ -137,37 +134,22 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	writeNDJSON(w, MatrixHeader{Cells: len(cells), Key: matrixKey})
 	flush()
 
-	// Bounded fan-out at the width resolved above (≤ 0 means GOMAXPROCS,
-	// clamped at the cell count): a fixed pool of cell runners fed by
-	// index, results streamed to the client in completion order. The
-	// feeder stops on client disconnect; runners always finish their
-	// in-flight cell, so the results channel always drains and closes.
+	// Bounded fan-out at the width resolved above (≤ 0 means GOMAXPROCS;
+	// the pool clamps it at the cell count), results streamed to the
+	// client in completion order. Once the client disconnects no further
+	// cell is submitted; in-flight cells always finish, so the results
+	// channel always drains and closes.
 	ctx := r.Context()
-	idx := make(chan int)
 	results := make(chan MatrixCell)
-	var wg sync.WaitGroup
-	for range parallel {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results <- s.runMatrixCell(ctx, i, cells[i], keys[i], m, deadline, tenant, class)
-			}
-		}()
-	}
 	go func() {
-		defer close(idx)
-		for i := range cells {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
+		defer close(results)
+		pool.Run(len(cells), parallel, nil, func(i int) bool {
+			if ctx.Err() != nil {
+				return false
 			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
+			results <- s.runMatrixCell(ctx, i, cells[i], keys[i], m, deadline, tenant, class)
+			return true
+		})
 	}()
 
 	var tally MatrixDone

@@ -29,8 +29,8 @@ func drainNow(t *testing.T, srv *Server) {
 func forbidExecution(t *testing.T, srv *Server) {
 	t.Helper()
 	srv.mu.Lock()
-	srv.beforeExecute = func(j *job) {
-		t.Errorf("job %s (%s) was recomputed; it should have been served from the disk tier", j.id, j.kind)
+	srv.cfg.ExecHook = func(key string) {
+		t.Errorf("job with key %s was recomputed; it should have been served from the disk tier", key)
 	}
 	srv.mu.Unlock()
 }

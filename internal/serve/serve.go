@@ -102,9 +102,10 @@ type Config struct {
 
 	// ExecHook, when non-nil, runs on the worker goroutine (keyed by the
 	// job's canonical key) after a job turns running and before its facade
-	// call. It exists for tests outside this package — the router's SSE
-	// fan-through and chaos batteries park jobs at a deterministic point
-	// with it. Production leaves it nil.
+	// call. It exists for tests, which park jobs at a deterministic point
+	// or inject panics with it; a running server reads it under its mutex,
+	// so tests in this package may also swap it there. Production leaves
+	// it nil.
 	ExecHook func(key string)
 }
 
@@ -158,12 +159,6 @@ type Server struct {
 	draining bool
 
 	workers sync.WaitGroup
-
-	// beforeExecute, when non-nil, runs on the worker goroutine after a
-	// job turns running and before its facade call. Tests set it (under
-	// mu) to hold a worker busy at a deterministic point; production
-	// never sets it.
-	beforeExecute func(j *job)
 }
 
 // New builds a Server and starts its worker pool. With CacheDir set it
@@ -186,9 +181,6 @@ func New(cfg Config) (*Server, error) {
 	s.sched = sched
 	s.metrics = newMetrics(s.cfg, sched.Tenants())
 	s.notEmpty = sync.NewCond(&s.mu)
-	if hook := s.cfg.ExecHook; hook != nil {
-		s.beforeExecute = func(j *job) { hook(j.key) }
-	}
 	if s.cfg.CacheDir != "" {
 		brk := newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerProbe, s.cfg.Clock, s.metrics)
 		store, warm := newResultStore(s.cfg.CacheDir, s.cfg.CacheBudget, s.cfg.CacheEntries, s.cfg.FS, brk, s.metrics)
@@ -530,7 +522,7 @@ func (s *Server) runJob(j *job) {
 		j.status = StatusRunning
 		j.startedAt = now
 		s.running++
-		hook := s.beforeExecute
+		hook := s.cfg.ExecHook
 		s.mu.Unlock()
 		s.metrics.jobsExecuted.Add(1)
 		s.metrics.tenantExecuted.Add(1, j.tenant)
@@ -599,14 +591,14 @@ func (s *Server) runJob(j *job) {
 // worker goroutine (an unrecovered panic would kill the process). The
 // recovered value and stack come back as a *panicError for the terminal
 // switch to quarantine.
-func (s *Server) executeGuarded(j *job, hook func(j *job)) (result json.RawMessage, err error) {
+func (s *Server) executeGuarded(j *job, hook func(key string)) (result json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			result, err = nil, &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
 	if hook != nil {
-		hook(j)
+		hook(j.key)
 	}
 	if cerr := j.ctx.Err(); cerr != nil {
 		return nil, cerr // deadline expired between pickup and execution

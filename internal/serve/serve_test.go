@@ -56,7 +56,7 @@ func gateServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func()) {
 	release := func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
 	srv.mu.Lock()
-	srv.beforeExecute = func(*job) { <-gate }
+	srv.cfg.ExecHook = func(string) { <-gate }
 	srv.mu.Unlock()
 	return srv, ts, release
 }

@@ -6,7 +6,6 @@ import (
 
 	"neofog/internal/apps"
 	"neofog/internal/energytrace"
-	"neofog/internal/mesh"
 	"neofog/internal/node"
 	"neofog/internal/sched"
 	"neofog/internal/units"
@@ -19,14 +18,12 @@ func allocConfig(rounds int) Config {
 	cfg.Peak = units.Power(0.8)
 	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(3)))
 	return Config{
-		Node:           node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
-		Traces:         traces,
-		Slot:           12 * units.Second,
-		Rounds:         rounds,
-		Balancer:       sched.Distributed{},
-		LBInterruption: 0.02,
-		Link:           mesh.DefaultLink(),
-		Seed:           7,
+		Node:     node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
+		Traces:   traces,
+		Slot:     12 * units.Second,
+		Rounds:   rounds,
+		Balancer: sched.Distributed{},
+		Seed:     7,
 	}
 }
 

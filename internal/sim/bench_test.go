@@ -6,7 +6,6 @@ import (
 
 	"neofog/internal/apps"
 	"neofog/internal/energytrace"
-	"neofog/internal/mesh"
 	"neofog/internal/node"
 	"neofog/internal/sched"
 	"neofog/internal/units"
@@ -24,7 +23,6 @@ func benchRun(b *testing.B, kind node.SystemKind, bal sched.Balancer, nodes int)
 			Slot:     12 * units.Second,
 			Rounds:   300,
 			Balancer: bal,
-			Link:     mesh.DefaultLink(),
 			Seed:     int64(i + 1),
 		})
 		if err != nil {
@@ -63,7 +61,6 @@ func BenchmarkRunResumable(b *testing.B) {
 			Slot:     12 * units.Second,
 			Rounds:   300,
 			Balancer: sched.BaselineTree{},
-			Link:     mesh.DefaultLink(),
 			Seed:     int64(i + 1),
 		})
 		if err != nil {

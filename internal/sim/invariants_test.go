@@ -33,28 +33,27 @@ func randomConfig(seed int64) Config {
 	traces := energytrace.IndependentSet(tc, nodes, 5*units.Minute, tc.DayLength(), rng)
 
 	cfg := Config{
-		Node:           node.DefaultConfig(kinds[rng.Intn(len(kinds))], apps.BridgeHealth()),
-		Traces:         traces,
-		Slot:           12 * units.Second,
-		Rounds:         rounds,
-		Balancer:       balancers[rng.Intn(len(balancers))],
-		LBInterruption: rng.Float64() * 0.1,
-		Link:           mesh.LinkModel{SuccessRate: 0.85 + rng.Float64()*0.15},
-		Seed:           rng.Int63(),
+		Node:     node.DefaultConfig(kinds[rng.Intn(len(kinds))], apps.BridgeHealth()),
+		Traces:   traces,
+		Slot:     12 * units.Second,
+		Rounds:   rounds,
+		Balancer: balancers[rng.Intn(len(balancers))],
+		Seed:     rng.Int63(),
 	}
 	if rng.Intn(2) == 0 {
 		cfg.Node.FogInstsPerByte = 500
 	}
 	cfg.Faults = randomHooks(rng, nodes, rounds)
-	// Half the runs exercise the self-healing layer, with randomized retry
-	// limits and backoff; a third of those also run NVD4Q partner-clone
-	// pairs so clone failover has survivors to promote.
+	if cfg.Faults.Link == nil {
+		// No degradation window: the whole run gets a lossier link.
+		lossy := mesh.LinkModel{SuccessRate: 0.85 + rng.Float64()*0.15}
+		cfg.Faults.Link = func(int) (mesh.LinkModel, bool) { return lossy, true }
+	}
+	// Half the runs exercise the self-healing layer; a third of those also
+	// run NVD4Q partner-clone pairs so clone failover has survivors to
+	// promote.
 	if rng.Intn(2) == 0 {
-		cfg.Recovery = RecoveryConfig{
-			Enabled:     true,
-			MaxRetries:  1 + rng.Intn(3),
-			BackoffBase: units.Duration(1+rng.Intn(20)) * units.Millisecond,
-		}
+		cfg.Recovery = true
 		if rng.Intn(3) == 0 {
 			cfg.Traces = energytrace.IndependentSet(tc, 2*nodes, 5*units.Minute, tc.DayLength(), rng)
 			sets := make([]virt.LogicalNode, nodes)
@@ -164,7 +163,7 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		// Recovery counters exist only when the layer is armed.
-		if !cfg.Recovery.Enabled && (r.Retransmits != 0 || r.FailoverSlots != 0 || r.BalanceRetries != 0) {
+		if !cfg.Recovery && (r.Retransmits != 0 || r.FailoverSlots != 0 || r.BalanceRetries != 0) {
 			t.Logf("seed %d: recovery disabled but rtx=%d failover=%d balRetries=%d",
 				seed, r.Retransmits, r.FailoverSlots, r.BalanceRetries)
 			return false
@@ -209,7 +208,7 @@ func TestJournalDeterminismWithRecovery(t *testing.T) {
 	prop := func(seed int64) bool {
 		run := func() ([]byte, Result, error) {
 			cfg := randomConfig(seed)
-			cfg.Recovery = RecoveryConfig{Enabled: true}
+			cfg.Recovery = true
 			var buf bytes.Buffer
 			cfg.Journal = &buf
 			r, err := Run(cfg)

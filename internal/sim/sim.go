@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"neofog/internal/apps"
 	"neofog/internal/energytrace"
 	"neofog/internal/mesh"
 	"neofog/internal/node"
@@ -24,7 +25,32 @@ import (
 	"neofog/internal/virt"
 )
 
-// Config describes one simulation run.
+// Settings every run shares. The paper fixes what each stands for, so
+// none is configurable.
+const (
+	// lbInterruption is the probability that one balancing invocation is
+	// cut short by a power failure.
+	lbInterruption = 0.02
+	// realTimeRequestRate is the per-node per-round probability of a
+	// control-node request that forces an immediate raw transmission for
+	// cloud processing, bypassing the buffered strategy (§5.1: "except
+	// when there is a real-time request from a control node"). The tiny
+	// cloud-processed counts of the NVP systems in Fig. 10 come from this
+	// path.
+	realTimeRequestRate = 0.01
+	// arqRetries is the recovery layer's per-packet retransmission budget
+	// across all hops. The schedule can run out sooner: its waits may not
+	// add up to more than half the RTC slot, how long a packet may sit in
+	// the NVBuffer before its slot's work must move on.
+	arqRetries = 2
+	// arqBackoffBase is the acknowledgement-listen window before the first
+	// retransmission; each further retry doubles it. Backoff time is
+	// charged at the radio's idle power.
+	arqBackoffBase = 10 * units.Millisecond
+)
+
+// Config describes one simulation run. Every link runs the measured
+// mesh.DefaultLink unless Faults.Link degrades it.
 type Config struct {
 	// Node is the per-node template (kind, application, cap sizing).
 	Node node.Config
@@ -38,27 +64,9 @@ type Config struct {
 	Rounds int
 	// Balancer is the load-balancing policy (nil = no balancing).
 	Balancer sched.Balancer
-	// LBInterruption is the probability that one balancing invocation is
-	// cut short by a power failure.
-	LBInterruption float64
-	// Link is the per-packet delivery model.
-	Link mesh.LinkModel
 	// CloneSets optionally groups physical nodes into NVD4Q logical nodes;
 	// nil means every physical node is its own logical node.
 	CloneSets []virt.LogicalNode
-	// MaxBacklog bounds how many packets an NV node may carry across
-	// rounds before the oldest data is discarded (§5.1). 0 means the full
-	// NVBuffer depth (64 kB = 64 packets at the default packet size): the
-	// buffered strategy explicitly accumulates work for the hours when
-	// harvest is plentiful.
-	MaxBacklog int
-	// RealTimeRequestRate is the per-node per-round probability of a
-	// control-node request that forces an immediate raw transmission for
-	// cloud processing, bypassing the buffered strategy (§5.1: "except
-	// when there is a real-time request from a control node"). Default
-	// 0.01; the tiny cloud-processed counts of the NVP systems in Fig. 10
-	// come from this path.
-	RealTimeRequestRate float64
 	// RecordEnergy lists physical node indices whose stored energy is
 	// sampled after every round (the Fig. 9 series).
 	RecordEnergy []int
@@ -71,10 +79,13 @@ type Config struct {
 	// aborts); see internal/faults for plan generation. The zero value
 	// injects nothing and leaves the run bit-identical to a fault-free one.
 	Faults FaultHooks
-	// Recovery configures the self-healing protocol layer (ARQ, route
-	// repair, clone failover, abort-safe balancing). The zero value keeps
-	// the run bit-identical to the pre-recovery simulator.
-	Recovery RecoveryConfig
+	// Recovery switches on the self-healing protocol layer: link-layer
+	// ARQ with energy-aware exponential backoff, persistent route repair
+	// around dead spans, NVD4Q clone failover, and abort-safe
+	// (lease/commit) load balancing. Every recovery action is charged
+	// through the node's rf timing/energy model, so healing is never
+	// free. Off keeps the run bit-identical to the pre-recovery simulator.
+	Recovery bool
 	// Telemetry, when non-nil, records phase spans, counters, histograms
 	// and per-node energy/backlog timelines as the run progresses (see
 	// internal/telemetry). It observes and never perturbs: the recorder
@@ -110,7 +121,7 @@ type FaultHooks struct {
 	// degradation below the measured 99.25% success rate.
 	Link func(round int) (mesh.LinkModel, bool)
 	// AbortBalance forces every balancing invocation this round to be cut
-	// short by a power failure (LBInterruption = 1).
+	// short by a power failure (an interruption probability of 1).
 	AbortBalance func(round int) bool
 }
 
@@ -173,7 +184,7 @@ type Result struct {
 	// node); FailoverSlots counts slots where a surviving NVD4Q clone
 	// absorbed a dead owner's phase offset; BalanceRetries counts balancing
 	// rounds automatically re-run after an abort rollback. All three are
-	// zero unless Recovery.Enabled.
+	// zero unless Recovery is on.
 	Retransmits, FailoverSlots, BalanceRetries int
 	// PerNode carries each physical node's counters.
 	PerNode []node.Stats
@@ -234,11 +245,10 @@ func Run(cfg Config) (Result, error) {
 		balancer = sched.NoBalance{}
 	}
 
-	rec := cfg.Recovery.withDefaults(cfg.Slot)
 	var retrySched mesh.RetrySchedule
 	var lease *sched.Lease
-	if rec.Enabled {
-		retrySched = mesh.NewRetrySchedule(rec.BackoffBase, rec.MaxRetries, rec.HoldTime)
+	if cfg.Recovery {
+		retrySched = mesh.NewRetrySchedule(arqBackoffBase, arqRetries, cfg.Slot/2)
 		lease = &sched.Lease{Inner: balancer}
 		balancer = lease
 	}
@@ -290,17 +300,11 @@ func Run(cfg Config) (Result, error) {
 		res.EnergySeries[i] = make([]units.Energy, 0, rounds)
 	}
 
-	maxBacklog := cfg.MaxBacklog
-	if maxBacklog <= 0 {
-		maxBacklog = 65536 / cfg.Node.PacketBytes
-		if maxBacklog < 1 {
-			maxBacklog = 1
-		}
-	}
-	rtRate := cfg.RealTimeRequestRate
-	if rtRate == 0 {
-		rtRate = 0.01
-	}
+	// An NV node carries at most one NVBuffer of packets across rounds;
+	// beyond it the oldest data are discarded (§5.1). The buffered
+	// strategy explicitly accumulates work for the hours when harvest is
+	// plentiful.
+	maxBacklog := max(1, apps.BufferSize/cfg.Node.PacketBytes)
 	queued := make([]int, len(logical)) // packets awaiting fog processing per logical slot owner
 	var prevFog, prevCloud, prevDropped, prevMoves int
 
@@ -322,7 +326,7 @@ func Run(cfg Config) (Result, error) {
 	// overhead. The closures read the arena's awake/awakeIdx buffers, which
 	// always hold the current round's state, so one set serves every round.
 	rawOpts := mesh.DeliverOpts{}
-	if rec.Enabled && retrySched.Len() > 0 {
+	if cfg.Recovery && retrySched.Len() > 0 {
 		rawOpts = mesh.DeliverOpts{
 			Retries:     retrySched.Len(),
 			RepairRoute: true,
@@ -363,7 +367,7 @@ func Run(cfg Config) (Result, error) {
 
 	for round := 0; round < rounds; round++ {
 		t0 := cfg.Slot * units.Duration(round)
-		link := cfg.Link
+		link := mesh.DefaultLink()
 		if cfg.Faults.Link != nil {
 			if lm, ok := cfg.Faults.Link(round); ok {
 				link = lm
@@ -398,7 +402,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		for li, set := range logical {
 			ar.cand = ar.cand[:0]
-			if rec.Enabled && set.Multiplexing() > 1 {
+			if cfg.Recovery && set.Multiplexing() > 1 {
 				ar.cand = set.AppendWakeOrder(ar.cand, round)
 			} else {
 				ar.cand = append(ar.cand, set.Responsible(round))
@@ -456,7 +460,7 @@ func Run(cfg Config) (Result, error) {
 			}
 			chain.SetAlive(li, woke)
 		}
-		if rec.Enabled {
+		if cfg.Recovery {
 			// Persistent route repair: instead of waiting for a packet to
 			// strand at a dead span, walk the association list and re-point
 			// every stale next-hop at the nearest live ancestor now. Nodes
@@ -473,7 +477,7 @@ func Run(cfg Config) (Result, error) {
 			if nd == nil || !nd.FogFeasible() || queued[li] == 0 {
 				continue
 			}
-			if rng.Float64() >= rtRate {
+			if rng.Float64() >= realTimeRequestRate {
 				continue
 			}
 			cost := nd.TxRawCost()
@@ -510,7 +514,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 		maxTicks := int(cfg.Slot / units.Millisecond)
-		interruption := cfg.LBInterruption
+		interruption := lbInterruption
 		if cfg.Faults.AbortBalance != nil && cfg.Faults.AbortBalance(round) {
 			interruption = 1
 		}
@@ -558,7 +562,7 @@ func Run(cfg Config) (Result, error) {
 				// Task transfers are single-hop sender→receiver; ARQ retries
 				// are charged to the sender under the same wake-reserve rule
 				// as relay retries.
-				for attempt := 1; !delivered && rec.Enabled && attempt <= retrySched.Len(); attempt++ {
+				for attempt := 1; !delivered && cfg.Recovery && attempt <= retrySched.Len(); attempt++ {
 					rc := src.RetryCost(src.TxRawCost(), retrySched.Wait(attempt))
 					if src.RFFailed() || src.Stored() < rc.Energy+src.WakeCost() || !src.Transmit(rc) {
 						break
@@ -669,16 +673,6 @@ func Run(cfg Config) (Result, error) {
 			keep := 0
 			if !volatileNode(nd) {
 				keep = maxBacklog
-				if plan.RolledBack {
-					// Abort-safe balancing: the tasks an aborted round would
-					// have delegated are held in the NVBuffer — up to its
-					// full depth — so the automatic retry next round can
-					// still place them instead of the drop policy eating
-					// them mid-rollback.
-					if full := 65536 / nd.Cfg.PacketBytes; keep < full {
-						keep = full
-					}
-				}
 			}
 			if leftover > keep {
 				res.Dropped += leftover - keep

@@ -104,13 +104,11 @@ func bridgeTelemetryConfig() Config {
 		Slot:      12 * units.Second,
 		Rounds:    48,
 		Balancer:  sched.Distributed{},
-		Link:      mesh.LinkModel{SuccessRate: 0.9},
-		Recovery: RecoveryConfig{
-			Enabled:     true,
-			MaxRetries:  2,
-			BackoffBase: 5 * units.Millisecond,
-		},
-		Seed: 7,
+		Faults: FaultHooks{Link: func(int) (mesh.LinkModel, bool) {
+			return mesh.LinkModel{SuccessRate: 0.9}, true
+		}},
+		Recovery: true,
+		Seed:     7,
 	}
 }
 

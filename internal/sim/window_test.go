@@ -40,20 +40,18 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 		t.Helper()
 		var journal bytes.Buffer
 		cfg := Config{
-			Node:           node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
-			Traces:         traces[:anchors],
-			Slot:           slot,
-			Rounds:         rounds,
-			Balancer:       sched.Distributed{},
-			LBInterruption: 0.02,
-			Link:           mesh.DefaultLink(),
-			Journal:        &journal,
-			RecordEnergy:   []int{0, anchors - 1},
-			Seed:           5,
+			Node:         node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
+			Traces:       traces[:anchors],
+			Slot:         slot,
+			Rounds:       rounds,
+			Balancer:     sched.Distributed{},
+			Journal:      &journal,
+			RecordEnergy: []int{0, anchors - 1},
+			Seed:         5,
 		}
 		if multiplexed {
 			cfg.Traces, cfg.CloneSets = traces, sets
-			cfg.Recovery = RecoveryConfig{Enabled: true}
+			cfg.Recovery = true
 		}
 		r, err := Run(cfg)
 		if err != nil {

@@ -198,17 +198,15 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 	}
 
 	simCfg := sim.Config{
-		Node:           d.node,
-		Traces:         traces,
-		Slot:           slot,
-		Rounds:         cfg.Rounds,
-		Balancer:       d.bal,
-		LBInterruption: 0.02,
-		Link:           mesh.DefaultLink(),
-		Journal:        cfg.Journal,
-		Recovery:       sim.RecoveryConfig{Enabled: cfg.Recovery},
-		Telemetry:      cfg.Telemetry.recorder(),
-		Seed:           cfg.Seed,
+		Node:      d.node,
+		Traces:    traces,
+		Slot:      slot,
+		Rounds:    cfg.Rounds,
+		Balancer:  d.bal,
+		Journal:   cfg.Journal,
+		Recovery:  cfg.Recovery,
+		Telemetry: cfg.Telemetry.recorder(),
+		Seed:      cfg.Seed,
 	}
 	if cfg.Multiplexing > 1 {
 		positions := mesh.LineDeployment(cfg.Nodes, 90)
