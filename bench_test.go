@@ -72,6 +72,6 @@ func BenchmarkServeScheduleBuild(b *testing.B) { runCase(b, "ServeScheduleBuild"
 // balancer layer.
 func BenchmarkPlanDistributed(b *testing.B) { runCase(b, "PlanDistributed") }
 
-// BenchmarkTraceIndependentSet times the forest trace synthesis the facade
-// runs before every simulation.
-func BenchmarkTraceIndependentSet(b *testing.B) { runCase(b, "TraceIndependentSet") }
+// BenchmarkTraceIndependentIncome times the forest income synthesis the
+// facade runs before every simulation.
+func BenchmarkTraceIndependentIncome(b *testing.B) { runCase(b, "TraceIndependentIncome") }

@@ -201,15 +201,17 @@ func Cases() []Case {
 				bal.Plan(&s, nodes, 12000, 0.02, rng)
 			}
 		}},
-		{"TraceIndependentSet", func(b *testing.B) {
-			// The trace-synthesis layer: the facade's forest traces for a
-			// 10-node chain (5-hour sunny day at 1 s, 5-minute segments).
+		{"TraceIndependentIncome", func(b *testing.B) {
+			// The trace-synthesis layer: the facade's forest income for a
+			// 10-node chain (5-hour sunny day at 1 s, 5-minute segments,
+			// integrated into 12 s slots).
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg := energytrace.SunnyDay()
-				set := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(int64(i+1))))
+				opts := energytrace.IncomeOpts{Slot: 12 * units.Second}
+				set := energytrace.IndependentIncome(cfg, 10, 5*units.Minute, opts, rand.New(rand.NewSource(int64(i+1))))
 				if len(set) != 10 {
-					b.Fatal("short trace set")
+					b.Fatal("short income set")
 				}
 			}
 		}},

@@ -9,8 +9,9 @@
 //     and differ only by ~30% random per-node variance.
 //
 // This package provides a parametric solar-day irradiance model to generate
-// the base traces, the two per-node synthesis recipes above, and simple
-// constant/step traces for tests.
+// the base traces and the two per-node synthesis recipes above. Each
+// recipe's output is collected either as per-sample traces or, for the
+// simulator, integrated once into per-slot income.
 package energytrace
 
 import (
@@ -132,13 +133,4 @@ func (s *Sampled) StdDev() units.Power {
 		ss += d * d
 	}
 	return units.Power(math.Sqrt(ss / float64(n)))
-}
-
-// Scale returns a copy of the trace with every sample multiplied by k.
-func (s *Sampled) Scale(k float64) *Sampled {
-	out := NewSampled(s.Step, len(s.Samples))
-	for i, p := range s.Samples {
-		out.Samples[i] = units.Power(float64(p) * k)
-	}
-	return out
 }

@@ -26,9 +26,9 @@ type ChaosResult struct {
 // the Fig. 10 profile-1 FIOS-NEOFog run.
 func Chaos(opts Options) (*ChaosResult, error) {
 	opts = opts.withDefaults()
-	traces := forestProfile(1, opts.Nodes, opts.Seed)
+	income := forestProfile(1, opts.Nodes, opts.Seed)
 	campaign := faults.Campaign{
-		Base:        systemConfig(node.FIOSNVMote, sched.Distributed{}, traces, opts),
+		Base:        systemConfig(node.FIOSNVMote, sched.Distributed{}, income, opts),
 		Seed:        opts.FaultSeed,
 		Intensities: opts.FaultIntensities,
 		Parallel:    opts.Parallel,

@@ -252,11 +252,11 @@ func systems() []systemRow {
 // a system stack under. Exposing the builder lets the chaos campaign run
 // the exact Fig. 10 configuration through its own sweep, so its zero-fault
 // row reproduces the figure's numbers.
-func systemConfig(kind node.SystemKind, bal sched.Balancer, traces []*energytrace.Sampled,
+func systemConfig(kind node.SystemKind, bal sched.Balancer, income []energytrace.Income,
 	opts Options) sim.Config {
 	return sim.Config{
 		Node:     node.DefaultConfig(kind, apps.BridgeHealth()),
-		Traces:   traces,
+		Income:   income,
 		Slot:     Slot,
 		Rounds:   opts.Rounds,
 		Balancer: bal,
@@ -264,15 +264,15 @@ func systemConfig(kind node.SystemKind, bal sched.Balancer, traces []*energytrac
 	}
 }
 
-// systemPoint packages one system run over a shared trace set as an
-// independent sweep point of the given cost. traces runs on the worker;
+// systemPoint packages one system run over a shared income set as an
+// independent sweep point of the given cost. income runs on the worker;
 // sweeps sharing one set across concurrent points pass a sync.OnceValue
 // and rely on sim.Run never mutating the set. The point only reads the set
 // and any state the mut closure captures.
-func systemPoint(kind node.SystemKind, bal sched.Balancer, cost int, traces func() []*energytrace.Sampled,
+func systemPoint(kind node.SystemKind, bal sched.Balancer, cost int, income func() []energytrace.Income,
 	opts Options, mut func(*sim.Config)) sweepPoint {
 	return sweepPoint{cost: cost, run: func() (sim.Result, *telemetry.Recorder, error) {
-		cfg := systemConfig(kind, bal, traces(), opts)
+		cfg := systemConfig(kind, bal, income(), opts)
 		if mut != nil {
 			mut(&cfg)
 		}

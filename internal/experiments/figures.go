@@ -22,60 +22,61 @@ type SystemAverages struct {
 	Wakeups, Total, Fog, Cloud float64
 }
 
-// forestProfile synthesises one of the five independent forest power
-// profiles of §5.2.1: winds and leaf cover make neighbouring nodes'
-// income effectively uncorrelated.
-func forestProfile(profile int, nodes int, seed int64) []*energytrace.Sampled {
+// perSlot integrates a synthesised set over the harnesses' RTC slot.
+var perSlot = energytrace.IncomeOpts{Slot: Slot}
+
+// forestProfile synthesises the income of one of the five independent
+// forest power profiles of §5.2.1: winds and leaf cover make neighbouring
+// nodes' income effectively uncorrelated.
+func forestProfile(profile int, nodes int, seed int64) []energytrace.Income {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(0.52 + 0.04*float64(profile))
 	cfg.CloudAttenuation = 0.55
 	cfg.ShadeJitter = 0.25
 	rng := rand.New(rand.NewSource(seed + int64(profile)*101))
-	traces := energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rng)
 	// Canopy density differs persistently between spots (lognormal,
-	// ~0.6–1.7×); stronger bimodal shading regimes are explored by the
-	// Fig. 9 experiment, where the balancers' stored-energy effect is
-	// isolated.
-	for i, tr := range traces {
-		traces[i] = tr.Scale(math.Exp(rng.NormFloat64() * 0.5))
-	}
-	return traces
+	// ~0.6–1.7×), drawn per node after the set's own draws; stronger
+	// bimodal shading regimes are explored by the Fig. 9 experiment,
+	// where the balancers' stored-energy effect is isolated.
+	opts := perSlot
+	opts.Gain = func(int) float64 { return math.Exp(rng.NormFloat64() * 0.5) }
+	return energytrace.IndependentIncome(cfg, nodes, 5*units.Minute, opts, rng)
 }
 
-// bridgeProfile synthesises one of the five dependent bridge profiles of
-// §5.2.2: one base day trace shared by all nodes with ~30% per-node
-// variance.
-func bridgeProfile(day int, nodes int, seed int64) []*energytrace.Sampled {
+// bridgeProfile synthesises the income of one of the five dependent
+// bridge profiles of §5.2.2: one base day trace shared by all nodes with
+// ~30% per-node variance.
+func bridgeProfile(day int, nodes int, seed int64) []energytrace.Income {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(0.50 + 0.05*float64(day))
 	cfg.CloudAttenuation = 0.65
 	rng := rand.New(rand.NewSource(seed + int64(day)*307))
-	return energytrace.DependentSet(cfg, nodes, 0.30, rng)
+	return energytrace.DependentIncome(cfg, nodes, 0.30, perSlot, rng)
 }
 
 // figPackets runs the three systems over five power profiles and returns
 // the Fig. 10/11-style table plus per-system averages.
-func figPackets(title string, traceGen func(profile, nodes int, seed int64) []*energytrace.Sampled,
+func figPackets(title string, incomeGen func(profile, nodes int, seed int64) []energytrace.Income,
 	opts Options) (*metrics.Table, map[string]SystemAverages, error) {
 	opts = opts.withDefaults()
 	t := metrics.NewTable(title,
 		"Profile", "System", "Wakeups", "Total processed", "Fog processed", "Cloud processed")
 	avgs := map[string]SystemAverages{}
 	const profiles = 5
-	// The three systems of a profile share one read-only trace set. Each
+	// The three systems of a profile share one read-only income set. Each
 	// profile's set is built once, on the worker that runs whichever of its
 	// points starts first. The profile's first point is charged the
 	// synthesis, so in parallel all five builds start before any point
 	// that only reads a set.
 	var points []sweepPoint
 	for p := 1; p <= profiles; p++ {
-		traces := sync.OnceValue(func() []*energytrace.Sampled { return traceGen(p, opts.Nodes, opts.Seed) })
+		income := sync.OnceValue(func() []energytrace.Income { return incomeGen(p, opts.Nodes, opts.Seed) })
 		for si, s := range systems() {
 			cost := opts.Nodes
 			if si == 0 {
 				cost += opts.Nodes
 			}
-			points = append(points, systemPoint(s.Kind, s.Bal, cost, traces, opts, nil))
+			points = append(points, systemPoint(s.Kind, s.Bal, cost, income, opts, nil))
 		}
 	}
 	results, err := runSweep(opts, points)
@@ -136,28 +137,26 @@ type Fig9Result struct {
 // so the no-LB reference here is the same NVP stack without balancing —
 // see EXPERIMENTS.md.)
 func Fig9StoredEnergy(opts Options) (*Fig9Result, error) {
-	return fig9(opts, fig9Traces)
+	return fig9(opts, fig9Income)
 }
 
-// fig9Traces is the Fig. 9 income: daytime solar with dependent per-node
+// fig9Income is the Fig. 9 income: daytime solar with dependent per-node
 // variance, scaled by deck shadow along the bridge, which gives
 // consecutive cable nodes very different exposure: one shaded, one
 // half-lit, one in full sun. This is the stored-energy imbalance Fig. 9
 // visualises.
-func fig9Traces(nodes int, seed int64) []*energytrace.Sampled {
+func fig9Income(nodes int, seed int64) []energytrace.Income {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = 4.4
 	cfg.CloudAttenuation = 0.45
 	gains := []float64{0.35, 1.0, 1.8}
-	traces := energytrace.DependentSet(cfg, nodes, 0.15, rand.New(rand.NewSource(seed)))
-	for i, tr := range traces {
-		traces[i] = tr.Scale(gains[i%len(gains)])
-	}
-	return traces
+	opts := perSlot
+	opts.Gain = func(n int) float64 { return gains[n%len(gains)] }
+	return energytrace.DependentIncome(cfg, nodes, 0.15, opts, rand.New(rand.NewSource(seed)))
 }
 
-// fig9 runs Fig. 9 over the income traceGen synthesises.
-func fig9(opts Options, traceGen func(nodes int, seed int64) []*energytrace.Sampled) (*Fig9Result, error) {
+// fig9 runs Fig. 9 over the income incomeGen synthesises.
+func fig9(opts Options, incomeGen func(nodes int, seed int64) []energytrace.Income) (*Fig9Result, error) {
 	opts = opts.withDefaults()
 	record := []int{3, 4, 5}
 	if last := record[len(record)-1]; opts.Nodes <= last {
@@ -170,17 +169,17 @@ func fig9(opts Options, traceGen func(nodes int, seed int64) []*energytrace.Samp
 		Series:   map[string]map[int][]units.Energy{},
 		Overflow: map[string]units.Energy{},
 	}
-	// The three variants share one read-only trace set, built by whichever
-	// point starts first, as in figPackets; the three runs fan out and
-	// merge in variant order.
-	traces := sync.OnceValue(func() []*energytrace.Sampled { return traceGen(opts.Nodes, opts.Seed) })
+	// The three variants share one read-only income set, built by
+	// whichever point starts first, as in figPackets; the three runs fan
+	// out and merge in variant order.
+	income := sync.OnceValue(func() []energytrace.Income { return incomeGen(opts.Nodes, opts.Seed) })
 	var points []sweepPoint
 	for si, s := range lbVariants() {
 		cost := opts.Nodes
 		if si == 0 {
 			cost += opts.Nodes
 		}
-		points = append(points, systemPoint(s.Kind, s.Bal, cost, traces, opts, func(c *sim.Config) {
+		points = append(points, systemPoint(s.Kind, s.Bal, cost, income, opts, func(c *sim.Config) {
 			c.RecordEnergy = record
 		}))
 	}
@@ -226,10 +225,10 @@ type MultiplexPoint struct {
 
 // figMultiplex runs the NVD4Q multiplexing sweep: a VP reference system,
 // then FIOS-NEOFog at 100%..500% clone multiplexing.
-func figMultiplex(title string, trace multiplexTrace, opts Options) (*metrics.Table, []MultiplexPoint, error) {
+func figMultiplex(title string, income multiplexIncome, opts Options) (*metrics.Table, []MultiplexPoint, error) {
 	opts = opts.withDefaults()
 	t := metrics.NewTable(title, "System", "Physical nodes", "Fog processed", "Samples")
-	points, err := runMultiplex(trace, opts, 0, 1, 2, 3, 4, 5)
+	points, err := runMultiplex(income, opts, 0, 1, 2, 3, 4, 5)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -243,24 +242,24 @@ func figMultiplex(title string, trace multiplexTrace, opts Options) (*metrics.Ta
 	return t, points, nil
 }
 
-// multiplexTrace synthesises the income traces of a multiplexing sweep
-// point's physical nodes.
-type multiplexTrace func(nodes int, seed int64) []*energytrace.Sampled
+// multiplexIncome synthesises the income of a multiplexing sweep point's
+// physical nodes.
+type multiplexIncome func(nodes int, seed int64) []energytrace.Income
 
 // runMultiplex runs the given points of the multiplexing sweep and returns
 // their bars in the order given. Factor 0 is the VP reference system;
 // factor f ≥ 1 is FIOS-NEOFog at f×100% clone multiplexing. The kernel is
 // the lighter mountain-monitoring pipeline (volumetric/slide detection),
 // which even a VP can execute — the paper's Figs. 12–13 show VP in-fog
-// counts. Every point draws its traces and clone sets from its own
+// counts. Every point draws its income and clone sets from its own
 // seeds, so a point's bar does not depend on which other points run.
-func runMultiplex(trace multiplexTrace, opts Options, factors ...int) ([]MultiplexPoint, error) {
+func runMultiplex(income multiplexIncome, opts Options, factors ...int) ([]MultiplexPoint, error) {
 	const kernel = 800 // insts/byte: slide-detection pipeline fits a VP slot
 	if opts.Nodes < 2 {
 		return nil, fmt.Errorf("experiments: clone sets anchor on a line of at least 2 nodes, got %d", opts.Nodes)
 	}
 
-	// Each point synthesises its own traces and clone sets on its worker,
+	// Each point synthesises its own income and clone sets on its worker,
 	// so no point's income exists before that point starts. It simulates
 	// and synthesises its physical nodes, so the largest factor is
 	// dispatched first.
@@ -273,7 +272,7 @@ func runMultiplex(trace multiplexTrace, opts Options, factors ...int) ([]Multipl
 		physical := opts.Nodes * max(factor, 1)
 		seed := opts.Seed + int64(factor)
 		sweepPts[i] = sweepPoint{cost: 2 * physical, run: func() (sim.Result, *telemetry.Recorder, error) {
-			cfg := systemConfig(kind, bal, trace(physical, seed), opts)
+			cfg := systemConfig(kind, bal, income(physical, seed), opts)
 			cfg.Node.FogInstsPerByte = kernel
 			if factor > 1 {
 				sets, err := cloneSets(opts.Nodes, physical, seed)
@@ -336,12 +335,12 @@ func cloneSets(anchors, physical int, seed int64) ([]virt.LogicalNode, error) {
 // with large independent variance (sunny mountain day). In-fog processing
 // is already high at 100%, so NVD4Q adds little.
 func Fig12MultiplexHigh(opts Options) (*metrics.Table, []MultiplexPoint, error) {
-	gen := func(nodes int, seed int64) []*energytrace.Sampled {
+	gen := func(nodes int, seed int64) []energytrace.Income {
 		cfg := energytrace.SunnyDay()
 		cfg.Peak = 2.0
 		cfg.CloudAttenuation = 0.35
 		cfg.ShadeJitter = 0.3
-		return energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(seed)))
+		return energytrace.IndependentIncome(cfg, nodes, 5*units.Minute, perSlot, rand.New(rand.NewSource(seed)))
 	}
 	return figMultiplex("Fig. 12: multiplexing, high power with large independent variance", gen, opts)
 }
@@ -350,15 +349,15 @@ func Fig12MultiplexHigh(opts Options) (*metrics.Table, []MultiplexPoint, error) 
 // weather — the condition slides actually occur in. Gains grow up to ~3×
 // multiplexing, then saturate against the reduced sampling ceiling.
 func Fig13MultiplexLow(opts Options) (*metrics.Table, []MultiplexPoint, error) {
-	return figMultiplex("Fig. 13: multiplexing, very low power with dependent variance", fig13Trace, opts)
+	return figMultiplex("Fig. 13: multiplexing, very low power with dependent variance", fig13Income, opts)
 }
 
-// fig13Trace is the Fig. 13 income: a rainy day at very low power with
+// fig13Income is the Fig. 13 income: a rainy day at very low power with
 // dependent per-node variance.
-func fig13Trace(nodes int, seed int64) []*energytrace.Sampled {
+func fig13Income(nodes int, seed int64) []energytrace.Income {
 	cfg := energytrace.RainyDay()
 	cfg.Peak = 0.5
-	return energytrace.DependentSet(cfg, nodes, 0.3, rand.New(rand.NewSource(seed)))
+	return energytrace.DependentIncome(cfg, nodes, 0.3, perSlot, rand.New(rand.NewSource(seed)))
 }
 
 // HeadlineResult carries the paper's §1/§7 headline ratios.
@@ -375,7 +374,7 @@ type HeadlineResult struct {
 // baseline node count and ~8× at 3× multiplexing. It runs only the three
 // Fig. 13 points it reads: the VP reference, 100% and 300%.
 func Headline(opts Options) (*HeadlineResult, error) {
-	points, err := runMultiplex(fig13Trace, opts.withDefaults(), 0, 1, 3)
+	points, err := runMultiplex(fig13Income, opts.withDefaults(), 0, 1, 3)
 	if err != nil {
 		return nil, err
 	}

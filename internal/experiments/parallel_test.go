@@ -96,7 +96,7 @@ func telemetryBytes(t *testing.T, rec *telemetry.Recorder) []byte {
 // engine: every simulation-backed experiment, run serially and at two pool
 // widths, must produce byte-identical tables, deeply equal secondary
 // outputs, and byte-identical telemetry. Running this test under -race (CI
-// does) additionally puts the fan-out itself — shared traces, clone sets,
+// does) additionally puts the fan-out itself — shared income, clone sets,
 // and the per-point telemetry children — under the race detector.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	for _, h := range abHarnesses() {
@@ -132,12 +132,12 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSharedIncomeBuiltOnce counts trace synthesis: each Fig. 10/11
+// TestSharedIncomeBuiltOnce counts income synthesis: each Fig. 10/11
 // profile's set, shared by its three systems, and the Fig. 9 set, shared
 // by its three balancers, is built exactly once at every width, by
 // whichever of the points sharing it runs first.
 func TestSharedIncomeBuiltOnce(t *testing.T) {
-	profiles := map[string]func(profile, nodes int, seed int64) []*energytrace.Sampled{
+	profiles := map[string]func(profile, nodes int, seed int64) []energytrace.Income{
 		"fig10": forestProfile,
 		"fig11": bridgeProfile,
 	}
@@ -145,7 +145,7 @@ func TestSharedIncomeBuiltOnce(t *testing.T) {
 		opts := Options{Seed: 1, Rounds: 60, Parallel: w}
 		for name, gen := range profiles {
 			var built [6]atomic.Int64
-			counted := func(profile, nodes int, seed int64) []*energytrace.Sampled {
+			counted := func(profile, nodes int, seed int64) []energytrace.Income {
 				built[profile].Add(1)
 				return gen(profile, nodes, seed)
 			}
@@ -160,15 +160,15 @@ func TestSharedIncomeBuiltOnce(t *testing.T) {
 		}
 
 		var built atomic.Int64
-		counted := func(nodes int, seed int64) []*energytrace.Sampled {
+		counted := func(nodes int, seed int64) []energytrace.Income {
 			built.Add(1)
-			return fig9Traces(nodes, seed)
+			return fig9Income(nodes, seed)
 		}
 		if _, err := fig9(opts, counted); err != nil {
 			t.Fatalf("fig9, width %d: %v", w, err)
 		}
 		if n := built.Load(); n != 1 {
-			t.Errorf("fig9, width %d: trace set built %d times", w, n)
+			t.Errorf("fig9, width %d: income set built %d times", w, n)
 		}
 	}
 }

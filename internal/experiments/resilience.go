@@ -28,7 +28,7 @@ type ResilienceResult struct {
 func Resilience(opts Options) (*ResilienceResult, error) {
 	opts = opts.withDefaults()
 	physical := 2 * opts.Nodes
-	traces := forestProfile(1, physical, opts.Seed)
+	income := forestProfile(1, physical, opts.Seed)
 	// Dedicated partner clones (rather than the aerial-dispersion sets of
 	// Fig. 13): every logical node is guaranteed a failover survivor, the
 	// deployment shape the recovery layer is designed around.
@@ -36,7 +36,7 @@ func Resilience(opts Options) (*ResilienceResult, error) {
 	for i := range sets {
 		sets[i] = virt.LogicalNode{ID: i, Clones: []int{i, opts.Nodes + i}}
 	}
-	base := systemConfig(node.FIOSNVMote, sched.Distributed{}, traces, opts)
+	base := systemConfig(node.FIOSNVMote, sched.Distributed{}, income, opts)
 	base.CloneSets = sets
 	campaign := faults.ResilienceCampaign{
 		Base:        base,

@@ -15,14 +15,14 @@ import (
 // would have stopped.
 
 // sweepPoint is one independent simulation of a sweep. run must not touch
-// state shared with other points except read-only inputs (traces, clone
+// state shared with other points except read-only inputs (income sets, clone
 // sets), and it builds what it alone reads, such as its income, itself,
 // so that work runs on the worker too. run's recorder is the point's
 // private telemetry child (nil when telemetry is off).
 type sweepPoint struct {
 	// cost orders dispatch in a parallel sweep, largest first: the nodes
 	// the point simulates plus the nodes whose income it may synthesise.
-	// A trace set shared by several points is charged to the first of
+	// An income set shared by several points is charged to the first of
 	// them, which is then dispatched before the others.
 	cost int
 	run  func() (sim.Result, *telemetry.Recorder, error)

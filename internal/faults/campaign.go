@@ -114,14 +114,14 @@ func newSweep(name, anchor string, base sim.Config, intensities []float64) (swee
 		f.SensorStuck != nil || f.Link != nil || f.AbortBalance != nil {
 		return sweep{}, fmt.Errorf("faults: %s owns the fault hooks; Base.Faults must be empty", name)
 	}
-	if len(base.Traces) == 0 || base.Slot <= 0 {
-		return sweep{}, fmt.Errorf("faults: %s base config needs traces and a slot", name)
+	if len(base.Income) == 0 || base.Slot <= 0 {
+		return sweep{}, fmt.Errorf("faults: %s base config needs income and a slot", name)
 	}
 	rounds := base.Rounds
-	if maxRounds := int(base.Traces[0].Duration() / base.Slot); rounds == 0 || rounds > maxRounds {
+	if maxRounds := len(base.Income[0].Energy); rounds == 0 || rounds > maxRounds {
 		rounds = maxRounds
 	}
-	return sweep{intensities: intensities, nodes: len(base.Traces), rounds: rounds}, nil
+	return sweep{intensities: intensities, nodes: len(base.Income), rounds: rounds}, nil
 }
 
 // Run executes the sweep and checks every invariant, returning an error

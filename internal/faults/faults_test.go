@@ -14,15 +14,18 @@ import (
 	"neofog/internal/units"
 )
 
+// slot12 integrates income over the 12 s RTC slot every test config runs.
+var slot12 = energytrace.IncomeOpts{Slot: 12 * units.Second}
+
 func baseConfig(t *testing.T, rounds int, seed int64) sim.Config {
 	t.Helper()
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(0.7)
-	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(seed)))
+	income := energytrace.IndependentIncome(cfg, 10, 5*units.Minute, slot12, rand.New(rand.NewSource(seed)))
 	return sim.Config{
 		Node:     node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
-		Traces:   traces,
-		Slot:     12 * units.Second,
+		Income:   income,
+		Slot:     slot12.Slot,
 		Rounds:   rounds,
 		Balancer: sched.Distributed{},
 		Seed:     7,
@@ -305,7 +308,7 @@ func TestBalanceAbortFault(t *testing.T) {
 		cfg.Node.FogInstsPerByte = 500
 		sc := energytrace.RainyDay()
 		sc.Peak = 0.3 * units.Milliwatt
-		cfg.Traces = energytrace.DependentSet(sc, 10, 0.5, rand.New(rand.NewSource(5)))
+		cfg.Income = energytrace.DependentIncome(sc, 10, 0.5, slot12, rand.New(rand.NewSource(5)))
 		return cfg
 	}
 	clean := mk()

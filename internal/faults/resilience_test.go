@@ -17,10 +17,10 @@ import (
 func cloneBaseConfig(t *testing.T, rounds int, seed int64) sim.Config {
 	t.Helper()
 	cfg := baseConfig(t, rounds, seed)
-	n := len(cfg.Traces)
+	n := len(cfg.Income)
 	tc := energytrace.SunnyDay()
 	tc.Peak = units.Power(0.7)
-	cfg.Traces = energytrace.IndependentSet(tc, 2*n, 5*units.Minute, tc.DayLength(), rand.New(rand.NewSource(seed)))
+	cfg.Income = energytrace.IndependentIncome(tc, 2*n, 5*units.Minute, slot12, rand.New(rand.NewSource(seed)))
 	sets := make([]virt.LogicalNode, n)
 	for i := range sets {
 		sets[i] = virt.LogicalNode{ID: i, Clones: []int{i, n + i}}

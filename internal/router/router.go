@@ -402,10 +402,25 @@ func retryableStatus(code int) bool {
 	return false
 }
 
-func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+// readBody reads a POST body for routing and answers the 400 a shard
+// gives a body too large to read. It reads nothing from a request whose
+// Content-Type a shard refuses: the nil body routes to a shard, which
+// answers 415 before reading the body, as it does direct.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	if _, accepted := serve.NegotiateContentType(r); !accepted {
+		return nil, true
+	}
+	body, err := serve.ReadBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
+func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	// Compute the shard key exactly as a shard would: decode, normalize,
@@ -444,9 +459,8 @@ func (rt *Router) submitTo(w http.ResponseWriter, r *http.Request, rkey string, 
 // matrix streams from one shard and identical matrices land on the shard
 // already holding their cells.
 func (rt *Router) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	rkey := "invalid-request"

@@ -339,6 +339,50 @@ func TestRoutedMatchesDirect(t *testing.T) {
 		t.Fatalf("reject matrix %s: status %d, want 400", trailing, dCode)
 	}
 
+	// A body over the 1 MiB limit answers the same 400 direct and routed,
+	// whether the JSON value itself runs past the limit or a valid value
+	// is followed by more than 1 MiB of whitespace. A shard once answered
+	// the second shape "unexpected data after the JSON value", because
+	// its decoder met the size error where it looked for the end. Sent as
+	// text/plain, either shape gets the shard's 415 both ways: the router
+	// once read the body first and answered 400.
+	long := strings.Repeat("x", 1<<20)
+	pad := strings.Repeat(" ", 1<<20)
+	matrix := `{"systems":["neofog"],"weathers":["sunny"],"intensities":[0],"nodes":3,"rounds":5`
+	tooLarge := `{"error":"bad request body: http: request body too large"}`
+	for _, o := range []struct{ name, path, body string }{
+		{"job value", "/v1/jobs", `{"config":{"nodes":4,"rounds":5},"experiment":"` + long + `"}`},
+		{"job whitespace", "/v1/jobs", `{"config":{"nodes":4,"rounds":5}}` + pad},
+		{"matrix value", "/v1/experiments/matrix", matrix + `,"systems":["` + long + `"]}`},
+		{"matrix whitespace", "/v1/experiments/matrix", matrix + `}` + pad},
+	} {
+		for _, ct := range []string{"application/json", "text/plain"} {
+			send := func(baseURL string) (int, []byte) {
+				resp, err := http.Post(baseURL+o.path, ct, strings.NewReader(o.body))
+				if err != nil {
+					t.Fatalf("POST %s: %v", o.path, err)
+				}
+				defer resp.Body.Close()
+				raw, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatalf("read %s response: %v", o.path, err)
+				}
+				return resp.StatusCode, raw
+			}
+			name := "oversize " + o.name + " as " + ct
+			dCode, dRaw := send(dts.URL)
+			rCode, rRaw := send(c.ts.URL)
+			check(name, dCode, rCode, dRaw, rRaw)
+			wantCode, wantBody := http.StatusBadRequest, tooLarge
+			if ct != "application/json" {
+				wantCode, wantBody = http.StatusUnsupportedMediaType, `{"error":"unsupported Content-Type \"text/plain\" (want application/json)"}`
+			}
+			if dCode != wantCode || strings.TrimSpace(string(dRaw)) != wantBody {
+				t.Fatalf("%s: status %d, body %s; want %d, %s", name, dCode, dRaw, wantCode, wantBody)
+			}
+		}
+	}
+
 	// Unknown job IDs 404 identically.
 	dCode, _, dMiss := get(t, dts.URL, "/v1/jobs/j-0123456789abcdef")
 	rCode, _, rMiss := get(t, c.ts.URL, "/v1/jobs/j-0123456789abcdef")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -147,13 +148,13 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", strconv.FormatInt(ceilSeconds(d), 10))
 }
 
-// negotiateContentType reports whether the request's declared media
+// NegotiateContentType reports whether the request's declared media
 // type is application/json, returning the parsed type for error
 // messages. An absent Content-Type passes — the body decoder is the
 // arbiter then — but a declared type that names a different format is
-// rejected up front (415) instead of surfacing as a confusing late
-// decode error.
-func negotiateContentType(r *http.Request) (string, bool) {
+// rejected up front (415), before the body is read, instead of
+// surfacing as a confusing late decode error.
+func NegotiateContentType(r *http.Request) (string, bool) {
 	ct := r.Header.Get("Content-Type")
 	if ct == "" {
 		return "", true
@@ -182,13 +183,31 @@ func DecodeBody(r io.Reader, v any) error {
 	return nil
 }
 
+// ReadBody reads a whole POST body, refusing one over 1 MiB. The daemon
+// reads each body whole before decoding it, as the router does before
+// routing it, so an oversize body fails on its size alone and answers
+// the same 400 from either, whether the JSON value runs past the limit
+// or whitespace after it does.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+}
+
+// decodePost reads a whole POST body and decodes it strictly into v.
+func decodePost(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := ReadBody(w, r)
+	if err != nil {
+		return err
+	}
+	return DecodeBody(bytes.NewReader(body), v)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if mt, ok := negotiateContentType(r); !ok {
+	if mt, ok := NegotiateContentType(r); !ok {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
 	var req Request
-	if err := DecodeBody(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
+	if err := decodePost(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -82,14 +82,14 @@ func MatrixCells(m MatrixRequest) ([]Request, []string, string, error) {
 // an ndjson stream out — one MatrixHeader line, MatrixCell lines in
 // completion order, one MatrixDone line.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	if mt, ok := negotiateContentType(r); !ok {
+	if mt, ok := NegotiateContentType(r); !ok {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
 	s.metrics.matrixRequests.Add(1)
 
 	var m MatrixRequest
-	if err := DecodeBody(http.MaxBytesReader(w, r.Body, 1<<20), &m); err != nil {
+	if err := decodePost(w, r, &m); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

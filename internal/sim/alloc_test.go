@@ -16,10 +16,10 @@ import (
 func allocConfig(rounds int) Config {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(0.8)
-	traces := energytrace.IndependentSet(cfg, 10, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(3)))
+	income := energytrace.IndependentIncome(cfg, 10, 5*units.Minute, energytrace.IncomeOpts{Slot: 12 * units.Second}, rand.New(rand.NewSource(3)))
 	return Config{
 		Node:     node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
-		Traces:   traces,
+		Income:   income,
 		Slot:     12 * units.Second,
 		Rounds:   rounds,
 		Balancer: sched.Distributed{},

@@ -14,12 +14,12 @@ import (
 func benchRun(b *testing.B, kind node.SystemKind, bal sched.Balancer, nodes int) {
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = 0.7
-	traces := energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(1)))
+	income := energytrace.IndependentIncome(cfg, nodes, 5*units.Minute, energytrace.IncomeOpts{Slot: 12 * units.Second}, rand.New(rand.NewSource(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := Run(Config{
 			Node:     node.DefaultConfig(kind, apps.BridgeHealth()),
-			Traces:   traces,
+			Income:   income,
 			Slot:     12 * units.Second,
 			Rounds:   300,
 			Balancer: bal,
@@ -50,14 +50,14 @@ func BenchmarkRunThousandNodes(b *testing.B) {
 func BenchmarkRunResumable(b *testing.B) {
 	cfg := energytrace.RainyDay()
 	cfg.Peak = 0.35
-	traces := energytrace.DependentSet(cfg, 10, 0.3, rand.New(rand.NewSource(5)))
+	income := energytrace.DependentIncome(cfg, 10, 0.3, energytrace.IncomeOpts{Slot: 12 * units.Second}, rand.New(rand.NewSource(5)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nc := node.DefaultConfig(node.NOSNVP, apps.BridgeHealth())
 		nc.Resumable = true
 		r, err := Run(Config{
 			Node:     nc,
-			Traces:   traces,
+			Income:   income,
 			Slot:     12 * units.Second,
 			Rounds:   300,
 			Balancer: sched.BaselineTree{},

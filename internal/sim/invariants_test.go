@@ -30,12 +30,13 @@ func randomConfig(seed int64) Config {
 
 	tc := energytrace.SunnyDay()
 	tc.Peak = units.Power(0.3 + rng.Float64()*1.2)
-	traces := energytrace.IndependentSet(tc, nodes, 5*units.Minute, tc.DayLength(), rng)
+	slot := energytrace.IncomeOpts{Slot: 12 * units.Second}
+	income := energytrace.IndependentIncome(tc, nodes, 5*units.Minute, slot, rng)
 
 	cfg := Config{
 		Node:     node.DefaultConfig(kinds[rng.Intn(len(kinds))], apps.BridgeHealth()),
-		Traces:   traces,
-		Slot:     12 * units.Second,
+		Income:   income,
+		Slot:     slot.Slot,
 		Rounds:   rounds,
 		Balancer: balancers[rng.Intn(len(balancers))],
 		Seed:     rng.Int63(),
@@ -55,7 +56,7 @@ func randomConfig(seed int64) Config {
 	if rng.Intn(2) == 0 {
 		cfg.Recovery = true
 		if rng.Intn(3) == 0 {
-			cfg.Traces = energytrace.IndependentSet(tc, 2*nodes, 5*units.Minute, tc.DayLength(), rng)
+			cfg.Income = energytrace.IndependentIncome(tc, 2*nodes, 5*units.Minute, slot, rng)
 			sets := make([]virt.LogicalNode, nodes)
 			for i := range sets {
 				sets[i] = virt.LogicalNode{ID: i, Clones: []int{i, nodes + i}}

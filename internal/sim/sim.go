@@ -1,5 +1,5 @@
 // Package sim is the WSN system-level simulator (§4): it steps thousands
-// of node models through RTC-slotted rounds under per-node power traces,
+// of node models through RTC-slotted rounds under per-node slot income,
 // runs the configured load balancer each round, and mimics communication
 // the way the paper's framework does — direct data transmission between
 // virtual buffers under a per-packet success probability, with orphan-scan
@@ -54,13 +54,14 @@ const (
 type Config struct {
 	// Node is the per-node template (kind, application, cap sizing).
 	Node node.Config
-	// Traces supplies one income trace per physical node; its length also
-	// sets the node count.
-	Traces []*energytrace.Sampled
+	// Income supplies one per-slot income per physical node, integrated
+	// over Slot; its length also sets the node count. A run only reads
+	// it, so runs may share one set.
+	Income []energytrace.Income
 	// Slot is the RTC wake interval.
 	Slot units.Duration
-	// Rounds is how many RTC slots to simulate (0 = as many as the traces
-	// cover).
+	// Rounds is how many RTC slots to simulate (0 = as many as the first
+	// node's income covers).
 	Rounds int
 	// Balancer is the load-balancing policy (nil = no balancing).
 	Balancer sched.Balancer
@@ -205,15 +206,20 @@ func (r Result) Conserved() bool {
 
 // Run executes the simulation.
 func Run(cfg Config) (Result, error) {
-	n := len(cfg.Traces)
+	n := len(cfg.Income)
 	if n == 0 {
 		return Result{}, fmt.Errorf("sim: no traces")
 	}
 	if cfg.Slot <= 0 {
 		return Result{}, fmt.Errorf("sim: non-positive slot")
 	}
+	for i, in := range cfg.Income {
+		if in.Slot != cfg.Slot {
+			return Result{}, fmt.Errorf("sim: node %d's income is integrated over %v slots, the run's slot is %v", i, in.Slot, cfg.Slot)
+		}
+	}
 	rounds := cfg.Rounds
-	if maxRounds := int(cfg.Traces[0].Duration() / cfg.Slot); rounds == 0 || rounds > maxRounds {
+	if maxRounds := len(cfg.Income[0].Energy); rounds == 0 || rounds > maxRounds {
 		rounds = maxRounds
 	}
 	if rounds == 0 {
@@ -378,7 +384,7 @@ func Run(cfg Config) (Result, error) {
 		// end so the FIOS direct channel and the charge path share (rather
 		// than double-count) the same harvest.
 		for i, nd := range nodes {
-			income := meanPower(cfg.Traces[i], t0, cfg.Slot)
+			income := meanPower(cfg.Income[i], round)
 			if cfg.Faults.Blackout != nil && cfg.Faults.Blackout(i, round) {
 				income = 0
 			}
@@ -882,9 +888,11 @@ func recordEnergy(res *Result, record []int, nodes []*node.Node) {
 	}
 }
 
-// meanPower integrates the trace over [t0, t0+slot) and converts to mean
-// power.
-func meanPower(tr *energytrace.Sampled, t0, slot units.Duration) units.Power {
-	e := energytrace.Integrate(tr, t0, t0+slot, tr.Step)
-	return units.Power(float64(e) / float64(slot))
+// meanPower is the node's mean income power over the round's slot, zero
+// past the end of its income.
+func meanPower(in energytrace.Income, round int) units.Power {
+	if round >= len(in.Energy) {
+		return 0
+	}
+	return units.Power(float64(in.Energy[round]) / float64(in.Slot))
 }

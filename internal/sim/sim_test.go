@@ -15,19 +15,38 @@ import (
 	"neofog/internal/virt"
 )
 
-func forestTraces(t *testing.T, nodes int, peak float64, seed int64) []*energytrace.Sampled {
+// slot12 integrates income over the paper's 12 s RTC slot, the slot
+// run simulates.
+var slot12 = energytrace.IncomeOpts{Slot: 12 * units.Second}
+
+func forestIncome(t *testing.T, nodes int, peak float64, seed int64) []energytrace.Income {
 	t.Helper()
 	cfg := energytrace.SunnyDay()
 	cfg.Peak = units.Power(peak)
-	return energytrace.IndependentSet(cfg, nodes, 5*units.Minute, cfg.DayLength(), rand.New(rand.NewSource(seed)))
+	return energytrace.IndependentIncome(cfg, nodes, 5*units.Minute, slot12, rand.New(rand.NewSource(seed)))
 }
 
-func run(t *testing.T, kind node.SystemKind, bal sched.Balancer, traces []*energytrace.Sampled, mut func(*Config)) Result {
+// incomeOf integrates per-sample traces one slot at a time, over the
+// whole slots each covers: the income of a hand-built trace.
+func incomeOf(slot units.Duration, traces ...*energytrace.Sampled) []energytrace.Income {
+	out := make([]energytrace.Income, len(traces))
+	for i, tr := range traces {
+		e := make([]units.Energy, int(tr.Duration()/slot))
+		for k := range e {
+			from := slot * units.Duration(k)
+			e[k] = energytrace.Integrate(tr, from, from+slot, tr.Step)
+		}
+		out[i] = energytrace.Income{Slot: slot, Energy: e}
+	}
+	return out
+}
+
+func run(t *testing.T, kind node.SystemKind, bal sched.Balancer, income []energytrace.Income, mut func(*Config)) Result {
 	t.Helper()
 	cfg := Config{
 		Node:     node.DefaultConfig(kind, apps.BridgeHealth()),
-		Traces:   traces,
-		Slot:     12 * units.Second,
+		Income:   income,
+		Slot:     slot12.Slot,
 		Balancer: bal,
 		Seed:     7,
 	}
@@ -43,21 +62,29 @@ func run(t *testing.T, kind node.SystemKind, bal sched.Balancer, traces []*energ
 
 func TestRunErrors(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
-		t.Fatal("no traces should error")
+		t.Fatal("no income should error")
 	}
-	tr := energytrace.NewSampled(units.Second, 5)
-	if _, err := Run(Config{Traces: []*energytrace.Sampled{tr}}); err == nil {
+	short := incomeOf(units.Minute, energytrace.NewSampled(units.Second, 5))
+	if _, err := Run(Config{Income: short}); err == nil {
 		t.Fatal("zero slot should error")
 	}
-	if _, err := Run(Config{Traces: []*energytrace.Sampled{tr}, Slot: units.Minute}); err == nil {
+	if _, err := Run(Config{Income: short, Slot: units.Minute}); err == nil {
 		t.Fatal("trace shorter than slot should error")
+	}
+	day := forestIncome(t, 2, 0.8, 1)
+	if _, err := Run(Config{Income: day, Slot: 6 * units.Second}); err == nil {
+		t.Fatal("income integrated over another slot should error")
+	}
+	day[1].Slot = 6 * units.Second
+	if _, err := Run(Config{Income: day, Slot: 12 * units.Second}); err == nil {
+		t.Fatal("a node's income integrated over another slot should error")
 	}
 }
 
 func TestRunDeterminism(t *testing.T) {
-	traces := forestTraces(t, 5, 0.8, 3)
-	a := run(t, node.FIOSNVMote, sched.Distributed{}, traces, nil)
-	b := run(t, node.FIOSNVMote, sched.Distributed{}, traces, nil)
+	income := forestIncome(t, 5, 0.8, 3)
+	a := run(t, node.FIOSNVMote, sched.Distributed{}, income, nil)
+	b := run(t, node.FIOSNVMote, sched.Distributed{}, income, nil)
 	if a.TotalProcessed() != b.TotalProcessed() || a.Wakeups != b.Wakeups || a.Moves != b.Moves {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
@@ -66,10 +93,10 @@ func TestRunDeterminism(t *testing.T) {
 // The Fig. 10 ordering: NEOFog > baseline NVP > VP in total packets; VP
 // does zero fog processing; NV systems are fog-dominated.
 func TestSystemOrdering(t *testing.T) {
-	traces := forestTraces(t, 10, 0.6, 42)
-	vp := run(t, node.NOSVP, sched.NoBalance{}, traces, nil)
-	nvp := run(t, node.NOSNVP, sched.BaselineTree{}, traces, nil)
-	neo := run(t, node.FIOSNVMote, sched.Distributed{}, traces, nil)
+	income := forestIncome(t, 10, 0.6, 42)
+	vp := run(t, node.NOSVP, sched.NoBalance{}, income, nil)
+	nvp := run(t, node.NOSNVP, sched.BaselineTree{}, income, nil)
+	neo := run(t, node.FIOSNVMote, sched.Distributed{}, income, nil)
 
 	if vp.FogProcessed != 0 {
 		t.Fatalf("VP fog = %d, want 0 (heavyweight kernel is infeasible)", vp.FogProcessed)
@@ -100,8 +127,8 @@ func TestSystemOrdering(t *testing.T) {
 
 // More income means more packets, for every system.
 func TestMonotoneInIncome(t *testing.T) {
-	lo := forestTraces(t, 8, 0.5, 9)
-	hi := forestTraces(t, 8, 1.5, 9)
+	lo := forestIncome(t, 8, 0.5, 9)
+	hi := forestIncome(t, 8, 1.5, 9)
 	for _, kind := range []node.SystemKind{node.NOSVP, node.NOSNVP, node.FIOSNVMote} {
 		rl := run(t, kind, sched.Distributed{}, lo, nil)
 		rh := run(t, kind, sched.Distributed{}, hi, nil)
@@ -115,8 +142,8 @@ func TestMonotoneInIncome(t *testing.T) {
 // Packet conservation: everything sampled is processed, queued, lost in
 // flight as a result/raw packet, or dropped.
 func TestPacketAccounting(t *testing.T) {
-	traces := forestTraces(t, 10, 0.7, 11)
-	r := run(t, node.FIOSNVMote, sched.Distributed{}, traces, nil)
+	income := forestIncome(t, 10, 0.7, 11)
+	r := run(t, node.FIOSNVMote, sched.Distributed{}, income, nil)
 	var samples int
 	for _, s := range r.PerNode {
 		samples += s.Samples
@@ -133,8 +160,8 @@ func TestPacketAccounting(t *testing.T) {
 }
 
 func TestEnergySeriesRecorded(t *testing.T) {
-	traces := forestTraces(t, 4, 0.8, 13)
-	r := run(t, node.NOSNVP, sched.BaselineTree{}, traces, func(c *Config) {
+	income := forestIncome(t, 4, 0.8, 13)
+	r := run(t, node.NOSNVP, sched.BaselineTree{}, income, func(c *Config) {
 		c.RecordEnergy = []int{0, 2}
 	})
 	if len(r.EnergySeries) != 2 {
@@ -160,13 +187,13 @@ func TestVirtualizationLifsLowIncomeQoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 
 	// Baseline: 10 physical = 10 logical nodes.
-	base := energytrace.DependentSet(cfg, anchors, 0.3, rng)
+	base := energytrace.DependentIncome(cfg, anchors, 0.3, slot12, rng)
 	r1 := run(t, node.FIOSNVMote, sched.Distributed{}, base, func(c *Config) {
 		c.Node.FogInstsPerByte = 500 // the lighter mountain-monitoring kernel
 	})
 
 	// 3× multiplexing: 30 physical nodes, 10 logical.
-	tri := energytrace.DependentSet(cfg, anchors*3, 0.3, rng)
+	tri := energytrace.DependentIncome(cfg, anchors*3, 0.3, slot12, rng)
 	positions := mesh.LineDeployment(anchors, 90)
 	for i := 0; i < anchors*2; i++ {
 		positions = append(positions, mesh.Position{X: float64(i%anchors) * 10, Y: 1})
@@ -193,10 +220,10 @@ func TestVirtualizationLifsLowIncomeQoS(t *testing.T) {
 // The VP can fog-process when the kernel is light enough (the Fig. 12/13
 // mountain scenario) — but far less than an NV-mote.
 func TestVPFogOnLightKernel(t *testing.T) {
-	traces := forestTraces(t, 10, 0.5, 17)
+	income := forestIncome(t, 10, 0.5, 17)
 	light := func(c *Config) { c.Node.FogInstsPerByte = 500 }
-	vp := run(t, node.NOSVP, sched.NoBalance{}, traces, light)
-	neo := run(t, node.FIOSNVMote, sched.Distributed{}, traces, light)
+	vp := run(t, node.NOSVP, sched.NoBalance{}, income, light)
+	neo := run(t, node.FIOSNVMote, sched.Distributed{}, income, light)
 	if vp.FogProcessed == 0 {
 		t.Fatal("VP should fog-process the light kernel")
 	}
@@ -209,8 +236,8 @@ func TestVPFogOnLightKernel(t *testing.T) {
 
 // Rejoins happen when relays die and recover.
 func TestRejoinsUnderScarcity(t *testing.T) {
-	traces := forestTraces(t, 10, 0.35, 23)
-	r := run(t, node.NOSNVP, sched.BaselineTree{}, traces, nil)
+	income := forestIncome(t, 10, 0.35, 23)
+	r := run(t, node.NOSNVP, sched.BaselineTree{}, income, nil)
 	if r.Rejoins == 0 {
 		t.Fatal("scarce income should produce orphan-scan rejoins")
 	}
@@ -221,10 +248,10 @@ func TestRejoinsUnderScarcity(t *testing.T) {
 func TestResumableLiftsStarvedFog(t *testing.T) {
 	cfg := energytrace.RainyDay()
 	cfg.Peak = 0.35
-	traces := energytrace.DependentSet(cfg, 10, 0.3, rand.New(rand.NewSource(5)))
+	income := energytrace.DependentIncome(cfg, 10, 0.3, slot12, rand.New(rand.NewSource(5)))
 
-	plain := run(t, node.NOSNVP, sched.BaselineTree{}, traces, nil)
-	resumable := run(t, node.NOSNVP, sched.BaselineTree{}, traces, func(c *Config) {
+	plain := run(t, node.NOSNVP, sched.BaselineTree{}, income, nil)
+	resumable := run(t, node.NOSNVP, sched.BaselineTree{}, income, func(c *Config) {
 		c.Node.Resumable = true
 	})
 	if resumable.FogProcessed <= plain.FogProcessed {
@@ -237,9 +264,9 @@ func TestResumableLiftsStarvedFog(t *testing.T) {
 }
 
 func TestJournal(t *testing.T) {
-	traces := forestTraces(t, 4, 0.8, 31)
+	income := forestIncome(t, 4, 0.8, 31)
 	var buf bytes.Buffer
-	r := run(t, node.FIOSNVMote, sched.Distributed{}, traces, func(c *Config) {
+	r := run(t, node.FIOSNVMote, sched.Distributed{}, income, func(c *Config) {
 		c.Rounds = 20
 		c.Journal = &buf
 	})
@@ -288,11 +315,8 @@ func TestBlackoutDesyncAndRecovery(t *testing.T) {
 				tr.Samples[i] = 0.6
 			}
 		}
-		traces := make([]*energytrace.Sampled, 6)
-		for i := range traces {
-			traces[i] = tr
-		}
-		return run(t, node.NOSNVP, sched.BaselineTree{}, traces, func(c *Config) {
+		income := incomeOf(slot12.Slot, tr, tr, tr, tr, tr, tr)
+		return run(t, node.NOSNVP, sched.BaselineTree{}, income, func(c *Config) {
 			c.Node.RTCCapCapacity = 2000 // 2 µJ: dies within the blackout hour
 			c.Node.RTCDraw = 0.001
 			c.Node.WakeupRadio = wakeup
@@ -325,8 +349,8 @@ func TestBlackoutDesyncAndRecovery(t *testing.T) {
 // a starved NVP deployment ends with every buffer full and drops the
 // rest.
 func TestMaxBacklogKnob(t *testing.T) {
-	traces := forestTraces(t, 8, 0.35, 43)
-	r := run(t, node.NOSNVP, sched.BaselineTree{}, traces, nil)
+	income := forestIncome(t, 8, 0.35, 43)
+	r := run(t, node.NOSNVP, sched.BaselineTree{}, income, nil)
 	perNode := apps.BufferSize / node.DefaultConfig(node.NOSNVP, apps.BridgeHealth()).PacketBytes
 	if r.QueuedEnd != 8*perNode {
 		t.Fatalf("queued at the end = %d, want 8 full NVBuffers of %d packets", r.QueuedEnd, perNode)
@@ -344,14 +368,14 @@ func TestMaxBacklogKnob(t *testing.T) {
 // responsible clone is starved simply misses its slot; others are
 // unaffected.
 func TestCloneSetStarvedPhase(t *testing.T) {
-	traces := forestTraces(t, 4, 0.8, 47)
-	// Physical node 2 (the second clone of logical 0) gets a dead trace.
-	traces[2] = energytrace.NewSampled(units.Second, len(traces[2].Samples))
+	income := forestIncome(t, 4, 0.8, 47)
+	// Physical node 2 (the second clone of logical 0) gets no income.
+	income[2].Energy = make([]units.Energy, len(income[2].Energy))
 	sets := []virt.LogicalNode{
 		{ID: 0, Clones: []int{0, 2}},
 		{ID: 1, Clones: []int{1, 3}},
 	}
-	r := run(t, node.FIOSNVMote, sched.Distributed{}, traces, func(c *Config) {
+	r := run(t, node.FIOSNVMote, sched.Distributed{}, income, func(c *Config) {
 		c.CloneSets = sets
 		c.Rounds = 200
 	})
@@ -374,9 +398,9 @@ func TestCloneSetStarvedPhase(t *testing.T) {
 // Rain degrades the link exactly when it matters: runs with a rain window
 // lose more packets in flight than clear-weather runs.
 func TestWeatherLinkLoss(t *testing.T) {
-	traces := forestTraces(t, 8, 0.9, 51)
-	clear := run(t, node.FIOSNVMote, sched.Distributed{}, traces, nil)
-	rainy := run(t, node.FIOSNVMote, sched.Distributed{}, traces, func(c *Config) {
+	income := forestIncome(t, 8, 0.9, 51)
+	clear := run(t, node.FIOSNVMote, sched.Distributed{}, income, nil)
+	rainy := run(t, node.FIOSNVMote, sched.Distributed{}, income, func(c *Config) {
 		c.Faults.Link = func(round int) (mesh.LinkModel, bool) {
 			return mesh.LinkModel{SuccessRate: 0.80}, round >= 300 && round < 900
 		}
@@ -391,8 +415,8 @@ func TestWeatherLinkLoss(t *testing.T) {
 // that keeps crashing strands raw packets mid-route, and every such loss
 // must show up in both counters without breaking conservation.
 func TestOrphanLostFeedsLostRaw(t *testing.T) {
-	traces := forestTraces(t, 8, 0.9, 53)
-	r := run(t, node.FIOSNVMote, sched.Distributed{}, traces, func(c *Config) {
+	income := forestIncome(t, 8, 0.9, 53)
+	r := run(t, node.FIOSNVMote, sched.Distributed{}, income, func(c *Config) {
 		c.Faults.NodeDown = func(phys, round int) bool {
 			return (phys == 3 || phys == 4) && round%2 == 0
 		}
@@ -411,8 +435,8 @@ func TestOrphanLostFeedsLostRaw(t *testing.T) {
 // With the recovery layer off, every recovery counter stays zero — the
 // self-healing path must be completely inert by default.
 func TestRecoveryCountersZeroWhenDisabled(t *testing.T) {
-	traces := forestTraces(t, 8, 0.8, 57)
-	r := run(t, node.FIOSNVMote, sched.Distributed{}, traces, func(c *Config) {
+	income := forestIncome(t, 8, 0.8, 57)
+	r := run(t, node.FIOSNVMote, sched.Distributed{}, income, func(c *Config) {
 		c.Faults.NodeDown = func(phys, round int) bool { return phys == 3 && round%3 == 0 }
 		c.Faults.AbortBalance = func(round int) bool { return round%5 == 0 }
 	})
@@ -426,15 +450,15 @@ func TestRecoveryCountersZeroWhenDisabled(t *testing.T) {
 // chain sends enough raw packets (real-time requests and task transfers)
 // at the production request rate for the recovered deliveries to show.
 func TestRecoveryARQOnLossyLink(t *testing.T) {
-	traces := forestTraces(t, 8, 0.9, 59)
+	income := forestIncome(t, 8, 0.9, 59)
 	mut := func(on bool) func(*Config) {
 		return func(c *Config) {
 			c.Faults.Link = func(int) (mesh.LinkModel, bool) { return mesh.LinkModel{SuccessRate: 0.7}, true }
 			c.Recovery = on
 		}
 	}
-	off := run(t, node.NOSNVP, sched.Distributed{}, traces, mut(false))
-	on := run(t, node.NOSNVP, sched.Distributed{}, traces, mut(true))
+	off := run(t, node.NOSNVP, sched.Distributed{}, income, mut(false))
+	on := run(t, node.NOSNVP, sched.Distributed{}, income, mut(true))
 	if on.Retransmits == 0 {
 		t.Fatal("a 30%-loss link should trigger retransmissions")
 	}
@@ -457,7 +481,7 @@ func TestRecoveryARQOnLossyLink(t *testing.T) {
 // the surviving clone absorbs the dead phase offsets and the logical node
 // keeps sampling.
 func TestRecoveryCloneFailover(t *testing.T) {
-	traces := forestTraces(t, 4, 0.9, 61)
+	income := forestIncome(t, 4, 0.9, 61)
 	sets := []virt.LogicalNode{
 		{ID: 0, Clones: []int{0, 2}},
 		{ID: 1, Clones: []int{1, 3}},
@@ -471,8 +495,8 @@ func TestRecoveryCloneFailover(t *testing.T) {
 			c.Recovery = on
 		}
 	}
-	off := run(t, node.FIOSNVMote, sched.Distributed{}, traces, mut(false))
-	on := run(t, node.FIOSNVMote, sched.Distributed{}, traces, mut(true))
+	off := run(t, node.FIOSNVMote, sched.Distributed{}, income, mut(false))
+	on := run(t, node.FIOSNVMote, sched.Distributed{}, income, mut(true))
 	if on.FailoverSlots == 0 {
 		t.Fatal("the surviving clone should absorb the dead owner's slots")
 	}
@@ -491,15 +515,15 @@ func TestRecoveryCloneFailover(t *testing.T) {
 // the round back to the local-only plan and retries next round, without
 // breaking conservation.
 func TestRecoveryBalanceRetry(t *testing.T) {
-	traces := forestTraces(t, 8, 0.6, 63)
+	income := forestIncome(t, 8, 0.6, 63)
 	mut := func(on bool) func(*Config) {
 		return func(c *Config) {
 			c.Faults.AbortBalance = func(round int) bool { return true }
 			c.Recovery = on
 		}
 	}
-	off := run(t, node.FIOSNVMote, sched.NoBalance{}, traces, mut(false))
-	on := run(t, node.FIOSNVMote, sched.NoBalance{}, traces, mut(true))
+	off := run(t, node.FIOSNVMote, sched.NoBalance{}, income, mut(false))
+	on := run(t, node.FIOSNVMote, sched.NoBalance{}, income, mut(true))
 	if on.BalanceRetries == 0 {
 		t.Fatal("aborted rounds should schedule balance retries")
 	}

@@ -92,14 +92,14 @@ func TestTelemetryDeterministicExports(t *testing.T) {
 func bridgeTelemetryConfig() Config {
 	rng := rand.New(rand.NewSource(7))
 	const logical = 3
-	traces := energytrace.DependentSet(energytrace.SunnyDay(), 2*logical, 0.3, rng)
+	income := energytrace.DependentIncome(energytrace.SunnyDay(), 2*logical, 0.3, energytrace.IncomeOpts{Slot: 12 * units.Second}, rng)
 	sets := make([]virt.LogicalNode, logical)
 	for i := range sets {
 		sets[i] = virt.LogicalNode{ID: i, Clones: []int{i, logical + i}}
 	}
 	return Config{
 		Node:      node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
-		Traces:    traces,
+		Income:    income,
 		CloneSets: sets,
 		Slot:      12 * units.Second,
 		Rounds:    48,

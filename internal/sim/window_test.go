@@ -18,15 +18,19 @@ import (
 
 // TestRunReadsOnlyItsWindow pins the property the facade relies on when
 // it synthesises only the income a run reads: a run of R rounds at slot S
-// reads no sample past the first ⌈R·S/Step⌉, so traces cut there give a
-// DeepEqual Result and the same journal bytes as the whole day. Slots
-// cover whole, fractional and sub-step lengths, and runs go with and
-// without clone sets and recovery.
+// reads no slot past the R-th, so income synthesised over a span of R·S
+// (R slots, from the first ⌈R·S/Step⌉ samples of each node's day) gives
+// a DeepEqual Result and the same journal bytes as the whole day's.
+// Slots cover whole, fractional and sub-step lengths, and runs go with
+// and without clone sets and recovery.
 func TestRunReadsOnlyItsWindow(t *testing.T) {
 	const anchors = 4
 	tc := energytrace.SunnyDay()
 	tc.Peak = 0.7
-	day := energytrace.IndependentSet(tc, 2*anchors, 5*units.Minute, tc.DayLength(), rand.New(rand.NewSource(9)))
+	synth := func(slot, span units.Duration) []energytrace.Income {
+		opts := energytrace.IncomeOpts{Slot: slot, Span: span}
+		return energytrace.IndependentIncome(tc, 2*anchors, 5*units.Minute, opts, rand.New(rand.NewSource(9)))
+	}
 	positions := mesh.LineDeployment(anchors, 90)
 	for i := 0; i < anchors; i++ {
 		positions = append(positions, mesh.Position{X: 15 + 20*float64(i), Y: 2})
@@ -36,12 +40,12 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(traces []*energytrace.Sampled, slot units.Duration, rounds int, multiplexed bool) (Result, []byte) {
+	run := func(income []energytrace.Income, slot units.Duration, rounds int, multiplexed bool) (Result, []byte) {
 		t.Helper()
 		var journal bytes.Buffer
 		cfg := Config{
 			Node:         node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
-			Traces:       traces[:anchors],
+			Income:       income[:anchors],
 			Slot:         slot,
 			Rounds:       rounds,
 			Balancer:     sched.Distributed{},
@@ -50,7 +54,7 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 			Seed:         5,
 		}
 		if multiplexed {
-			cfg.Traces, cfg.CloneSets = traces, sets
+			cfg.Income, cfg.CloneSets = income, sets
 			cfg.Recovery = true
 		}
 		r, err := Run(cfg)
@@ -62,11 +66,11 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 
 	for _, slot := range []units.Duration{12 * units.Second, 7500 * units.Millisecond, 400 * units.Millisecond, 61 * units.Second} {
 		perDay := int(tc.DayLength() / slot)
+		day := synth(slot, 0)
 		for _, rounds := range []int{1, 30, perDay - 1, perDay} {
-			keep := int((units.Duration(rounds)*slot + tc.Step - 1) / tc.Step)
-			cut := make([]*energytrace.Sampled, len(day))
-			for i, tr := range day {
-				cut[i] = &energytrace.Sampled{Step: tr.Step, Samples: tr.Samples[:keep]}
+			cut := synth(slot, units.Duration(rounds)*slot)
+			if len(cut[0].Energy) != rounds {
+				t.Fatalf("slot %v rounds %d: income over the span holds %d slots", slot, rounds, len(cut[0].Energy))
 			}
 			for _, multiplexed := range []bool{false, true} {
 				name := fmt.Sprintf("slot %v rounds %d clones and recovery %v", slot, rounds, multiplexed)
@@ -76,10 +80,10 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 					t.Fatalf("%s: whole-day run made %d rounds", name, want.Rounds)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: result over %d samples differs from the whole day:\n got %+v\nwant %+v", name, keep, got, want)
+					t.Errorf("%s: result over %d slots differs from the whole day:\n got %+v\nwant %+v", name, rounds, got, want)
 				}
 				if !bytes.Equal(wantJournal, gotJournal) {
-					t.Errorf("%s: journal over %d samples differs from the whole day", name, keep)
+					t.Errorf("%s: journal over %d slots differs from the whole day", name, rounds)
 				}
 			}
 		}
