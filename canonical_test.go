@@ -73,7 +73,8 @@ func TestCanonicalIgnoresObservers(t *testing.T) {
 // TestCanonicalRejectsInvalid checks that a config NormalizeConfig
 // refuses is refused by Simulate too, with the same error, including the
 // configs with several faults, whose first fault in the resolver's check
-// order is the one reported.
+// order is the one reported, and that configs at the edge of a bound
+// are admitted.
 func TestCanonicalRejectsInvalid(t *testing.T) {
 	for _, cfg := range []SimulationConfig{
 		{System: "quantum"},
@@ -97,6 +98,11 @@ func TestCanonicalRejectsInvalid(t *testing.T) {
 		{System: "quantum", Nodes: -1},
 		{Weather: "hail", FogInstsPerByte: -1},
 		{SolarPeakMilliwatts: -1, SlotSeconds: math.NaN(), Rounds: -1},
+		{SlotSeconds: 1e-6},                       // a 1 µs slot reads 1.8e10 slots of the day per node
+		{SlotSeconds: 0.001, Rounds: 1 << 40},     // rounds past the day read the day's 1.8e7 slots
+		{Nodes: 8192, Rounds: 1025},               // one slot past the income cap
+		{Nodes: 4097, Multiplexing: 2, Rounds: 1}, // one node pair past the physical-node cap
+		{Nodes: 1 << 40, Multiplexing: 1 << 40},   // whose product overflows int64
 	} {
 		_, err := ConfigHash(cfg)
 		if err == nil {
@@ -107,9 +113,16 @@ func TestCanonicalRejectsInvalid(t *testing.T) {
 			t.Errorf("%+v: NormalizeConfig says %q, Simulate %v", cfg, err, serr)
 		}
 	}
-	// A slot just under the int64 limit of microseconds is still a slot.
-	if _, err := NormalizeConfig(SimulationConfig{SlotSeconds: 9e12}); err != nil {
-		t.Errorf("slot 9e12 s refused: %v", err)
+	for _, cfg := range []SimulationConfig{
+		{SlotSeconds: 9e12},                       // a slot just under the int64 limit of microseconds
+		{SlotSeconds: 1e-6, Rounds: 30},           // a 1 µs slot read for 30 rounds
+		{Rounds: math.MaxInt},                     // rounds past the day read the day's 1500 slots
+		{Nodes: 8192, Rounds: 1024},               // income at its cap
+		{Nodes: 4096, Multiplexing: 2, Rounds: 1}, // physical nodes at their cap
+	} {
+		if _, err := NormalizeConfig(cfg); err != nil {
+			t.Errorf("%+v refused: %v", cfg, err)
+		}
 	}
 }
 

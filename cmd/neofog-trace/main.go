@@ -75,7 +75,7 @@ func main() {
 	} else if *corr {
 		traces = energytrace.DependentSet(cfg, *nodes, 0.3, rng)
 	} else {
-		traces = energytrace.IndependentSet(cfg, *nodes, 5*units.Minute, cfg.DayLength(), rng)
+		traces = energytrace.IndependentSet(cfg, *nodes, 5*units.Minute, rng)
 	}
 
 	for i, tr := range traces {

@@ -389,6 +389,9 @@ func TestRequestValidation(t *testing.T) {
 		{`{"config":{"fog_insts_per_byte":10000000000000000}}`, "overflows the instruction count"},
 		{`{"config":{"solar_peak_mw":-1}}`, "solar peak -1 mW"},
 		{`{"config":{"slot_seconds":1e13}}`, "slot 1e+13 s is out of range"},
+		{`{"config":{"slot_seconds":0.000001}}`, "income of 10 physical nodes over 18000000000 slots of 1µs is 1440000000000 B, over the 67108864 B cap"},
+		{`{"config":{"slot_seconds":0.001,"rounds":1000000000000}}`, "over 18000000 slots of 1ms"},
+		{`{"config":{"nodes":1000000}}`, "nodes 1000000 × multiplexing 1 is over the 8192 physical-node cap"},
 		{`{"config":{"nodez":4}}`, `unknown field \"nodez\"`},
 		{`{"kinds":"simulate"}`, `unknown field \"kinds\"`},
 		{`{"config":{"SlotSeconds":8}}`, `unknown field \"SlotSeconds\"`}, // the Go names of multi-word keys
