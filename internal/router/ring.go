@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -18,6 +19,7 @@ import (
 // through topology changes.
 type ring struct {
 	points []ringPoint // sorted by hash
+	shards int         // the shard count, fixed when the ring is built
 }
 
 type ringPoint struct {
@@ -53,7 +55,7 @@ func mix64(z uint64) uint64 {
 // load split: with replicas≈64 the largest shard owns within a few
 // percent of 1/N of the keyspace.
 func newRing(names []string, replicas int) *ring {
-	r := &ring{points: make([]ringPoint, 0, len(names)*replicas)}
+	r := &ring{points: make([]ringPoint, 0, len(names)*replicas), shards: len(names)}
 	for i, name := range names {
 		for v := 0; v < replicas; v++ {
 			r.points = append(r.points, ringPoint{
@@ -73,15 +75,14 @@ func newRing(names []string, replicas int) *ring {
 
 // sequence returns every shard in ring order starting at key's owner,
 // deduplicated — the retry order for a degraded primary. The slice is
-// freshly allocated per call.
+// freshly allocated per call and is the call's only allocation: a shard
+// is new when the short result does not hold it yet.
 func (r *ring) sequence(key string) []int {
 	start := r.search(hashKey(key))
-	seen := map[int]bool{}
-	var out []int
-	for i := 0; i < len(r.points) && len(seen) < r.shardCount(); i++ {
+	out := make([]int, 0, r.shards)
+	for i := 0; i < len(r.points) && len(out) < r.shards; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.shard] {
-			seen[p.shard] = true
+		if !slices.Contains(out, p.shard) {
 			out = append(out, p.shard)
 		}
 	}
@@ -94,12 +95,4 @@ func (r *ring) search(h uint64) int {
 		return 0
 	}
 	return i
-}
-
-func (r *ring) shardCount() int {
-	seen := map[int]bool{}
-	for _, p := range r.points {
-		seen[p.shard] = true
-	}
-	return len(seen)
 }

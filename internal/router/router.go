@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -302,10 +303,11 @@ var hopByHop = map[string]bool{
 // tries the next replica: submissions set it on every candidate but the
 // last, since a submission is idempotent by content address — re-sending
 // the same body to another shard at worst computes the result there too,
-// it can never fork the answer. Response bodies are copied with a flush
-// per read so SSE events fan through unbuffered; for streaming responses
-// (SSE job streams, ndjson matrix streams) the server-side write deadline
-// is lifted first, mirroring the shards' own SSE exemption.
+// it can never fork the answer. A streaming response (an SSE job stream
+// or an ndjson matrix stream) is flushed after every read so events fan
+// through unbuffered, and its server-side write deadline is lifted first,
+// mirroring the shards' own SSE exemption; every other body is relayed
+// in one pass with no flush of its own.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []byte, retryStatus bool) (delivered bool) {
 	shard := rt.cfg.Shards[i]
 	var rdr io.Reader
@@ -347,13 +349,14 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, i int, body []
 		h[k] = vs
 	}
 	h.Set(shardHeader, shard.Name)
-	if streamingContentType(resp.Header.Get("Content-Type")) {
+	stream := streamingContentType(resp.Header.Get("Content-Type"))
+	if stream {
 		// Streams outlive any sane write timeout; lift it for this
 		// response only (best-effort, exactly like the shards do).
 		http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	}
 	w.WriteHeader(resp.StatusCode)
-	flushingCopy(w, resp.Body)
+	relay(w, resp.Body, stream)
 	rt.metrics.shardRequests.Add(1, shard.Name)
 	return true
 }
@@ -366,12 +369,28 @@ func streamingContentType(ct string) bool {
 		strings.HasPrefix(ct, "application/x-ndjson")
 }
 
-// flushingCopy copies src to w flushing after every read, so a proxied
-// SSE stream delivers each event the moment the shard emits it — the
-// router adds latency, never buffering.
-func flushingCopy(w http.ResponseWriter, src io.Reader) {
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+// relayBufs holds the buffers relay copies response bodies through; one
+// is borrowed for the length of one response.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32*1024)
+	return &b
+}}
+
+// relay copies a shard's response body src to w through a pooled buffer.
+// With flush set it flushes after every read, so a proxied SSE or ndjson
+// stream delivers each event the moment the shard emits it — the router
+// adds latency, never buffering. Any other body makes one pass, and
+// net/http sends it when the handler returns. The loop is written out
+// because io.Copy would hand src to the response's ReadFrom, whose
+// fallback allocates a fresh 32 KiB buffer of its own for every response.
+func relay(w http.ResponseWriter, src io.Reader, flush bool) {
+	var flusher http.Flusher
+	if flush {
+		flusher, _ = w.(http.Flusher)
+	}
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {

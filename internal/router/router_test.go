@@ -311,6 +311,7 @@ func TestRoutedMatchesDirect(t *testing.T) {
 		`{"config":{"Journal":null}}`,
 		`{"config":{}} x`,
 		`{"config":{"Nodes":4,"Rounds":5}} x`,
+		`{"kind":"fleet","chains":1000000000,"config":{}}`,
 	} {
 		dCode, _, dRaw := post(t, dts.URL, bad)
 		rCode, _, rRaw := post(t, c.ts.URL, bad)

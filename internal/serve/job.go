@@ -178,6 +178,9 @@ func normalizeRequest(req Request) (Request, string, error) {
 			if out.Chains < 1 {
 				return Request{}, "", fmt.Errorf("fleet jobs need chains ≥ 1, got %d", out.Chains)
 			}
+			if _, err := neofog.NormalizeFleet(norm, out.Chains); err != nil {
+				return Request{}, "", err
+			}
 		} else if out.Chains != 0 {
 			return Request{}, "", fmt.Errorf("chains is only valid for fleet jobs")
 		}

@@ -405,6 +405,7 @@ func TestRequestValidation(t *testing.T) {
 		{`{"kind":"simulate","options":{"rounds":10}}`, "experiment fields are not valid"},
 		{`{"config":{"nodes":1,"multiplexing":2}}`, "needs at least 2 nodes"},
 		{`{"kind":"fleet","config":{"nodes":1,"multiplexing":2},"chains":2}`, "needs at least 2 nodes"},
+		{`{"kind":"fleet","chains":1000000000,"config":{}}`, "chains 1000000000 × 10 physical nodes is over the 8192 physical-node cap"},
 		{`not json`, "bad request body"},
 	} {
 		code, raw, err := doPost(ts, bad.body)

@@ -607,7 +607,9 @@ func Run(cfg Config) (Result, error) {
 			}
 			phys := awakeIdx[li]
 			var fogT units.Duration
-			if tel.Enabled() {
+			if tel.Enabled() && plan.Exec[li] > 0 {
+				// Only the fog spans below read the price, so a node
+				// with no fog work this round skips the planning.
 				_, fogT = nd.FogCost()
 			}
 			if plan.Exec[li] == 0 && queued[li] > 0 {

@@ -393,6 +393,30 @@ type FleetResult struct {
 	Aggregate SimulationResult
 }
 
+// NormalizeFleet is NormalizeConfig for a fleet of chains deployments of
+// cfg. It also refuses fewer than one chain, and a fleet whose chains ×
+// Nodes × Multiplexing is over the physical-node cap one deployment is
+// held to: SimulateFleet allocates per-chain state for every chain
+// before the first runs, so a fleet past the cap would fail as a fatal
+// out-of-memory, which no caller can recover from.
+func NormalizeFleet(cfg SimulationConfig, chains int) (SimulationConfig, error) {
+	if chains < 1 {
+		return SimulationConfig{}, fmt.Errorf("neofog: fleet needs ≥1 chain, got %d", chains)
+	}
+	d, err := resolve(cfg)
+	if err != nil {
+		// Every chain runs this config, so chain 0 is the first to fail.
+		return SimulationConfig{}, fmt.Errorf("neofog: chain 0: %w", err)
+	}
+	// resolve holds one chain's physical nodes to the cap; dividing the
+	// cap by them keeps chains × nodes from overflowing.
+	if physical := d.cfg.Nodes * d.cfg.Multiplexing; chains > maxPhysicalNodes/physical {
+		return SimulationConfig{}, fmt.Errorf("neofog: chains %d × %d physical nodes is over the %d physical-node cap",
+			chains, physical, maxPhysicalNodes)
+	}
+	return d.cfg, nil
+}
+
 // SimulateFleet runs `chains` independent chain deployments of the given
 // shape concurrently (the paper's simulator runs thousands of node models
 // at a time, §4). Chain i uses seed cfg.Seed+i, so the fleet is
@@ -404,15 +428,10 @@ type FleetResult struct {
 // and the children are merged into cfg.Telemetry in chain order, so the
 // fleet's trace tags chain i as trace process i.
 func SimulateFleet(cfg SimulationConfig, chains int) (FleetResult, error) {
-	if chains < 1 {
-		return FleetResult{}, fmt.Errorf("neofog: fleet needs ≥1 chain, got %d", chains)
-	}
-	d, err := resolve(cfg)
+	cfg, err := NormalizeFleet(cfg, chains)
 	if err != nil {
-		// Every chain runs this config, so chain 0 is the first to fail.
-		return FleetResult{}, fmt.Errorf("neofog: chain 0: %w", err)
+		return FleetResult{}, err
 	}
-	cfg = d.cfg
 	// Run Simulate per chain on one worker per CPU rather than duplicating
 	// its assembly logic at the internal layer — each call is already
 	// deterministic and independent, and the scan below reports the first

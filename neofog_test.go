@@ -3,6 +3,7 @@ package neofog
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -248,6 +249,31 @@ func TestSimulateFleet(t *testing.T) {
 	}
 	if _, err := SimulateFleet(SimulationConfig{Nodes: 1, Multiplexing: 2}, 2); err == nil {
 		t.Fatal("a chain config the simulator refuses should surface its error")
+	}
+}
+
+// A fleet is held to the physical-node cap of one deployment across all
+// its chains: a fleet exactly at the cap normalizes (it is not run), one
+// chain past it is refused naming chains, and so is a chain count whose
+// product with the nodes would overflow. SimulateFleet refuses what
+// NormalizeFleet refuses, before it allocates anything per chain.
+func TestNormalizeFleetCap(t *testing.T) {
+	cfg := SimulationConfig{Nodes: 4, Multiplexing: 2, Rounds: 1}
+	norm, err := NormalizeFleet(cfg, 1024)
+	if err != nil {
+		t.Fatalf("1024 chains × 8 physical nodes refused: %v", err)
+	}
+	if want, _ := NormalizeConfig(cfg); norm != want {
+		t.Fatalf("NormalizeFleet = %+v, NormalizeConfig = %+v", norm, want)
+	}
+	for _, chains := range []int{1025, 1_000_000_000, math.MaxInt} {
+		_, err := NormalizeFleet(cfg, chains)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("chains %d × 8 physical nodes is over the 8192 physical-node cap", chains)) {
+			t.Errorf("%d chains: err %v, want the physical-node cap naming chains", chains, err)
+		}
+		if _, serr := SimulateFleet(cfg, chains); serr == nil || err == nil || serr.Error() != err.Error() {
+			t.Errorf("%d chains: NormalizeFleet says %v, SimulateFleet %v", chains, err, serr)
+		}
 	}
 }
 
