@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -18,7 +16,7 @@ import (
 // generated plans are nested (see Generate), each step up in intensity
 // faces a superset of the previous step's adversity.
 type Campaign struct {
-	// Base is the fault-free configuration every run shares. Its Journal
+	// Base is the fault-free configuration every run shares. Its OnRound
 	// must be nil (the campaign installs its own to measure recovery) and
 	// its Faults must be empty (the campaign owns the hooks).
 	Base sim.Config
@@ -88,8 +86,8 @@ type sweep struct {
 }
 
 // newSweep checks the settings both campaigns share — the intensity
-// sweep (default {0, 0.25, 0.5, 0.75, 1}) and a base config whose journal
-// and fault hooks the campaign owns — and sizes plan generation from the
+// sweep (default {0, 0.25, 0.5, 0.75, 1}) and a base config whose round
+// observer and fault hooks the campaign owns — and sizes plan generation from the
 // base. name and anchor word the errors ("campaign", "baseline").
 func newSweep(name, anchor string, base sim.Config, intensities []float64) (sweep, error) {
 	if len(intensities) == 0 {
@@ -106,8 +104,8 @@ func newSweep(name, anchor string, base sim.Config, intensities []float64) (swee
 			return sweep{}, fmt.Errorf("faults: intensities must be non-decreasing, got %v after %v", x, intensities[i-1])
 		}
 	}
-	if base.Journal != nil {
-		return sweep{}, fmt.Errorf("faults: %s owns the journal; Base.Journal must be nil", name)
+	if base.OnRound != nil {
+		return sweep{}, fmt.Errorf("faults: %s owns the round observer; Base.OnRound must be nil", name)
 	}
 	f := base.Faults
 	if f.NodeDown != nil || f.Blackout != nil || f.RFFailed != nil ||
@@ -192,8 +190,8 @@ func (c Campaign) Run() (*Report, error) {
 }
 
 // runPoint executes one intensity end to end: plan generation, the
-// simulation with a private journal, the tail-rate measurement, and the
-// per-point conservation invariant. It touches nothing shared beyond the
+// simulation with the tail window's counts summed as its rounds end, the
+// tail rates, and the per-point conservation invariant. It touches nothing shared beyond the
 // read-only base configuration, so points can run concurrently.
 func (c Campaign) runPoint(sw sweep, intensity float64, tailStart int) (Point, error) {
 	plan, err := Generate(c.Seed, intensity, sw.nodes, sw.rounds)
@@ -207,18 +205,25 @@ func (c Campaign) runPoint(sw sweep, intensity float64, tailStart int) (Point, e
 
 	cfg := c.Base
 	plan.Apply(&cfg)
-	journal := &bytes.Buffer{}
-	cfg.Journal = journal
+	var wake, proc, tail int
+	cfg.OnRound = func(r sim.RoundStats) error {
+		if r.Round >= tailStart {
+			wake += r.Awake
+			proc += r.Fog + r.Cloud
+			tail++
+		}
+		return nil
+	}
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return Point{}, fmt.Errorf("faults: intensity %v: %w", intensity, err)
 	}
-
-	pt := Point{Intensity: intensity, Events: len(plan.Events), Plan: plan, Result: res}
-	pt.TailWakeRate, pt.TailProcRate, err = tailRates(journal.Bytes(), tailStart, sw.rounds)
-	if err != nil {
-		return Point{}, fmt.Errorf("faults: intensity %v: %w", intensity, err)
+	if tail != sw.rounds-tailStart {
+		return Point{}, fmt.Errorf("faults: intensity %v: run covered %d tail rounds, want %d", intensity, tail, sw.rounds-tailStart)
 	}
+
+	pt := Point{Intensity: intensity, Events: len(plan.Events), Plan: plan, Result: res,
+		TailWakeRate: float64(wake) / float64(tail), TailProcRate: float64(proc) / float64(tail)}
 
 	// Invariant: exact packet-accounting conservation, faults or not.
 	if !res.Conserved() {
@@ -252,32 +257,4 @@ func (c Campaign) table(sw sweep, rep *Report) *metrics.Table {
 		)
 	}
 	return t
-}
-
-// tailRates parses the JSONL journal and averages the awake-node and
-// processed-packet counts per round over [tailStart, rounds).
-func tailRates(journal []byte, tailStart, rounds int) (wake, proc float64, err error) {
-	dec := json.NewDecoder(bytes.NewReader(journal))
-	n := 0
-	for {
-		var e struct {
-			Round int `json:"round"`
-			Awake int `json:"awake"`
-			Fog   int `json:"fog"`
-			Cloud int `json:"cloud"`
-		}
-		if err := dec.Decode(&e); err != nil {
-			break
-		}
-		if e.Round < tailStart {
-			continue
-		}
-		wake += float64(e.Awake)
-		proc += float64(e.Fog + e.Cloud)
-		n++
-	}
-	if n != rounds-tailStart {
-		return 0, 0, fmt.Errorf("journal covered %d tail rounds, want %d", n, rounds-tailStart)
-	}
-	return wake / float64(n), proc / float64(n), nil
 }

@@ -84,10 +84,10 @@ func TestCampaignRejectsBadSetups(t *testing.T) {
 		t.Error("out-of-range intensity should error")
 	}
 
-	withJournal := base
-	withJournal.Journal = &strings.Builder{}
-	if _, err := (Campaign{Base: withJournal}).Run(); err == nil {
-		t.Error("a pre-set journal should be rejected")
+	observed := base
+	observed.OnRound = func(sim.RoundStats) error { return nil }
+	if _, err := (Campaign{Base: observed}).Run(); err == nil {
+		t.Error("a pre-set round observer should be rejected")
 	}
 
 	withHooks := base

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -149,11 +148,11 @@ func TestEmptyPlanCompilesToZeroHooks(t *testing.T) {
 // leaves a run bit-identical to one with no fault hooks at all.
 func TestZeroPlanBitIdentical(t *testing.T) {
 	cfg := baseConfig(t, 300, 1)
-	var plainJ, faultJ bytes.Buffer
+	var plainJ, faultJ []sim.RoundStats
 	plain := cfg
-	plain.Journal = &plainJ
+	plain.OnRound = func(r sim.RoundStats) error { plainJ = append(plainJ, r); return nil }
 	withPlan := cfg
-	withPlan.Journal = &faultJ
+	withPlan.OnRound = func(r sim.RoundStats) error { faultJ = append(faultJ, r); return nil }
 	(&Plan{}).Apply(&withPlan)
 
 	a := mustRun(t, plain)
@@ -161,8 +160,8 @@ func TestZeroPlanBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("zero-event plan perturbed the run:\n%+v\nvs\n%+v", a, b)
 	}
-	if !bytes.Equal(plainJ.Bytes(), faultJ.Bytes()) {
-		t.Fatal("zero-event plan perturbed the journal")
+	if !reflect.DeepEqual(plainJ, faultJ) {
+		t.Fatal("zero-event plan perturbed the round stats")
 	}
 }
 

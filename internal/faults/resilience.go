@@ -20,7 +20,7 @@ import (
 // arms and must come out bit-identical.
 type ResilienceCampaign struct {
 	// Base is the shared configuration. The campaign owns its Faults,
-	// Journal, and Recovery fields; all three must be zero. The on arm
+	// OnRound, and Recovery fields; all three must be zero. The on arm
 	// switches Recovery on only when the plan is non-empty.
 	Base sim.Config
 	// Intensities are the sweep points, non-decreasing in [0, 1] and

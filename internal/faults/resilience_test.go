@@ -96,10 +96,10 @@ func TestResilienceCampaignRejectsBadSetups(t *testing.T) {
 		t.Error("a pre-armed recovery config should be rejected")
 	}
 
-	withJournal := base
-	withJournal.Journal = &strings.Builder{}
-	if _, err := (ResilienceCampaign{Base: withJournal}).Run(); err == nil {
-		t.Error("a pre-set journal should be rejected")
+	observed := base
+	observed.OnRound = func(sim.RoundStats) error { return nil }
+	if _, err := (ResilienceCampaign{Base: observed}).Run(); err == nil {
+		t.Error("a pre-set round observer should be rejected")
 	}
 
 	withHooks := base

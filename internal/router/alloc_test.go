@@ -47,9 +47,9 @@ func hitter(t *testing.T, c *testCluster, body string) func() *http.Response {
 
 // TestRoutedHitAllocBudget pins the bytes one routed cache hit allocates
 // over loopback: client → router → shard → back, all in this process, so
-// the count covers the client's request and read, the router's decode,
-// normalize and forward, and the shard's decode, normalize, submit and
-// encode. It counts two hits: a simulate hit, 498 B of body like the
+// the count covers the client's request and read, the router's memo
+// lookup and forward, and the shard's memo lookup, submit and spliced
+// answer. It counts two hits: a simulate hit, 498 B of response like the
 // benchmark's hot reads, and a fleet hit of 1159 B. net/http copies the
 // first 512 B of a body itself, to sniff its type, so only a body past
 // that reaches the response's ReadFrom and its 32 KiB fallback through
@@ -57,29 +57,29 @@ func hitter(t *testing.T, c *testCluster, body string) func() *http.Response {
 // what is put back, and the test runs at GOMAXPROCS 2, so the per-P
 // pools warm the same on any host.
 //
-// Budget accounting: measured 21.0 KB (233 mallocs) per simulate hit and
-// 21.7 KB (235) per fleet hit, over 400 warm hits each on the 2-shard
-// cluster. The budget, 36 KiB, is that plus half of a 32 KiB buffer, so
-// a relay that takes a fresh 32 KiB buffer per response fails it by
-// 16 KiB (the router before the pooled relay measured 53.7 KB a
-// simulate hit), and so does the fleet hit relayed through io.Copy
-// (54.6 KB).
+// Budget accounting: measured 16.8 KB (195 mallocs) per simulate hit and
+// 17.5 KB (195) per fleet hit, over 400 warm hits each on the 2-shard
+// cluster. The budget, 20 KiB, is that plus under 3 KB. Decoding and
+// normalizing each body again in the router and the shard, and
+// marshalling the whole response, fails it: that hit measured 21.0 KB
+// and 21.7 KB. So does a relay that takes a fresh 32 KiB buffer per
+// response, or the fleet hit relayed through io.Copy.
 //
 // Under the race detector sync.Pool.Put drops one item in four at
 // random. A hit takes three pooled 32 KiB buffers: net/http's copy
 // buffer for the client's request body and again for the router's
 // forwarded body, and the router's relay buffer. A hit that finds every
-// pool empty costs 112–128 KB in the normal build and 145–157 KB in the
-// race build, as measured on hits after two collections: up to 133 KiB
-// over a warm normal hit. The race build allows 144 KiB on top, so the
-// luck of the drops never fails it (its mean is 69–76 KB).
+// pool empty costs 98–140 KB in the normal build and 98–206 KB in the
+// race build, as measured on hits after two collections: up to 185 KiB
+// over a warm normal hit. The race build allows 192 KiB on top, so the
+// luck of the drops never fails it (its mean is 61–65 KB).
 //
 // A routed hit also keeps the shard's framing: its Content-Length, and
 // no Transfer-Encoding.
 func TestRoutedHitAllocBudget(t *testing.T) {
-	budget := 36 << 10
+	budget := 20 << 10
 	if raceEnabled {
-		budget += 144 << 10
+		budget += 192 << 10
 	}
 	bodies := []string{
 		simBody(5),

@@ -82,7 +82,7 @@ func TestCacheHitSubmitAllocs(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, out, _ := srv.submit(norm, key, 0, "", qos.Interactive); out != outcomeCached {
+		if _, _, _, out, _ := srv.submit(norm, key, 0, "", qos.Interactive); out != outcomeCached {
 			t.Fatalf("submit outcome %v, want a cache hit", out)
 		}
 	})

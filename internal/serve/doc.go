@@ -18,7 +18,9 @@
 //     byte the same body a fresh run would produce. Bodies are decoded
 //     strictly (DecodeBody): an unknown key or trailing data is a 400
 //     that names the fault, and the router decodes through the same
-//     function;
+//     function. A body already answered from the cache skips the
+//     decode through a Memo, and a done job's answer is spliced from
+//     its JSON prefix, marshalled once, and its stored result;
 //   - single-flight deduplicate: identical requests that arrive while a
 //     matching job is queued or running attach to that job instead of
 //     spawning another run;

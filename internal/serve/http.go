@@ -96,6 +96,35 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(b, '\n'))
 }
 
+// writeDone writes a done job as writeJSON writes its snapshot or, with
+// cached set, its SubmitResponse with Cached true: the fixed prefix, the
+// stored result, the hit count when it is not zero and the closing
+// braces, spliced without encoding anything. The bytes are writeJSON's
+// because a stored result is already what json.Marshal makes of it,
+// compact and HTML-escaped: every result is json.Marshal's output, and
+// the disk tier hands back only bytes whose hash it recorded when it
+// wrote them.
+func writeDone(w http.ResponseWriter, d doneBody, cached bool) {
+	b := make([]byte, 0, len(d.prefix)+len(d.result)+64) // 64 holds the rest, hits included
+	if cached {
+		b = append(b, `{"job":`...)
+	}
+	b = append(b, d.prefix...)
+	b = append(b, `,"result":`...)
+	b = append(b, d.result...)
+	if d.hits != 0 {
+		b = append(b, `,"hits":`...)
+		b = strconv.AppendInt(b, d.hits, 10)
+	}
+	b = append(b, '}')
+	if cached {
+		b = append(b, `,"cached":true}`...)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(b, '\n'))
+}
+
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -206,15 +235,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
-	var req Request
-	if err := decodePost(w, r, &req); err != nil {
+	body, err := ReadBody(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	norm, key, err := normalizeRequest(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	norm, key, memoized := s.memo.Lookup(body)
+	if !memoized {
+		var req Request
+		if err := DecodeBody(bytes.NewReader(body), &req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		if norm, key, err = normalizeRequest(req); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 	deadline, err := s.parseDeadline(r)
 	if err != nil {
@@ -227,7 +263,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(TenantHeader, tenant)
-	_, snap, outcome, retryAfter := s.submit(norm, key, deadline, tenant, class)
+	_, snap, done, outcome, retryAfter := s.submit(norm, key, deadline, tenant, class)
+	if outcome == outcomeCached && !memoized {
+		s.memo.Remember(body, norm, key)
+	}
 	if snap.ID != "" {
 		w.Header().Set(jobHeader, snap.ID)
 	}
@@ -256,7 +295,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity,
 			"job key quarantined after repeated panics; retry after %ds", ceilSeconds(retryAfter))
 	case outcomeCached:
-		writeJSON(w, http.StatusOK, SubmitResponse{Job: snap, Cached: true})
+		if done.prefix == nil {
+			writeJSON(w, http.StatusOK, SubmitResponse{Job: snap, Cached: true})
+			return
+		}
+		writeDone(w, done, true)
 	case outcomeDeduped:
 		writeJSON(w, http.StatusAccepted, SubmitResponse{Job: snap, Deduped: true})
 	default:
@@ -271,12 +314,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshotByID(r.PathValue("id"))
-	if !ok {
+	snap, done, ok := s.pollByID(r.PathValue("id"))
+	switch {
+	case !ok:
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
+	case done.prefix != nil:
+		writeDone(w, done, false)
+	default:
+		writeJSON(w, http.StatusOK, snap)
 	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

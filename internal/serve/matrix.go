@@ -190,7 +190,7 @@ func (s *Server) runMatrixCell(ctx context.Context, index int, req Request, key 
 		Intensity: m.Intensities[index%ni],
 	}
 	for {
-		j, snap, outcome, retryAfter := s.submit(req, key, deadline, tenant, class)
+		j, snap, _, outcome, retryAfter := s.submit(req, key, deadline, tenant, class)
 		switch outcome {
 		case outcomeCached:
 			cell.Cached = true

@@ -374,6 +374,10 @@ func TestFleetJob(t *testing.T) {
 	}
 }
 
+// manyIntensities asks a campaign for one fault intensity more than a
+// sweep may list.
+var manyIntensities = `{"experiment":"chaos","options":{"fault_intensities":[0` + strings.Repeat(",1", 101) + `]}}`
+
 // TestRequestValidation checks the 400 paths of request decoding and
 // normalization; each body must be refused for the reason its row names.
 func TestRequestValidation(t *testing.T) {
@@ -406,6 +410,9 @@ func TestRequestValidation(t *testing.T) {
 		{`{"config":{"nodes":1,"multiplexing":2}}`, "needs at least 2 nodes"},
 		{`{"kind":"fleet","config":{"nodes":1,"multiplexing":2},"chains":2}`, "needs at least 2 nodes"},
 		{`{"kind":"fleet","chains":1000000000,"config":{}}`, "chains 1000000000 × 10 physical nodes is over the 8192 physical-node cap"},
+		{`{"experiment":"fig10","options":{"nodes":10000000}}`, "fig10 nodes 10000000 × multiplexing 1 is over the 8192 physical-node cap"},
+		{manyIntensities, "fault_intensities lists 102 points, over the 101-point cap"},
+		{`{"experiment":"fig12","options":{"nodes":-3}}`, "nodes ≥ 0"},
 		{`not json`, "bad request body"},
 	} {
 		code, raw, err := doPost(ts, bad.body)

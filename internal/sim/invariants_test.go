@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -207,13 +206,12 @@ func TestDeterminismProperty(t *testing.T) {
 // any nondeterministic ordering into the per-round observability record.
 func TestJournalDeterminismWithRecovery(t *testing.T) {
 	prop := func(seed int64) bool {
-		run := func() ([]byte, Result, error) {
+		run := func() ([]RoundStats, Result, error) {
 			cfg := randomConfig(seed)
 			cfg.Recovery = true
-			var buf bytes.Buffer
-			cfg.Journal = &buf
+			rounds := recordRounds(&cfg)
 			r, err := Run(cfg)
-			return buf.Bytes(), r, err
+			return *rounds, r, err
 		}
 		ja, a, errA := run()
 		jb, b, errB := run()
@@ -221,8 +219,8 @@ func TestJournalDeterminismWithRecovery(t *testing.T) {
 			t.Logf("seed %d: %v / %v", seed, errA, errB)
 			return false
 		}
-		if !bytes.Equal(ja, jb) {
-			t.Logf("seed %d: journals diverged (%d vs %d bytes)", seed, len(ja), len(jb))
+		if !reflect.DeepEqual(ja, jb) {
+			t.Logf("seed %d: round stats diverged (%d vs %d rounds)", seed, len(ja), len(jb))
 			return false
 		}
 		if !reflect.DeepEqual(a, b) {

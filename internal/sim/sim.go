@@ -9,9 +9,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"strconv"
 
@@ -71,10 +69,12 @@ type Config struct {
 	// RecordEnergy lists physical node indices whose stored energy is
 	// sampled after every round (the Fig. 9 series).
 	RecordEnergy []int
-	// Journal, when non-nil, receives one JSON line per round with the
-	// round's aggregate activity — the observability hook for debugging
-	// and plotting deployments.
-	Journal io.Writer
+	// OnRound, when non-nil, is called once at the end of every round
+	// with the round's aggregate activity — the observability hook for
+	// debugging and plotting deployments, and what the fault campaigns
+	// measure recovery by. An error it returns ends the run with that
+	// error.
+	OnRound func(RoundStats) error
 	// Faults injects deterministic adversity (node crashes, link
 	// degradation, RF failures, stuck sensors, power blackouts, balancing
 	// aborts); see internal/faults for plan generation. The zero value
@@ -126,8 +126,11 @@ type FaultHooks struct {
 	AbortBalance func(round int) bool
 }
 
-// journalEntry is one round's record in the JSONL journal.
-type journalEntry struct {
+// RoundStats is one round's aggregate activity: the awake logical nodes,
+// the round's fog, cloud, dropped and moved packets, and the mean stored
+// energy of the physical nodes at slot end. Its JSON names are the line
+// format of the facade's journal.
+type RoundStats struct {
 	Round        int     `json:"round"`
 	Awake        int     `json:"awake"`
 	Fog          int     `json:"fog"`
@@ -318,10 +321,6 @@ func Run(cfg Config) (Result, error) {
 	// slot (see runArena for the reset rules each buffer follows).
 	ar := newArena(len(logical))
 	awake, awakeIdx := ar.awake, ar.awakeIdx
-	var journalEnc *json.Encoder
-	if cfg.Journal != nil {
-		journalEnc = json.NewEncoder(cfg.Journal)
-	}
 
 	// ARQ delivery options. Retries are charged to the relaying node (ACK
 	// receive + idle-power backoff + retransmission) and refused whenever
@@ -714,8 +713,8 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 
-		if cfg.Journal != nil {
-			entry := journalEntry{
+		if cfg.OnRound != nil {
+			entry := RoundStats{
 				Round:   round,
 				Fog:     res.FogProcessed - prevFog,
 				Cloud:   res.CloudProcessed - prevCloud,
@@ -732,8 +731,8 @@ func Run(cfg Config) (Result, error) {
 				stored += nd.Stored().Millijoules()
 			}
 			entry.MeanStoredMJ = stored / float64(len(nodes))
-			if err := journalEnc.Encode(entry); err != nil {
-				return res, fmt.Errorf("sim: writing journal: %w", err)
+			if err := cfg.OnRound(entry); err != nil {
+				return res, err
 			}
 			prevFog, prevCloud = res.FogProcessed, res.CloudProcessed
 			prevDropped, prevMoves = res.Dropped, res.Moves

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -263,38 +262,61 @@ func TestResumableLiftsStarvedFog(t *testing.T) {
 		float64(resumable.FogProcessed)/float64(plain.FogProcessed))
 }
 
+// recordRounds makes cfg's round observer append every round's stats to
+// the returned slice.
+func recordRounds(cfg *Config) *[]RoundStats {
+	var rounds []RoundStats
+	cfg.OnRound = func(r RoundStats) error {
+		rounds = append(rounds, r)
+		return nil
+	}
+	return &rounds
+}
+
 func TestJournal(t *testing.T) {
 	income := forestIncome(t, 4, 0.8, 31)
-	var buf bytes.Buffer
+	var rounds *[]RoundStats
 	r := run(t, node.FIOSNVMote, sched.Distributed{}, income, func(c *Config) {
 		c.Rounds = 20
-		c.Journal = &buf
+		rounds = recordRounds(c)
 	})
-	lines := bytes.Count(buf.Bytes(), []byte("\n"))
-	if lines != r.Rounds {
-		t.Fatalf("journal lines = %d, want %d", lines, r.Rounds)
+	if len(*rounds) != r.Rounds {
+		t.Fatalf("observed rounds = %d, want %d", len(*rounds), r.Rounds)
 	}
-	// Each line is valid JSON with the expected fields, and the per-round
-	// fog deltas sum to the result total.
-	dec := json.NewDecoder(&buf)
+	// Each round carries plausible stats, and the per-round fog deltas sum
+	// to the result total.
 	var fogSum int
-	for i := 0; i < lines; i++ {
-		var e struct {
-			Round        int     `json:"round"`
-			Awake        int     `json:"awake"`
-			Fog          int     `json:"fog"`
-			MeanStoredMJ float64 `json:"mean_stored_mj"`
-		}
-		if err := dec.Decode(&e); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
+	for i, e := range *rounds {
 		if e.Round != i || e.Awake < 0 || e.Awake > 4 || e.MeanStoredMJ < 0 {
-			t.Fatalf("line %d implausible: %+v", i, e)
+			t.Fatalf("round %d implausible: %+v", i, e)
 		}
 		fogSum += e.Fog
 	}
 	if fogSum != r.FogProcessed {
-		t.Fatalf("journal fog sum %d != result %d", fogSum, r.FogProcessed)
+		t.Fatalf("observed fog sum %d != result %d", fogSum, r.FogProcessed)
+	}
+}
+
+// TestOnRoundErrorEndsRun checks that an observer's error ends the run
+// with that error.
+func TestOnRoundErrorEndsRun(t *testing.T) {
+	income := forestIncome(t, 4, 0.8, 31)
+	stop := errors.New("stop")
+	cfg := Config{
+		Node:   node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
+		Income: income,
+		Slot:   income[0].Slot,
+		Rounds: 20,
+		Seed:   1,
+		OnRound: func(r RoundStats) error {
+			if r.Round == 3 {
+				return stop
+			}
+			return nil
+		},
+	}
+	if _, err := Run(cfg); !errors.Is(err, stop) {
+		t.Fatalf("Run = %v, want the observer's error", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -40,16 +39,14 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(income []energytrace.Income, slot units.Duration, rounds int, multiplexed bool) (Result, []byte) {
+	run := func(income []energytrace.Income, slot units.Duration, rounds int, multiplexed bool) (Result, []RoundStats) {
 		t.Helper()
-		var journal bytes.Buffer
 		cfg := Config{
 			Node:         node.DefaultConfig(node.FIOSNVMote, apps.BridgeHealth()),
 			Income:       income[:anchors],
 			Slot:         slot,
 			Rounds:       rounds,
 			Balancer:     sched.Distributed{},
-			Journal:      &journal,
 			RecordEnergy: []int{0, anchors - 1},
 			Seed:         5,
 		}
@@ -57,11 +54,12 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 			cfg.Income, cfg.CloneSets = income, sets
 			cfg.Recovery = true
 		}
+		journal := recordRounds(&cfg)
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, journal.Bytes()
+		return r, *journal
 	}
 
 	for _, slot := range []units.Duration{12 * units.Second, 7500 * units.Millisecond, 400 * units.Millisecond, 61 * units.Second} {
@@ -82,7 +80,7 @@ func TestRunReadsOnlyItsWindow(t *testing.T) {
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("%s: result over %d slots differs from the whole day:\n got %+v\nwant %+v", name, rounds, got, want)
 				}
-				if !bytes.Equal(wantJournal, gotJournal) {
+				if !reflect.DeepEqual(wantJournal, gotJournal) {
 					t.Errorf("%s: journal over %d slots differs from the whole day", name, rounds)
 				}
 			}
