@@ -80,7 +80,7 @@ func run() error {
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "worker-pool width (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "queue depth; beyond it submissions get 429")
-		cacheEntries = flag.Int("cache", 1024, "result bodies retained in memory (disk tier demotes beyond this)")
+		cacheEntries = flag.Int("cache", serve.DefaultCacheEntries, "result bodies retained in memory (disk tier demotes beyond this)")
 		cacheDir     = flag.String("cache-dir", "", "persist results here for warm restarts (empty = memory only)")
 		cacheBudget  = flag.Int64("cache-budget", 0, "total result bytes retained across both tiers (0 = unlimited)")
 		cacheIndex   = flag.String("cache-index", "", "write a JSON audit index here on drain")

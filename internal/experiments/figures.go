@@ -54,6 +54,9 @@ func bridgeProfile(day int, nodes int, seed int64) []energytrace.Income {
 	return energytrace.DependentIncome(cfg, nodes, 0.30, perSlot, rng)
 }
 
+// packetProfiles is how many power profiles Figs. 10 and 11 run.
+const packetProfiles = 5
+
 // figPackets runs the three systems over five power profiles and returns
 // the Fig. 10/11-style table plus per-system averages.
 func figPackets(title string, incomeGen func(profile, nodes int, seed int64) []energytrace.Income,
@@ -62,14 +65,13 @@ func figPackets(title string, incomeGen func(profile, nodes int, seed int64) []e
 	t := metrics.NewTable(title,
 		"Profile", "System", "Wakeups", "Total processed", "Fog processed", "Cloud processed")
 	avgs := map[string]SystemAverages{}
-	const profiles = 5
 	// The three systems of a profile share one read-only income set. Each
 	// profile's set is built once, on the worker that runs whichever of its
 	// points starts first. The profile's first point is charged the
 	// synthesis, so in parallel all five builds start before any point
 	// that only reads a set.
 	var points []sweepPoint
-	for p := 1; p <= profiles; p++ {
+	for p := 1; p <= packetProfiles; p++ {
 		income := sync.OnceValue(func() []energytrace.Income { return incomeGen(p, opts.Nodes, opts.Seed) })
 		for si, s := range systems() {
 			cost := opts.Nodes
@@ -83,17 +85,17 @@ func figPackets(title string, incomeGen func(profile, nodes int, seed int64) []e
 	if err != nil {
 		return nil, nil, err
 	}
-	for pi := 0; pi < profiles; pi++ {
+	for pi := 0; pi < packetProfiles; pi++ {
 		for si, s := range systems() {
 			r := results[pi*len(systems())+si]
 			t.AddRow(metrics.Itoa(pi+1), s.Name, metrics.Itoa(r.Wakeups),
 				metrics.Itoa(r.TotalProcessed()), metrics.Itoa(r.FogProcessed),
 				metrics.Itoa(r.CloudProcessed))
 			a := avgs[s.Name]
-			a.Wakeups += float64(r.Wakeups) / profiles
-			a.Total += float64(r.TotalProcessed()) / profiles
-			a.Fog += float64(r.FogProcessed) / profiles
-			a.Cloud += float64(r.CloudProcessed) / profiles
+			a.Wakeups += float64(r.Wakeups) / packetProfiles
+			a.Total += float64(r.TotalProcessed()) / packetProfiles
+			a.Fog += float64(r.FogProcessed) / packetProfiles
+			a.Cloud += float64(r.CloudProcessed) / packetProfiles
 			avgs[s.Name] = a
 		}
 	}
@@ -228,19 +230,28 @@ type MultiplexPoint struct {
 func figMultiplex(title string, income multiplexIncome, opts Options) (*metrics.Table, []MultiplexPoint, error) {
 	opts = opts.withDefaults()
 	t := metrics.NewTable(title, "System", "Physical nodes", "Fog processed", "Samples")
-	points, err := runMultiplex(income, opts, 0, 1, 2, 3, 4, 5)
+	points, err := runMultiplex(income, opts, multiplexFactors...)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, p := range points {
-		physical := opts.Nodes
-		if p.Multiplexing > 0 {
-			physical *= p.Multiplexing
-		}
-		t.AddRow(p.Label, metrics.Itoa(physical), metrics.Itoa(p.Fog), metrics.Itoa(p.Samples))
+		t.AddRow(p.Label, metrics.Itoa(opts.Nodes*clonesPerNode(p.Multiplexing)), metrics.Itoa(p.Fog), metrics.Itoa(p.Samples))
 	}
 	return t, points, nil
 }
+
+// multiplexFactors are the Figs. 12–13 sweep: the VP reference, then
+// 100%..500% multiplexing. headlineFactors are the three points of it
+// the headline reads: the VP reference, 100% and 300%.
+var (
+	multiplexFactors = []int{0, 1, 2, 3, 4, 5}
+	headlineFactors  = []int{0, 1, 3}
+)
+
+// clonesPerNode is how many physical nodes a multiplexing sweep point
+// deploys per logical node: factor f ≥ 1 deploys f clones, and the VP
+// reference (factor 0) one node.
+func clonesPerNode(factor int) int { return max(factor, 1) }
 
 // multiplexIncome synthesises the income of a multiplexing sweep point's
 // physical nodes.
@@ -269,7 +280,7 @@ func runMultiplex(income multiplexIncome, opts Options, factors ...int) ([]Multi
 		if factor == 0 {
 			kind, bal = node.NOSVP, sched.NoBalance{}
 		}
-		physical := opts.Nodes * max(factor, 1)
+		physical := opts.Nodes * clonesPerNode(factor)
 		seed := opts.Seed + int64(factor)
 		sweepPts[i] = sweepPoint{cost: 2 * physical, run: func() (sim.Result, *telemetry.Recorder, error) {
 			cfg := systemConfig(kind, bal, income(physical, seed), opts)
@@ -374,7 +385,7 @@ type HeadlineResult struct {
 // baseline node count and ~8× at 3× multiplexing. It runs only the three
 // Fig. 13 points it reads: the VP reference, 100% and 300%.
 func Headline(opts Options) (*HeadlineResult, error) {
-	points, err := runMultiplex(fig13Income, opts.withDefaults(), 0, 1, 3)
+	points, err := runMultiplex(fig13Income, opts.withDefaults(), headlineFactors...)
 	if err != nil {
 		return nil, err
 	}

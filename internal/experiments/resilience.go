@@ -8,6 +8,10 @@ import (
 	"neofog/internal/virt"
 )
 
+// resilienceClones is the size of each Resilience clone set: a logical
+// node and its dedicated partner.
+const resilienceClones = 2
+
 // ResilienceResult carries a completed resilience A/B campaign.
 type ResilienceResult struct {
 	// Report holds the per-intensity paired points and invariant outcomes.
@@ -27,7 +31,7 @@ type ResilienceResult struct {
 // every intensity, and a strict improvement somewhere in the sweep.
 func Resilience(opts Options) (*ResilienceResult, error) {
 	opts = opts.withDefaults()
-	physical := 2 * opts.Nodes
+	physical := resilienceClones * opts.Nodes
 	income := forestProfile(1, physical, opts.Seed)
 	// Dedicated partner clones (rather than the aerial-dispersion sets of
 	// Fig. 13): every logical node is guaranteed a failover survivor, the

@@ -361,6 +361,7 @@ func (rs *resultStore) demoteOverflow(keep *storeEntry) {
 			}
 		}
 		victim.j.result = nil
+		victim.j.prefix = nil // rebuilt at first use after promotion, as for a warm-boot job
 		rs.memCount--
 		rs.memBytes -= victim.size
 		rs.metrics.tierDemotions.Add(1)
