@@ -105,7 +105,7 @@ func main() {
 }
 
 func printStats(name string, tr *energytrace.Sampled) {
-	total := energytrace.Integrate(tr, 0, tr.Duration(), tr.Step)
+	total := energytrace.Integrate(tr, 0, tr.Duration())
 	fmt.Printf("%s: %d samples @ %v, duration %v\n", name, len(tr.Samples), tr.Step, tr.Duration())
 	fmt.Printf("  mean %v, stddev %v, total harvestable %v\n", tr.Mean(), tr.StdDev(), total)
 }

@@ -88,7 +88,7 @@ func (c *incomeSet) node(n int, tr *Sampled) {
 	e := c.energy[n*slots : (n+1)*slots : (n+1)*slots]
 	for k := range e {
 		from := c.Slot * units.Duration(k)
-		e[k] = Integrate(tr, from, from+c.Slot, tr.Step)
+		e[k] = Integrate(tr, from, from+c.Slot)
 	}
 	c.out[n] = Income{Slot: c.Slot, Energy: e}
 }

@@ -13,6 +13,47 @@ import (
 	"neofog/internal/units"
 )
 
+// Trace is a power-income signal sampled at any instant: the view the
+// generic integral takes of a trace.
+type Trace interface {
+	// PowerAt reports the instantaneous income power at time t. Times
+	// outside the trace's duration report zero.
+	PowerAt(t units.Duration) units.Power
+	// Duration reports the length of the trace.
+	Duration() units.Duration
+}
+
+// PowerAt implements Trace.
+func (s *Sampled) PowerAt(t units.Duration) units.Power {
+	if t < 0 {
+		return 0
+	}
+	i := int(t / s.Step)
+	if i >= len(s.Samples) {
+		return 0
+	}
+	return s.Samples[i]
+}
+
+// integrateGeneric is the oracle Integrate must match bit for bit: it
+// samples tr at every step from the earlier bound, the last step cut
+// short at the later one. It is exact for traces that are piecewise
+// constant at multiples of step.
+func integrateGeneric(tr Trace, from, to, step units.Duration) units.Energy {
+	if to < from {
+		from, to = to, from
+	}
+	var total units.Energy
+	for t := from; t < to; t += step {
+		dt := step
+		if t+dt > to {
+			dt = to - t
+		}
+		total += tr.PowerAt(t).Over(dt)
+	}
+	return total
+}
+
 // refGenerate and refIndependentSet are the one-trace-at-a-time synthesis
 // the set builders must reproduce bit for bit: the envelope recomputed per
 // base trace and every node trace assembled from copied segments.
@@ -116,7 +157,7 @@ func refIncome(traces []*Sampled, slot, span units.Duration) [][]units.Energy {
 		out[n] = make([]units.Energy, int(min(span, tr.Duration())/slot))
 		for k := range out[n] {
 			from := slot * units.Duration(k)
-			out[n][k] = Integrate(tr, from, from+slot, tr.Step)
+			out[n][k] = integrateGeneric(tr, from, from+slot, tr.Step)
 		}
 	}
 	return out

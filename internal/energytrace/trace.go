@@ -20,41 +20,6 @@ import (
 	"neofog/internal/units"
 )
 
-// Trace is a power-income signal. Implementations must be pure functions of
-// time so that simulations are reproducible.
-type Trace interface {
-	// PowerAt reports the instantaneous income power at time t. Times
-	// outside the trace's duration report zero.
-	PowerAt(t units.Duration) units.Power
-	// Duration reports the length of the trace.
-	Duration() units.Duration
-}
-
-// Integrate computes the energy delivered by tr between from and to by
-// sampling at the given step. It is exact for traces that are piecewise
-// constant at multiples of step (which all traces in this package are, when
-// integrated at their native resolution).
-func Integrate(tr Trace, from, to, step units.Duration) units.Energy {
-	if step <= 0 {
-		panic("energytrace: non-positive integration step")
-	}
-	if to < from {
-		from, to = to, from
-	}
-	if s, ok := tr.(*Sampled); ok && s.Step == step {
-		return s.integrate(from, to)
-	}
-	var total units.Energy
-	for t := from; t < to; t += step {
-		dt := step
-		if t+dt > to {
-			dt = to - t
-		}
-		total += tr.PowerAt(t).Over(dt)
-	}
-	return total
-}
-
 // Sampled is a piecewise-constant trace: Samples[i] holds for
 // [i·Step, (i+1)·Step).
 type Sampled struct {
@@ -70,28 +35,22 @@ func NewSampled(step units.Duration, n int) *Sampled {
 	return &Sampled{Step: step, Samples: make([]units.Power, n)}
 }
 
-// PowerAt implements Trace.
-func (s *Sampled) PowerAt(t units.Duration) units.Power {
-	if t < 0 {
-		return 0
-	}
-	i := int(t / s.Step)
-	if i >= len(s.Samples) {
-		return 0
-	}
-	return s.Samples[i]
-}
-
-// Duration implements Trace.
+// Duration reports the length of the trace.
 func (s *Sampled) Duration() units.Duration {
 	return s.Step * units.Duration(len(s.Samples))
 }
 
-// integrate is Integrate at the trace's own step over from <= to. It
-// indexes the samples directly and sums the same products in the same
-// order as the generic loop. The steps it skips, before time zero and past
-// the last sample, would each add +0, which leaves the sum unchanged.
-func (s *Sampled) integrate(from, to units.Duration) units.Energy {
+// Integrate computes the energy s delivers between from and to (either
+// order), exactly, at the trace's own step. It indexes the samples
+// directly and sums the same products in the same order as a loop that
+// samples the trace at every step from the earlier bound, the last step
+// cut short at the later one. The steps it skips, before time zero and
+// past the last sample, would each add +0, which leaves the sum
+// unchanged.
+func Integrate(s *Sampled, from, to units.Duration) units.Energy {
+	if to < from {
+		from, to = to, from
+	}
 	t := from
 	if t < 0 {
 		t += (-t + s.Step - 1) / s.Step * s.Step // the first step at or after zero

@@ -29,6 +29,15 @@ func (c Constant) PowerAt(t units.Duration) units.Power {
 // Duration implements Trace.
 func (c Constant) Duration() units.Duration { return c.Len }
 
+// constantSampled is Constant as a Sampled trace at a 1 ms step.
+func constantSampled(c Constant) *Sampled {
+	s := NewSampled(units.Millisecond, int(c.Len/units.Millisecond))
+	for i := range s.Samples {
+		s.Samples[i] = c.P
+	}
+	return s
+}
+
 func TestConstantTrace(t *testing.T) {
 	c := Constant{P: 5, Len: units.Second}
 	if c.PowerAt(0) != 5 || c.PowerAt(units.Second-1) != 5 {
@@ -37,20 +46,27 @@ func TestConstantTrace(t *testing.T) {
 	if c.PowerAt(-1) != 0 || c.PowerAt(units.Second) != 0 {
 		t.Fatal("constant trace should be zero outside range")
 	}
-	if got := Integrate(c, 0, units.Second, units.Millisecond); got != 5e6 {
+	if got := integrateGeneric(c, 0, units.Second, units.Millisecond); got != 5e6 {
+		t.Fatalf("generic integral = %v, want 5mJ", got)
+	}
+	if got := Integrate(constantSampled(c), 0, units.Second); got != 5e6 {
 		t.Fatalf("Integrate = %v, want 5mJ", got)
 	}
 }
 
 func TestIntegratePartialStep(t *testing.T) {
 	c := Constant{P: 2, Len: units.Second}
+	s := constantSampled(c)
 	// 1.5 ms at 1 ms steps: final partial step must not over-count.
-	got := Integrate(c, 0, 1500, units.Millisecond)
+	got := Integrate(s, 0, 1500)
 	if got != 3000 {
 		t.Fatalf("Integrate over 1.5ms = %v nJ, want 3000", got)
 	}
+	if loop := integrateGeneric(c, 0, 1500, units.Millisecond); loop != got {
+		t.Fatalf("generic integral over 1.5ms = %v nJ, want %v", loop, got)
+	}
 	// Reversed bounds behave as swapped.
-	if Integrate(c, 1500, 0, units.Millisecond) != got {
+	if Integrate(s, 1500, 0) != got {
 		t.Fatal("Integrate should normalise reversed bounds")
 	}
 }
@@ -256,7 +272,7 @@ func TestIntegrateMatchesSum(t *testing.T) {
 			tr.Samples[i] = units.Power(v)
 			want += float64(v) * 1000 // mW × 1000 µs
 		}
-		got := Integrate(tr, 0, tr.Duration(), tr.Step)
+		got := Integrate(tr, 0, tr.Duration())
 		return math.Abs(float64(got)-want) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -264,14 +280,10 @@ func TestIntegrateMatchesSum(t *testing.T) {
 	}
 }
 
-// opaque hides a *Sampled behind the Trace interface, so Integrate takes
-// its generic loop.
-type opaque struct{ *Sampled }
-
-// Integrate's direct path for a *Sampled at its own step must return the
-// generic loop's bits: aligned and unaligned starts, windows past the
-// trace's end, reversed and empty windows, and starts before zero. At any
-// other step the direct path must not apply.
+// Integrate, which indexes the samples directly, must return the generic
+// loop's bits at the trace's step: aligned and unaligned starts, windows
+// past the trace's end, reversed and empty windows, and starts before
+// zero.
 func TestIntegrateSampledMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cfg := SunnyDay()
@@ -281,12 +293,12 @@ func TestIntegrateSampledMatchesGeneric(t *testing.T) {
 		{Step: 7, Samples: []units.Power{0.3, 1e-9, 2.5, 0, 7.25}},
 		{Step: units.Second},
 	}
-	check := func(s *Sampled, from, to, step units.Duration) {
+	check := func(s *Sampled, from, to units.Duration) {
 		t.Helper()
-		got, want := Integrate(s, from, to, step), Integrate(opaque{s}, from, to, step)
+		got, want := Integrate(s, from, to), integrateGeneric(s, from, to, s.Step)
 		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
-			t.Errorf("step %v trace, Integrate(%v, %v, %v) = %v, generic loop %v",
-				s.Step, from, to, step, got, want)
+			t.Errorf("step %v trace, Integrate(%v, %v) = %v, generic loop %v",
+				s.Step, from, to, got, want)
 		}
 	}
 	for _, s := range traces {
@@ -304,15 +316,13 @@ func TestIntegrateSampledMatchesGeneric(t *testing.T) {
 			{-s.Step - 1, s.Step + 1},
 			{-5 * s.Step, -s.Step},
 		} {
-			for _, step := range []units.Duration{s.Step, s.Step/2 + 1, 3 * s.Step} {
-				check(s, w[0], w[1], step)
-			}
+			check(s, w[0], w[1])
 		}
 		for i := 0; i < 500; i++ {
 			span := int64(end) + 4*int64(s.Step)
 			from := units.Duration(rng.Int63n(span)) - 2*s.Step
 			to := units.Duration(rng.Int63n(span)) - 2*s.Step
-			check(s, from, to, s.Step)
+			check(s, from, to)
 		}
 	}
 }
@@ -358,7 +368,7 @@ func TestIncomeMatchesGeneric(t *testing.T) {
 					}
 					for k, e := range got.Energy {
 						from := slot * units.Duration(k)
-						loop := Integrate(opaque{scaled}, from, from+slot, s.Step)
+						loop := integrateGeneric(scaled, from, from+slot, s.Step)
 						if math.Float64bits(float64(e)) != math.Float64bits(float64(loop)) {
 							t.Errorf("step %v trace, slot %v, span %v, gain %s: slot %d holds %v, generic loop %v",
 								s.Step, slot, span, name, k, e, loop)

@@ -33,7 +33,7 @@ func Chaos(opts Options) (*ChaosResult, error) {
 		Intensities: opts.FaultIntensities,
 		Parallel:    opts.Parallel,
 	}
-	rep, err := campaign.Run()
+	rep, err := campaign.Run(opts.Ctx)
 	if err != nil {
 		return nil, err
 	}

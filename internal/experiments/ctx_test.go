@@ -133,3 +133,20 @@ func TestSweepDispatchOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCancelStopsCampaigns checks that the chaos and resilience
+// experiments hand Options.Ctx to their campaigns: a cancelled context
+// stops both at widths 1 and 2 with its error.
+func TestSweepCancelStopsCampaigns(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range []int{1, 2} {
+		opts := Options{Ctx: ctx, Nodes: 4, Rounds: 150, Parallel: w}
+		if _, err := Chaos(opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("chaos, width %d: want context.Canceled, got %v", w, err)
+		}
+		if _, err := Resilience(opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("resilience, width %d: want context.Canceled, got %v", w, err)
+		}
+	}
+}

@@ -25,7 +25,8 @@ import (
 
 // Options tunes an experiment run.
 type Options struct {
-	// Ctx, when non-nil, cancels the experiment between sweep points: a
+	// Ctx, when non-nil, cancels the experiment between sweep points (the
+	// figure sweeps' and the fault campaigns' intensity points alike): a
 	// cancelled sweep stops launching new points and returns ctx.Err().
 	// Points already running finish (a single simulation is at most a few
 	// hundred milliseconds), so cancellation never tears state mid-run.
@@ -62,6 +63,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Ctx == nil {
+		o.Ctx = context.Background()
+	}
 	if o.Nodes == 0 {
 		o.Nodes = 10
 	}

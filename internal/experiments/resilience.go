@@ -48,7 +48,7 @@ func Resilience(opts Options) (*ResilienceResult, error) {
 		Intensities: opts.FaultIntensities,
 		Parallel:    opts.Parallel,
 	}
-	rep, err := campaign.Run()
+	rep, err := campaign.Run(opts.Ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -123,8 +124,11 @@ func newSweep(name, anchor string, base sim.Config, intensities []float64) (swee
 }
 
 // Run executes the sweep and checks every invariant, returning an error
-// naming the first violated one.
-func (c Campaign) Run() (*Report, error) {
+// naming the first violated one. ctx is checked between points, never
+// inside one: a point that has started finishes, and a cancelled sweep
+// returns ctx.Err() from the first point the serial sweep would not have
+// started, at any width.
+func (c Campaign) Run(ctx context.Context) (*Report, error) {
 	sw, err := newSweep("campaign", "baseline", c.Base, c.Intensities)
 	if err != nil {
 		return nil, err
@@ -149,7 +153,9 @@ func (c Campaign) Run() (*Report, error) {
 	pts := make([]Point, len(sw.intensities))
 	errs := make([]error, len(sw.intensities))
 	pool.Run(len(sw.intensities), pool.Width(c.Parallel), nil, func(i int) bool {
-		pts[i], errs[i] = c.runPoint(sw, sw.intensities[i], tailStart)
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			pts[i], errs[i] = c.runPoint(sw, sw.intensities[i], tailStart)
+		}
 		return errs[i] == nil
 	})
 

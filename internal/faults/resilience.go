@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -52,8 +53,9 @@ type ResilienceReport struct {
 }
 
 // Run executes the paired sweep and checks the A/B invariants, returning
-// an error naming the first violated one.
-func (c ResilienceCampaign) Run() (*ResilienceReport, error) {
+// an error naming the first violated one. ctx is checked between points
+// as Campaign.Run checks it.
+func (c ResilienceCampaign) Run(ctx context.Context) (*ResilienceReport, error) {
 	sw, err := newSweep("resilience campaign", "anchor", c.Base, c.Intensities)
 	if err != nil {
 		return nil, err
@@ -70,7 +72,9 @@ func (c ResilienceCampaign) Run() (*ResilienceReport, error) {
 	pts := make([]ArmPoint, len(sw.intensities))
 	errs := make([]error, len(sw.intensities))
 	pool.Run(len(sw.intensities), pool.Width(c.Parallel), nil, func(i int) bool {
-		pts[i], errs[i] = c.runArmPoint(sw, sw.intensities[i])
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			pts[i], errs[i] = c.runArmPoint(sw, sw.intensities[i])
+		}
 		return errs[i] == nil
 	})
 

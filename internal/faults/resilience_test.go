@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func cloneBaseConfig(t *testing.T, rounds int, seed int64) sim.Config {
 
 func TestResilienceCampaignRun(t *testing.T) {
 	c := ResilienceCampaign{Base: cloneBaseConfig(t, 400, 10), Seed: 5}
-	rep, err := c.Run()
+	rep, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestResilienceCampaignRun(t *testing.T) {
 
 func TestResilienceCampaignDeterminism(t *testing.T) {
 	mk := func() string {
-		rep, err := ResilienceCampaign{Base: cloneBaseConfig(t, 400, 11), Seed: 6}.Run()
+		rep, err := ResilienceCampaign{Base: cloneBaseConfig(t, 400, 11), Seed: 6}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,33 +83,33 @@ func TestResilienceCampaignRejectsBadSetups(t *testing.T) {
 	base := cloneBaseConfig(t, 200, 12)
 
 	c := ResilienceCampaign{Base: base, Intensities: []float64{0.5, 1}}
-	if _, err := c.Run(); err == nil {
+	if _, err := c.Run(context.Background()); err == nil {
 		t.Error("missing zero anchor should error")
 	}
 	c = ResilienceCampaign{Base: base, Intensities: []float64{0, 1, 0.5}}
-	if _, err := c.Run(); err == nil {
+	if _, err := c.Run(context.Background()); err == nil {
 		t.Error("decreasing intensities should error")
 	}
 
 	withRecovery := base
 	withRecovery.Recovery = true
-	if _, err := (ResilienceCampaign{Base: withRecovery}).Run(); err == nil {
+	if _, err := (ResilienceCampaign{Base: withRecovery}).Run(context.Background()); err == nil {
 		t.Error("a pre-armed recovery config should be rejected")
 	}
 
 	observed := base
 	observed.OnRound = func(sim.RoundStats) error { return nil }
-	if _, err := (ResilienceCampaign{Base: observed}).Run(); err == nil {
+	if _, err := (ResilienceCampaign{Base: observed}).Run(context.Background()); err == nil {
 		t.Error("a pre-set round observer should be rejected")
 	}
 
 	withHooks := base
 	withHooks.Faults.NodeDown = func(int, int) bool { return false }
-	if _, err := (ResilienceCampaign{Base: withHooks}).Run(); err == nil {
+	if _, err := (ResilienceCampaign{Base: withHooks}).Run(context.Background()); err == nil {
 		t.Error("pre-set fault hooks should be rejected")
 	}
 
-	if _, err := (ResilienceCampaign{}).Run(); err == nil {
+	if _, err := (ResilienceCampaign{}).Run(context.Background()); err == nil {
 		t.Error("an empty base config should be rejected")
 	}
 }
@@ -118,11 +119,11 @@ func TestResilienceCampaignRejectsBadSetups(t *testing.T) {
 // are generated or applied.
 func TestResilienceOffArmMatchesChaos(t *testing.T) {
 	base := cloneBaseConfig(t, 400, 13)
-	chaos, err := Campaign{Base: base, Seed: 9}.Run()
+	chaos, err := Campaign{Base: base, Seed: 9}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, err := ResilienceCampaign{Base: base, Seed: 9}.Run()
+	ab, err := ResilienceCampaign{Base: base, Seed: 9}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,4 +138,12 @@ func TestResilienceOffArmMatchesChaos(t *testing.T) {
 				pt.Intensity, pt.Off, cp)
 		}
 	}
+}
+
+func TestResilienceCampaignCancel(t *testing.T) {
+	base := cloneBaseConfig(t, 200, 10)
+	checkCancel(t, func(ctx context.Context, parallel int) error {
+		_, err := ResilienceCampaign{Base: base, Seed: 5, Parallel: parallel}.Run(ctx)
+		return err
+	})
 }

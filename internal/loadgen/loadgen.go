@@ -10,11 +10,15 @@
 // at their appointed offsets whether or not earlier ones have completed
 // — the arrival process never slows down to match a struggling server,
 // which is what exposes queueing collapse (a closed-loop generator
-// self-throttles and hides it). The schedule (arrival times, request
-// bodies, content keys) is a pure function of the spec, so two runs with
-// the same seed replay byte-identical request sequences and their
-// reports differ only in measured wall-clock fields — that separation is
-// what makes BENCH_SERVE diffs trustworthy.
+// self-throttles and hides it). The schedule (arrival times, requests,
+// content keys) is a pure function of the spec, so two runs with the
+// same seed replay identical request sequences and their reports differ
+// only in measured wall-clock fields — that separation is what makes
+// BENCH_SERVE diffs trustworthy.
+//
+// Requests go through the serve API's one client, internal/serve/client,
+// with its retries off: a 429 is counted, never retried, so the open loop
+// never backs off.
 package loadgen
 
 import (
@@ -22,6 +26,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -36,6 +41,7 @@ import (
 	"neofog"
 	"neofog/internal/qos"
 	"neofog/internal/serve"
+	"neofog/internal/serve/client"
 )
 
 // TenantShare is one tenant's slice of a multi-tenant trace: requests
@@ -148,18 +154,17 @@ const coldSeedBase = 1_000_000
 // run start), what to send, and the content identity it will have on the
 // server.
 type ScheduledRequest struct {
-	At     time.Duration
-	Body   []byte // marshaled serve.Request, sent verbatim
-	Key    string // canonical content address (what the cluster shards on)
-	Hot    bool
-	Tenant string // X-Neofog-Tenant label ("" = unlabelled, the default tenant)
-	Class  string // X-Neofog-Class label ("" = the endpoint default)
+	At      time.Duration
+	Request serve.Request // what the client submits
+	Key     string        // canonical content address (what the cluster shards on)
+	Hot     bool
+	Tenant  string // X-Neofog-Tenant label ("" = unlabelled, the default tenant)
+	Class   string // X-Neofog-Class label ("" = the endpoint default)
 }
 
 // BuildSchedule expands a spec into its full arrival schedule. The
 // result is a pure function of the spec: arrival gaps and key draws come
-// from one seeded PRNG consumed in a fixed order, and request bodies are
-// canonical JSON encodings.
+// from one seeded PRNG consumed in a fixed order.
 func BuildSchedule(spec TraceSpec) ([]ScheduledRequest, error) {
 	spec = spec.withDefaults()
 	if spec.QPS <= 0 || spec.Duration <= 0 {
@@ -216,18 +221,14 @@ func BuildSchedule(spec TraceSpec) ([]ScheduledRequest, error) {
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: normalizing scheduled request: %w", err)
 		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return nil, err
-		}
 		tenant, class := drawTenant()
 		out = append(out, ScheduledRequest{
-			At:     at,
-			Body:   body,
-			Key:    key,
-			Hot:    hot,
-			Tenant: tenant,
-			Class:  class,
+			At:      at,
+			Request: req,
+			Key:     key,
+			Hot:     hot,
+			Tenant:  tenant,
+			Class:   class,
 		})
 	}
 }
@@ -283,10 +284,6 @@ type Measured struct {
 	P50Ms       float64 `json:"p50_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 	P999Ms      float64 `json:"p999_ms"`
-	// BytesTx and BytesRx are total HTTP body bytes the harness sent and
-	// received — the bytes-on-wire observable. Headers are excluded.
-	BytesTx int64 `json:"bytes_tx"`
-	BytesRx int64 `json:"bytes_rx"`
 	// AllocsPerRequest is the whole-process heap allocation count per
 	// scheduled request over the run (runtime Mallocs delta). With the
 	// in-process bench cluster this spans client and server side both, so
@@ -320,8 +317,7 @@ type Summary struct {
 // measures its own polling, not the server.
 const pollInterval = 5 * time.Millisecond
 
-// Opts tunes a run. The zero value works. Requests go through
-// http.DefaultClient.
+// Opts tunes a run. The zero value works.
 type Opts struct {
 	// MaxInFlight caps concurrently outstanding requests (default 1024).
 	// An open-loop generator must not block the schedule, so arrivals
@@ -347,16 +343,30 @@ type outcome struct {
 	dropped   bool
 	err       bool
 	latencyMs float64
-	tx, rx    int64 // HTTP body bytes this request's exchanges moved
 }
 
 // Run replays a schedule against baseURL (a daemon or a router — the
 // API is identical by construction) and summarizes. Arrivals fire at
 // their scheduled offsets regardless of earlier requests' progress;
 // ctx cancels the whole run (its error is returned after accounting).
+// Each tenant/class label gets one client, since a client stamps its
+// labels on every request; the label's arrivals share it.
 func Run(ctx context.Context, baseURL string, spec TraceSpec, schedule []ScheduledRequest, opts Opts) (Summary, error) {
 	spec = spec.withDefaults()
 	opts = opts.withDefaults()
+	clients := map[[2]string]*client.Client{}
+	for _, sr := range schedule {
+		label := [2]string{sr.Tenant, sr.Class}
+		if clients[label] == nil {
+			clients[label] = &client.Client{
+				BaseURL:      baseURL,
+				MaxAttempts:  1, // a 429 comes back as an *APIError: count it, never back off
+				PollInterval: pollInterval,
+				Tenant:       sr.Tenant,
+				Class:        sr.Class,
+			}
+		}
+	}
 	outcomes := make([]outcome, len(schedule))
 	sem := make(chan struct{}, opts.MaxInFlight)
 	var wg sync.WaitGroup
@@ -394,14 +404,14 @@ dispatch:
 			continue
 		}
 		wg.Add(1)
-		go func(i int, sr ScheduledRequest) {
+		go func(i int, c *client.Client, req serve.Request) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			outcomes[i] = doOne(ctx, baseURL, sr)
+			outcomes[i] = doOne(ctx, c, req)
 			if outcomes[i].completed {
 				markDone()
 			}
-		}(i, sr)
+		}(i, clients[[2]string{sr.Tenant, sr.Class}], sr.Request)
 	}
 	wg.Wait()
 	var ms1 runtime.MemStats
@@ -417,8 +427,6 @@ dispatch:
 	for i, o := range outcomes {
 		tenant := schedule[i].Tenant
 		tm := tenants[tenant]
-		sum.Measured.BytesTx += o.tx
-		sum.Measured.BytesRx += o.rx
 		switch {
 		case o.dropped:
 			sum.Measured.Dropped++
@@ -513,108 +521,25 @@ func quantile(sorted []float64, q float64) float64 {
 // jobs poll to a terminal state. Latency spans send to observed
 // completion — it includes queue wait and poll granularity, exactly what
 // a real client experiences.
-func doOne(ctx context.Context, baseURL string, sr ScheduledRequest) outcome {
+func doOne(ctx context.Context, c *client.Client, req serve.Request) outcome {
 	sendStart := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/jobs", strings.NewReader(string(sr.Body)))
+	sub, err := c.Submit(ctx, req)
+	var ae *client.APIError
+	if errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests {
+		return outcome{rejected: true}
+	}
 	if err != nil {
 		return outcome{err: true}
 	}
-	req.Header.Set("Content-Type", "application/json")
-	setQoSHeaders(req, sr)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return outcome{err: true}
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	o := outcome{tx: int64(len(sr.Body)), rx: int64(len(body))}
-	if rerr != nil {
-		o.err = true
-		return o
-	}
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests:
-		o.rejected = true
-		return o
-	case http.StatusOK, http.StatusAccepted:
-	default:
-		o.err = true
-		return o
-	}
-	var sub serve.SubmitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
-		o.err = true
-		return o
-	}
-	if sub.Cached {
-		o.completed, o.cached, o.latencyMs = true, true, msSince(sendStart)
-		return o
-	}
-
-	o.deduped = sub.Deduped
-	for {
-		t := time.NewTimer(pollInterval)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			o.err = true
-			return o
-		}
-		body, code, err := getBody(ctx, baseURL+"/v1/jobs/"+sub.Job.ID)
-		o.rx += int64(len(body))
-		if err != nil || code != http.StatusOK {
-			o.err = true
-			return o
-		}
-		var j serve.Job
-		if err := json.Unmarshal(body, &j); err != nil {
-			o.err = true
-			return o
-		}
-		switch j.Status {
-		case serve.StatusDone:
-			o.completed = true
-			o.latencyMs = msSince(sendStart)
-			return o
-		case serve.StatusFailed, serve.StatusCancelled, serve.StatusPoisoned:
-			o.err = true
-			return o
+	if !sub.Cached {
+		if _, err := c.Wait(ctx, sub.Job.ID); err != nil {
+			return outcome{err: true}
 		}
 	}
-}
-
-// getBody is one GET with the body read whole; the caller counts bytes
-// whether or not the exchange succeeded.
-func getBody(ctx context.Context, url string) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	return body, resp.StatusCode, nil
+	return outcome{completed: true, cached: sub.Cached, deduped: sub.Deduped, latencyMs: msSince(sendStart)}
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
-
-// setQoSHeaders labels one submission with the arrival's tenant and
-// class, when the trace carries them.
-func setQoSHeaders(req *http.Request, sr ScheduledRequest) {
-	if sr.Tenant != "" {
-		req.Header.Set(serve.TenantHeader, sr.Tenant)
-	}
-	if sr.Class != "" {
-		req.Header.Set(serve.ClassHeader, sr.Class)
-	}
-}
 
 // WriteJSON renders a summary with stable formatting (indented, one
 // trailing newline) — the BENCH_SERVE.json on-disk form.
@@ -723,11 +648,11 @@ func FormatSummary(sum Summary) string {
 		"target=%s shards=%d seed=%d qps=%g duration=%.0fs\n"+
 			"requests=%d completed=%d hits=%d (ratio %.3f) deduped=%d rejected429=%d errors=%d dropped=%d\n"+
 			"jobs/s=%.1f p50=%.2fms p99=%.2fms p999=%.2fms elapsed=%.2fs\n"+
-			"bytes tx=%d rx=%d allocs/req=%.0f\n",
+			"allocs/req=%.0f\n",
 		sum.Target, sum.Shards, sum.Trace.Seed, sum.Trace.QPS, sum.Trace.DurationS,
 		sum.Trace.Requests, m.Completed, m.CacheHits, m.HitRatio, m.Deduped, m.Rejected429, m.Errors, m.Dropped,
 		m.JobsPerSec, m.P50Ms, m.P99Ms, m.P999Ms, m.ElapsedS,
-		m.BytesTx, m.BytesRx, m.AllocsPerRequest)
+		m.AllocsPerRequest)
 	if len(m.Tenants) > 0 {
 		var names []string
 		for name := range m.Tenants {

@@ -2,10 +2,14 @@ package loadgen
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"neofog/internal/qos"
 	"neofog/internal/router"
 	"neofog/internal/serve"
 )
@@ -176,10 +180,13 @@ func TestFairnessCheck(t *testing.T) {
 	}
 }
 
-// TestRunTenantBreakdown replays a small tenanted trace against an
-// in-process cluster with per-tenant depth caps and checks the report:
-// per-tenant completed/rejected counts that sum to the totals, and a
-// 429 breakdown attributed to the capped tenant.
+// TestRunTenantBreakdown replays a small tenanted trace through the
+// router to a shard whose policy rate-limits bronze to one new job a
+// second, and checks the report and the shard. Bronze's cold arrivals
+// are new work the bucket refuses, so its 429s come back through the
+// client as *APIError and are counted, never retried; the per-tenant
+// counts sum to the totals; and the shard attributes exactly the
+// schedule's arrivals to each tenant, so every label reached it.
 func TestRunTenantBreakdown(t *testing.T) {
 	spec := TraceSpec{
 		Seed: 11, QPS: 150, Duration: time.Second,
@@ -189,7 +196,8 @@ func TestRunTenantBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := StartCluster(1, serve.Config{Workers: 2, QueueDepth: 256}, router.Config{})
+	tenants := []qos.TenantConfig{{Name: "gold"}, {Name: "bronze", Rate: 1}}
+	cluster, err := StartCluster(1, serve.Config{Workers: 2, QueueDepth: 256, Tenants: tenants}, router.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +227,33 @@ func TestRunTenantBreakdown(t *testing.T) {
 		t.Fatalf("tenant breakdown (completed %d, rejected %d) does not sum to totals (%d, %d)",
 			completed, rejected, sum.Measured.Completed, sum.Measured.Rejected429)
 	}
+	if got := sum.Measured.Tenants["bronze"].Rejected429; got == 0 {
+		t.Fatal("the rate-limited tenant saw no 429")
+	}
+	if got := sum.Measured.Tenants["gold"].Rejected429; got != 0 {
+		t.Fatalf("the unlimited tenant saw %d 429s", got)
+	}
 	if !strings.Contains(FormatSummary(sum), "tenant gold:") {
 		t.Fatal("FormatSummary dropped the tenant lines")
+	}
+
+	scheduled := map[string]int{}
+	for _, sr := range schedule {
+		scheduled[sr.Tenant]++
+	}
+	resp, err := http.Get(cluster.ShardURLs[0] + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range scheduled {
+		line := fmt.Sprintf("neofog_tenant_jobs_submitted_total{tenant=%q} %d\n", name, n)
+		if !strings.Contains(string(metrics), line) {
+			t.Errorf("shard metrics lack %q", strings.TrimSpace(line))
+		}
 	}
 }

@@ -78,24 +78,15 @@ type TenantConfig struct {
 	// 0 = unlimited (the shared queue bound still applies).
 	Depth int `json:"depth,omitempty"`
 	// Rate is the tenant's sustained admission rate in submissions per
-	// second, enforced by a token bucket on the injected clock.
-	// 0 = unlimited.
+	// second, enforced by a token bucket on the injected clock whose
+	// capacity is max(1, Rate): one second of sustained rate, never less
+	// than one submission. 0 = unlimited.
 	Rate float64 `json:"rate,omitempty"`
-	// Burst is the token bucket's capacity — how many submissions may
-	// arrive back to back before the rate binds. 0 defaults to
-	// max(1, Rate): one second of sustained rate, never less than one.
-	Burst float64 `json:"burst,omitempty"`
 }
 
 func (c TenantConfig) withDefaults() TenantConfig {
 	if c.Weight <= 0 {
 		c.Weight = 1
-	}
-	if c.Burst <= 0 {
-		c.Burst = c.Rate
-		if c.Burst < 1 {
-			c.Burst = 1
-		}
 	}
 	return c
 }

@@ -101,7 +101,7 @@ func TestParseClass(t *testing.T) {
 var t0 = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 
 func TestAdmitRateBucket(t *testing.T) {
-	s, err := NewScheduler[int]([]TenantConfig{{Name: "metered", Rate: 2, Burst: 2}})
+	s, err := NewScheduler[int]([]TenantConfig{{Name: "metered", Rate: 2}})
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}

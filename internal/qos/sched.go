@@ -57,7 +57,7 @@ func NewScheduler[T any](tenants []TenantConfig) (*Scheduler[T], error) {
 			return fmt.Errorf("qos: duplicate tenant %q", cfg.Name)
 		}
 		f := &flow[T]{cfg: cfg.withDefaults()}
-		f.bucket = bucket{rate: f.cfg.Rate, burst: f.cfg.Burst}
+		f.bucket = bucket{rate: f.cfg.Rate, burst: max(1, f.cfg.Rate)}
 		s.byName[cfg.Name] = f
 		s.flows = append(s.flows, f)
 		return nil

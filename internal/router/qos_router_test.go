@@ -43,7 +43,7 @@ func postTenant(t *testing.T, baseURL, tenant, body string) (int, http.Header, [
 // tenant echo, and byte-identical differentiated 429s with the same
 // per-tenant Retry-After when the tenant's bucket runs dry.
 func TestRoutedTenantMatchesDirect(t *testing.T) {
-	tenants := []qos.TenantConfig{{Name: "metered", Weight: 2, Rate: 1, Burst: 1}}
+	tenants := []qos.TenantConfig{{Name: "metered", Weight: 2, Rate: 1}}
 	direct, err := serve.New(serve.Config{
 		Workers: 2,
 		Tenants: tenants,

@@ -14,6 +14,7 @@ package serve_test
 // internal/serve/client, which imports serve.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -242,20 +243,25 @@ func TestChaosCampaign(t *testing.T) {
 
 	slowCC := configs[7]
 	sseCtx, sseCancel := context.WithCancel(ctx)
-	var sseEvents atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer sseCancel() // disconnect mid-stream
 		sr, err := rig.client().Submit(sseCtx, slowCC.body)
 		if err != nil {
 			return // a flickering submit is fine; the swarm covers this config too
 		}
-		rig.client().Stream(sseCtx, sr.Job.ID, func(event string, data []byte) {
-			if sseEvents.Add(1) >= 1 {
-				sseCancel() // disconnect mid-stream
-			}
-		})
+		req, err := http.NewRequestWithContext(sseCtx, http.MethodGet, rig.ts.URL+"/v1/jobs/"+sr.Job.ID+"/stream", nil)
+		if err != nil {
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		bufio.NewReader(resp.Body).ReadString('\n') // the first event line, then hang up
 	}()
 
 	const swarm = 6

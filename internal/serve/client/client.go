@@ -1,14 +1,18 @@
-// Package client is a retrying client for the neofog-serve API. It
-// turns the server's failure-containment surface — 429 backpressure with
-// Retry-After, 503 drains, deadline rejections, warm restarts that
-// forget in-flight jobs — into a simple contract for callers: Run either
-// returns the result bytes (byte-identical however many retries or
-// restarts it took, thanks to content-addressed idempotent submission)
-// or a typed terminal error; it never spins without bound.
+// Package client is the one HTTP client for the neofog-serve API, which
+// a daemon and a router answer alike. The open-loop load harness
+// (internal/loadgen, behind `neofog-bench -serve`) submits and polls
+// through it with retries off; the serve and router chaos batteries
+// drive Run.
 //
-// Retries use capped exponential backoff with full jitter, honor the
-// server's Retry-After hints, and spend from a bounded attempt budget so
-// a hard-down server fails fast instead of forever.
+// Run turns the server's failure-containment surface — 429 backpressure
+// with Retry-After, 503 drains, deadline rejections, warm restarts that
+// forget in-flight jobs — into a simple contract: it either returns the
+// result bytes (byte-identical however many retries or restarts it took,
+// thanks to content-addressed idempotent submission) or a typed terminal
+// error; it never spins without bound. Retries use capped exponential
+// backoff with full jitter, honor the server's Retry-After hints, and
+// spend from a bounded attempt budget so a hard-down server fails fast
+// instead of forever.
 package client
 
 import (
@@ -66,13 +70,14 @@ func (e *JobError) Error() string {
 	return fmt.Sprintf("serve client: job %s %s: %s", e.Job.ID, e.Job.Status, e.Job.Error)
 }
 
-// Client talks to one neofog-serve instance. The zero value is not
-// usable; set BaseURL. All other fields default sanely.
+// Client talks to one neofog-serve instance through
+// http.DefaultClient. The zero value is not usable; set BaseURL. All
+// other fields default sanely. With MaxAttempts 1 a Client never draws
+// jitter, and any number of goroutines may share it; a retrying Client
+// draws from an unsynchronized RNG, so give each goroutine its own.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTP is the underlying client (default http.DefaultClient).
-	HTTP *http.Client
 	// MaxAttempts bounds tries per HTTP operation, first try included
 	// (default 5).
 	MaxAttempts int
@@ -85,9 +90,6 @@ type Client struct {
 	MaxDelay time.Duration
 	// PollInterval paces Wait's job polling (default 50ms).
 	PollInterval time.Duration
-	// Deadline, when positive, is attached to every submission (as
-	// ?deadline=) so the server can admission-check and expire it.
-	Deadline time.Duration
 	// Seed fixes the jitter RNG for deterministic tests; 0 seeds from
 	// the wall clock.
 	Seed int64
@@ -102,13 +104,6 @@ type Client struct {
 
 	rng   *rand.Rand
 	sleep func(context.Context, time.Duration) error // test hook
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) maxAttempts() int {
@@ -208,7 +203,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 		if c.Class != "" {
 			req.Header.Set(serve.ClassHeader, c.Class)
 		}
-		resp, err := c.httpClient().Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, &APIError{Message: ctx.Err().Error()}
@@ -258,11 +253,7 @@ func (c *Client) Submit(ctx context.Context, req serve.Request) (serve.SubmitRes
 	if err != nil {
 		return serve.SubmitResponse{}, &APIError{Message: err.Error()}
 	}
-	path := "/v1/jobs"
-	if c.Deadline > 0 {
-		path += "?deadline=" + c.Deadline.String()
-	}
-	respBody, derr := c.do(ctx, http.MethodPost, path, body)
+	respBody, derr := c.do(ctx, http.MethodPost, "/v1/jobs", body)
 	if derr != nil {
 		return serve.SubmitResponse{}, derr
 	}
@@ -296,7 +287,7 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 }
 
 // Wait polls a job until it reaches a terminal state, returning the
-// terminal snapshot. Non-done terminals come back as a *JobError; a 404
+// terminal snapshot. It polls at once, then every PollInterval. Non-done terminals come back as a *JobError; a 404
 // (the job vanished — evicted, or forgotten across a restart) surfaces
 // as the APIError so Run can resubmit.
 func (c *Client) Wait(ctx context.Context, id string) (serve.Job, error) {
@@ -396,85 +387,3 @@ func (c *Client) Run(ctx context.Context, req serve.Request) ([]byte, error) {
 	}
 	return nil, lastErr
 }
-
-// Stream follows a job's SSE feed, invoking fn for every event until the
-// terminal frame, the feed ends, or ctx expires. It does not retry — a
-// broken stream returns an *APIError and the caller decides (Run-style
-// polling is the reliable path; Stream is for progress display).
-func (c *Client) Stream(ctx context.Context, id string, fn func(event string, data []byte)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/stream", nil)
-	if err != nil {
-		return &APIError{Message: err.Error()}
-	}
-	if c.Tenant != "" {
-		req.Header.Set(serve.TenantHeader, c.Tenant)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return &APIError{Message: err.Error()}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return &APIError{Status: resp.StatusCode, Message: errorMessage(body)}
-	}
-	var event string
-	sc := newLineScanner(resp.Body)
-	for sc.scan() {
-		line := sc.text()
-		switch {
-		case bytes.HasPrefix(line, []byte("event: ")):
-			event = string(line[len("event: "):])
-		case bytes.HasPrefix(line, []byte("data: ")):
-			fn(event, append([]byte(nil), line[len("data: "):]...))
-			if event == "result" || event == "error" {
-				return nil
-			}
-		}
-	}
-	if err := sc.err(); err != nil && ctx.Err() == nil {
-		return &APIError{Message: err.Error()}
-	}
-	return nil
-}
-
-// lineScanner is a minimal bufio.Scanner stand-in that tolerates long
-// result frames (a done job's data: line carries the whole body).
-type lineScanner struct {
-	r    io.Reader
-	buf  []byte
-	line []byte
-	e    error
-}
-
-func newLineScanner(r io.Reader) *lineScanner { return &lineScanner{r: r} }
-
-func (s *lineScanner) scan() bool {
-	for {
-		if i := bytes.IndexByte(s.buf, '\n'); i >= 0 {
-			s.line = s.buf[:i]
-			s.buf = s.buf[i+1:]
-			return true
-		}
-		chunk := make([]byte, 4096)
-		n, err := s.r.Read(chunk)
-		if n > 0 {
-			s.buf = append(s.buf, chunk[:n]...)
-			continue
-		}
-		if err != nil {
-			if err != io.EOF {
-				s.e = err
-			}
-			if len(s.buf) > 0 {
-				s.line = s.buf
-				s.buf = nil
-				return true
-			}
-			return false
-		}
-	}
-}
-
-func (s *lineScanner) text() []byte { return s.line }
-func (s *lineScanner) err() error   { return s.e }

@@ -265,50 +265,6 @@ func TestRunResubmitsCancelled(t *testing.T) {
 	}
 }
 
-// The deadline knob lands on the wire as ?deadline=.
-func TestSubmitCarriesDeadline(t *testing.T) {
-	var gotDeadline string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotDeadline = r.URL.Query().Get("deadline")
-		w.WriteHeader(202)
-		fmt.Fprintln(w, submitJSON(t, serve.SubmitResponse{Job: serve.Job{ID: "j-1"}}))
-	}))
-	defer srv.Close()
-
-	c, _ := testClient(srv.URL)
-	c.Deadline = 30 * time.Second
-	if _, err := c.Submit(context.Background(), serve.Request{}); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if gotDeadline != "30s" {
-		t.Fatalf("deadline on the wire = %q, want 30s", gotDeadline)
-	}
-}
-
-// Stream parses SSE frames and stops at the terminal event.
-func TestStream(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/event-stream")
-		fmt.Fprint(w, "event: status\ndata: {\"status\":\"running\"}\n\n")
-		fmt.Fprint(w, "event: result\ndata: {\"status\":\"done\"}\n\n")
-		fmt.Fprint(w, "event: never\ndata: {}\n\n") // after terminal: must not be delivered
-	}))
-	defer srv.Close()
-
-	c, _ := testClient(srv.URL)
-	var events []string
-	err := c.Stream(context.Background(), "j-1", func(event string, data []byte) {
-		events = append(events, event)
-	})
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	want := []string{"status", "result"}
-	if len(events) != len(want) || events[0] != want[0] || events[1] != want[1] {
-		t.Fatalf("events = %v, want %v", events, want)
-	}
-}
-
 // Context cancellation bounds every path, including mid-backoff.
 func TestRunBoundedByContext(t *testing.T) {
 	ss := newScripted()

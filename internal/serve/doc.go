@@ -68,10 +68,11 @@
 //     exact); half-open probes every Config.BreakerProbe detect
 //     recovery, which re-persists the backlog automatically. A daemon
 //     that boots on an unusable cache dir degrades instead of dying;
-//   - a retrying client: the internal/serve/client package pairs with
-//     the server — capped full-jitter backoff floored by Retry-After,
+//   - one client: the internal/serve/client package pairs with the
+//     server — capped full-jitter backoff floored by Retry-After,
 //     typed errors (APIError, JobError), and idempotent resubmission
-//     across restarts by content address. TestChaosCampaign exercises
+//     across restarts by content address. The load harness submits and
+//     polls through it with retries off. TestChaosCampaign exercises
 //     all of the above at once under a fixed seed.
 //
 // Operations: /healthz reports build version, live job counts, and the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -37,28 +38,26 @@ const TenantHeader = "X-Neofog-Tenant"
 const ClassHeader = "X-Neofog-Class"
 
 // parseTenantClass extracts a submission's tenant identity and
-// scheduling class. The tenant comes back resolved: unknown and empty
-// names fold into the default tenant, so the echoed header always names
-// a configured tenant. def is the endpoint's class default.
-func (s *Server) parseTenantClass(r *http.Request, def qos.Class) (string, qos.Class, error) {
-	tenant := r.URL.Query().Get("tenant")
+// scheduling class from its parsed query q and its headers h. The tenant
+// comes back resolved: unknown and empty names fold into the default
+// tenant, so the echoed header always names a configured tenant. def is
+// the endpoint's class default.
+func (s *Server) parseTenantClass(q url.Values, h http.Header, def qos.Class) (string, qos.Class, error) {
+	tenant := q.Get("tenant")
 	if tenant == "" {
-		tenant = r.Header.Get(TenantHeader)
+		tenant = h.Get(TenantHeader)
 	}
 	tenant = s.sched.Resolve(tenant)
-	class := def
-	if raw := r.URL.Query().Get("class"); raw != "" {
-		c, err := qos.ParseClass(raw)
-		if err != nil {
-			return "", 0, err
-		}
-		class = c
-	} else if raw := r.Header.Get(ClassHeader); raw != "" {
-		c, err := qos.ParseClass(raw)
-		if err != nil {
-			return "", 0, err
-		}
-		class = c
+	raw := q.Get("class")
+	if raw == "" {
+		raw = h.Get(ClassHeader)
+	}
+	if raw == "" {
+		return tenant, def, nil
+	}
+	class, err := qos.ParseClass(raw)
+	if err != nil {
+		return "", 0, err
 	}
 	return tenant, class, nil
 }
@@ -133,13 +132,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// parseDeadline extracts the client's time budget from ?deadline= or the
-// X-Neofog-Deadline header (a Go duration, e.g. "30s"), falling back to
-// the configured default and clamping to the configured maximum.
-func (s *Server) parseDeadline(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("deadline")
+// parseDeadline extracts the client's time budget from ?deadline= in the
+// parsed query q or the X-Neofog-Deadline header in h (a Go duration,
+// e.g. "30s"), falling back to the configured default and clamping to
+// the configured maximum.
+func (s *Server) parseDeadline(q url.Values, h http.Header) (time.Duration, error) {
+	raw := q.Get("deadline")
 	if raw == "" {
-		raw = r.Header.Get(deadlineHeader)
+		raw = h.Get(deadlineHeader)
 	}
 	d := s.cfg.DefaultDeadline
 	if raw != "" {
@@ -252,12 +252,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	deadline, err := s.parseDeadline(r)
+	q := r.URL.Query()
+	deadline, err := s.parseDeadline(q, r.Header)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tenant, class, err := s.parseTenantClass(r, qos.Interactive)
+	tenant, class, err := s.parseTenantClass(q, r.Header, qos.Interactive)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -599,7 +600,7 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 			job = "-"
 		}
 		remaining := "-"
-		if d, err := s.parseDeadline(r); err == nil && d > 0 {
+		if d, err := s.parseDeadline(r.URL.Query(), r.Header); err == nil && d > 0 {
 			remaining = (d - latency).Round(time.Millisecond).String()
 		}
 		fmt.Fprintf(s.cfg.AccessLog, "ts=%s method=%s path=%s job=%s status=%d latency=%s deadline_remaining=%s\n",

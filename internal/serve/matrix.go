@@ -93,7 +93,8 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	deadline, err := s.parseDeadline(r)
+	q := r.URL.Query()
+	deadline, err := s.parseDeadline(q, r.Header)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -101,7 +102,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	// Matrix cells default to the bulk class: a sweep is throughput
 	// work, and classing it bulk is what keeps a big batch from camping
 	// in front of interactive submissions.
-	tenant, class, err := s.parseTenantClass(r, qos.Bulk)
+	tenant, class, err := s.parseTenantClass(q, r.Header, qos.Bulk)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -194,8 +195,8 @@ func (s *Server) runMatrixCell(ctx context.Context, index int, req Request, key 
 		switch outcome {
 		case outcomeCached:
 			cell.Cached = true
-			cell.Job = stripResult(snap)
-			return cell
+		case outcomeDeduped:
+			cell.Deduped = true
 		case outcomeDraining:
 			cell.Error = "draining: not accepting new jobs"
 			return cell
@@ -225,9 +226,6 @@ func (s *Server) runMatrixCell(ctx context.Context, index int, req Request, key 
 			case <-time.After(wait):
 			}
 			continue
-		}
-		if outcome == outcomeDeduped {
-			cell.Deduped = true
 		}
 		select {
 		case <-j.done:

@@ -261,7 +261,7 @@ func TestTenantRateLimit(t *testing.T) {
 	defer rec.release()
 	_, ts := newTestServer(t, Config{
 		Workers:  1,
-		Tenants:  []qos.TenantConfig{{Name: "metered", Rate: 1, Burst: 1}},
+		Tenants:  []qos.TenantConfig{{Name: "metered", Rate: 1}},
 		ExecHook: rec.hook,
 	})
 
@@ -318,7 +318,7 @@ func TestQueueFullSpendsNoRateToken(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:    1,
 		QueueDepth: 2,
-		Tenants:    []qos.TenantConfig{{Name: "metered", Rate: 1, Burst: 1}},
+		Tenants:    []qos.TenantConfig{{Name: "metered", Rate: 1}},
 		ExecHook:   rec.hook,
 	})
 

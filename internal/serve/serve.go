@@ -240,8 +240,10 @@ const (
 // from cache, attach to an identical in-flight job, or enqueue a fresh
 // run. The whole decision is one critical section, which is what makes
 // the deduplication single-flight — two identical concurrent
-// submissions cannot both observe "no such job". A cache answer also
-// returns the job's done body, for the handler to splice. deadline is the
+// submissions cannot both observe "no such job". A cache answer returns
+// the job's done body for the handler to splice, and then a snapshot
+// holding only the job's ID; a cache answer without a done body returns
+// the whole snapshot, for the handler to marshal. deadline is the
 // client's time budget (0 = none); tenant is the submission's resolved
 // QoS identity and class its scheduling class; the retryAfter return,
 // when positive, is the server's hint for when a rejected submission is
@@ -289,7 +291,10 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 				}
 				j.hits++
 				s.metrics.cacheHits.Add(1)
-				return j, j.snapshot(), j.doneBodyLocked(), outcomeCached, 0
+				if done := j.doneBodyLocked(); done.prefix != nil {
+					return j, Job{ID: j.id}, done, outcomeCached, 0
+				}
+				return j, j.snapshot(), doneBody{}, outcomeCached, 0
 			}
 			// The persisted result failed verification and was discarded
 			// (promoteLocked already removed the job): recompute under the

@@ -33,7 +33,7 @@ func incomeOf(slot units.Duration, traces ...*energytrace.Sampled) []energytrace
 		e := make([]units.Energy, int(tr.Duration()/slot))
 		for k := range e {
 			from := slot * units.Duration(k)
-			e[k] = energytrace.Integrate(tr, from, from+slot, tr.Step)
+			e[k] = energytrace.Integrate(tr, from, from+slot)
 		}
 		out[i] = energytrace.Income{Slot: slot, Energy: e}
 	}

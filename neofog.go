@@ -737,13 +737,13 @@ func NormalizeExperiment(id string, opts ExperimentOptions) (ExperimentOptions, 
 	return o, nil
 }
 
-// maxFaultIntensities caps a campaign's sweep. The campaigns take no
-// context, so nothing stops a sweep once it starts, and every point's
-// runs stay in memory until it ends. The tables print each intensity to
-// two decimals, so 101 points already give every printable intensity in
-// [0, 1] a row of its own; at that width the resilience campaign, the
-// costlier one, makes 202 runs, about 2 s of one core at its published
-// 20-node, 1500-round shape.
+// maxFaultIntensities caps a campaign's sweep, which bounds its memory:
+// every point's results stay in memory until the sweep ends. (Options'
+// Context stops a sweep between points, so the cap need not bound its
+// time.) The tables print each intensity to two decimals, so 101 points
+// already give every printable intensity in [0, 1] a row of its own; at
+// that width the resilience campaign, the costlier one, makes 202 runs,
+// about 2 s of one core at its published 20-node, 1500-round shape.
 const maxFaultIntensities = 101
 
 // experimentDayIncome is the whole-day income of one physical node in an

@@ -27,8 +27,17 @@ import (
 // ("pkg.Type.Field"). Each function entry counts as a root, so its
 // callees need no entries of their own.
 var reachAllowlist = map[string]string{
-	"neofog/internal/serve/client": "the retrying HTTP client README documents for the serve API; " +
-		"the serve and router chaos batteries drive it",
+	"neofog/internal/serve/client.Client.Run": "the retrying submit, wait and fetch that the serve and " +
+		"router chaos batteries drive through kills, drains and shard deaths; the load harness " +
+		"submits and waits without retries",
+	"neofog/internal/serve/client.Client.BaseDelay": "lets the chaos batteries shorten the retry backoff " +
+		"to milliseconds",
+	"neofog/internal/serve/client.Client.MaxDelay": "lets the chaos batteries cap one backoff sleep " +
+		"at milliseconds",
+	"neofog/internal/serve/client.Client.Seed": "fixes the retry jitter so the chaos batteries and " +
+		"the client's tests replay the same sleeps",
+	"neofog/internal/serve/client.Client.sleep": "lets the client's tests record backoff and poll " +
+		"sleeps instead of waiting them out",
 	"neofog/internal/telemetry.Recorder.Events": "tests in sim and the root package compare what " +
 		"a retaining recorder keeps against streams and exports",
 	"neofog/internal/telemetry.Recorder.Samples": "the root package's streaming contract test " +
