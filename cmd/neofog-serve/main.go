@@ -80,9 +80,9 @@ func run() error {
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "worker-pool width (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "queue depth; beyond it submissions get 429")
-		cacheEntries = flag.Int("cache", serve.DefaultCacheEntries, "result bodies retained in memory (disk tier demotes beyond this)")
+		cacheEntries = flag.Int("cache", serve.DefaultCacheEntries, "result bodies held in memory; beyond it the least recently used is demoted to disk, or evicted without -cache-dir")
 		cacheDir     = flag.String("cache-dir", "", "persist results here for warm restarts (empty = memory only)")
-		cacheBudget  = flag.Int64("cache-budget", 0, "total result bytes retained across both tiers (0 = unlimited)")
+		cacheBudget  = flag.Int64("cache-budget", 0, "total result bytes retained, across both tiers with -cache-dir; least recently used evicted first (0 = unlimited)")
 		cacheIndex   = flag.String("cache-index", "", "write a JSON audit index here on drain")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight jobs on shutdown")
 		showVer      = flag.Bool("version", false, "print build version and exit")

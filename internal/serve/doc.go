@@ -32,8 +32,8 @@
 //     samples are broadcast to SSE subscribers as the simulation records
 //     them, with the final result as the terminal event; nothing is kept
 //     once forwarded;
-//   - persist results across restarts: with Config.CacheDir the cache
-//     is two-tiered — bodies are written through to disk crash-safely
+//   - persist results across restarts: with Config.CacheDir the result
+//     store's disk tier is on — bodies are written through crash-safely
 //     (temp + fsync + rename, one self-describing file per result whose
 //     header carries its catalog record) as jobs complete, warm lazily
 //     on the next boot, drained or killed, and are verified against
@@ -45,7 +45,10 @@
 //     discarded and recomputed, never served. Config.CacheEntries
 //     bounds the memory-resident bodies (LRU demotion to disk beyond
 //     it) and Config.CacheBudget bounds total retained bytes across
-//     both tiers (LRU eviction beyond it).
+//     both tiers (LRU eviction beyond it). Without CacheDir it is the
+//     same store with its disk tier off: past either bound the least
+//     recently used result is evicted with its job, so every daemon
+//     retains by one rule.
 //
 // The containment layer (PR7) bounds what failure can cost:
 //

@@ -46,3 +46,12 @@ func DiskStateForTest(s *Server) string {
 	defer s.mu.Unlock()
 	return s.diskStateLocked()
 }
+
+// lookup returns the job with the given public ID, as the handlers'
+// lookups find it but without promoting its result.
+func (s *Server) lookup(id string) (*job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.byID[id]
+	return j, ok
+}

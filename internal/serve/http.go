@@ -367,7 +367,17 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // telemetry as it records, then exactly one terminal "result" (done,
 // snapshot with result inline) or "error" (failed/cancelled).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	// One hold finds the job and promotes its result, as snapshotByID
+	// does: a job dropped between two holds could leave a stale pointer
+	// to a job whose key and ID a resubmission has filed again.
+	s.mu.Lock()
+	j, ok := s.findLocked(r.PathValue("id"))
+	var terminal bool
+	var snap Job
+	if ok {
+		terminal, snap = j.terminal(), j.snapshot()
+	}
+	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
@@ -377,16 +387,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-
-	s.mu.Lock()
-	if j.status == StatusDone && !s.promoteLocked(j) {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	terminal := j.terminal()
-	snap := j.snapshot()
-	s.mu.Unlock()
 
 	// SSE streams outlive any sane WriteTimeout: lift the server-wide
 	// write deadline for this response only (best-effort — not every
@@ -512,27 +512,19 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics
 	s.mu.Lock()
-	var memBytes, diskBytes, diskEntries, breakerState float64
-	if s.store != nil {
-		memBytes, diskBytes = float64(s.store.memBytes), float64(s.store.diskBytes)
-		for _, e := range s.store.entries {
-			if e.onDisk {
-				diskEntries++
-			}
-		}
-		breakerState = float64(s.store.brk.state)
-	} else {
-		for _, j := range s.byKey {
-			memBytes += float64(len(j.result))
+	var diskEntries float64
+	for _, j := range s.store.entries {
+		if j.onDisk {
+			diskEntries++
 		}
 	}
 	m.queueDepth.Set(float64(s.sched.Len()))
 	m.jobsRunning.Set(float64(s.running))
 	m.cacheEntries.Set(float64(len(s.byKey)))
-	m.cacheBytesMemory.Set(memBytes)
-	m.cacheBytesDisk.Set(diskBytes)
+	m.cacheBytesMemory.Set(float64(s.store.memBytes))
+	m.cacheBytesDisk.Set(float64(s.store.diskBytes))
 	m.diskEntries.Set(diskEntries)
-	m.breakerState.Set(breakerState)
+	m.breakerState.Set(float64(s.store.brk.state))
 	m.poisonedKeys.Set(float64(len(s.poisoned)))
 	m.draining.Set(boolGauge(s.draining))
 	for _, tc := range s.sched.Tenants() {

@@ -276,6 +276,11 @@ type job struct {
 	// prefix is the done job's JSON up to "result", marshalled once; see
 	// doneBodyLocked.
 	prefix []byte
+	// The result store's record of a done result (see resultStore).
+	size     int64  // result bytes, resident or not
+	sum      string // hex SHA-256 of the result; taken only with a disk tier
+	onDisk   bool   // a durable copy is in the disk tier
+	lastUsed int64  // LRU stamp from the store's clock
 
 	ctx    context.Context
 	cancel context.CancelFunc

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// checkJobMaps requires byKey, byID and order to describe the same jobs:
-// every job filed under its own key and its own ID, and every key listed
-// once in submission order.
+// checkJobMaps requires byKey, byID, order and the result store to
+// describe the same jobs: every job filed under its own key and its own
+// ID, every key listed once in submission order, and every done job held
+// by the store as the very job byKey files under its key.
 func checkJobMaps(t *testing.T, s *Server) {
 	t.Helper()
 	s.mu.Lock()
@@ -31,12 +32,22 @@ func checkJobMaps(t *testing.T, s *Server) {
 			t.Fatalf("order lists %s, which byKey does not hold", key)
 		}
 	}
+	for key, j := range s.store.entries {
+		if s.byKey[key] != j {
+			t.Fatalf("store holds %s, which byKey does not file as that job", key)
+		}
+	}
+	for key, j := range s.byKey {
+		if j.status == StatusDone && s.store.entries[key] != j {
+			t.Fatalf("done job %s is not held by the store", key)
+		}
+	}
 }
 
 // TestJobMapsAgree drives every site that files or forgets a job —
-// submits, husk evictions, a promotion failure and a warm boot — and
-// checks after each that the ID index agrees with the key index, and
-// that ID lookups see exactly what it holds.
+// submits, husk evictions, promotion failures on a poll and a stream,
+// and a warm boot — and checks after each that the ID index agrees with
+// the key index, and that ID lookups see exactly what it holds.
 func TestJobMapsAgree(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, QueueDepth: 16, CacheDir: dir, CacheEntries: 2}
@@ -44,7 +55,7 @@ func TestJobMapsAgree(t *testing.T) {
 	body := func(seed int) string { return fmt.Sprintf(`{"config":{"nodes":3,"rounds":30,"seed":%d}}`, seed) }
 
 	// Submits: one running (parked at the gate), three queued.
-	ids := make([]string, 5)
+	ids := make([]string, 6)
 	for i := 0; i < 4; i++ {
 		_, sub := postJob(t, ts, body(i+1))
 		ids[i] = sub.Job.ID
@@ -97,11 +108,42 @@ func TestJobMapsAgree(t *testing.T) {
 	}
 	checkJobMaps(t, srv)
 
+	// A fourth completion demotes another body. A stream finds and
+	// promotes its job under one hold: with the file corrupted it answers
+	// 404 and forgets the job, as the poll did.
+	_, sub = postJob(t, ts, body(6))
+	ids[5] = sub.Job.ID
+	waitStatus(t, ts, ids[5], StatusDone)
+	srv.mu.Lock()
+	demoted = nil
+	var survivors []string
+	for _, id := range ids[3:] {
+		if j := srv.byID[id]; j.result == nil {
+			demoted = j
+		} else {
+			survivors = append(survivors, id)
+		}
+	}
+	srv.mu.Unlock()
+	if demoted == nil {
+		t.Fatal("no result demoted by the fourth completion")
+	}
+	if err := os.WriteFile(filepath.Join(dir, demoted.key), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := getBody(t, ts, "/v1/jobs/"+demoted.id+"/stream"); code != http.StatusNotFound {
+		t.Fatalf("corrupt entry streamed: status %d, want 404", code)
+	}
+	if _, ok := srv.lookup(demoted.id); ok {
+		t.Fatal("failed promotion on a stream left the job addressable by ID")
+	}
+	checkJobMaps(t, srv)
+
 	// Warm boot on the same directory, without a drain: the survivors
 	// come back through the boot loop, filed under both maps.
 	srv2, ts2 := newTestServer(t, cfg)
 	checkJobMaps(t, srv2)
-	for _, id := range []string{ids[3], ids[4]} {
+	for _, id := range survivors {
 		if code, _ := getBody(t, ts2, "/v1/jobs/"+id); code != http.StatusOK {
 			t.Fatalf("warm job %s: status %d", id, code)
 		}

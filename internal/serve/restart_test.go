@@ -400,6 +400,59 @@ func TestTierDemotionPromotion(t *testing.T) {
 	}
 }
 
+// TestListingLeavesMemoryTier pins that GET /v1/jobs reads a demoted
+// result without making it resident and leaves resident ones where they
+// sit in the LRU order: with one resident body, a hit on A, a listing
+// and a second hit on A serve that hit from memory.
+func TestListingLeavesMemoryTier(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir, CacheEntries: 1})
+
+	bodyA := `{"config":{"nodes":3,"rounds":30,"seed":43}}`
+	bodyB := `{"config":{"nodes":3,"rounds":30,"seed":44}}`
+	idA, wantA := submitAndFetch(t, ts, bodyA)
+	idB, wantB := submitAndFetch(t, ts, bodyB)
+	if code, resp := postJob(t, ts, bodyA); code != http.StatusOK || !resp.Cached {
+		t.Fatalf("hit A: status %d cached %v", code, resp.Cached)
+	}
+
+	code, raw := getBody(t, ts, "/v1/jobs")
+	if code != http.StatusOK {
+		t.Fatalf("list: status %d", code)
+	}
+	var list struct {
+		Jobs []Job `json:"jobs"`
+	}
+	if err := json.Unmarshal(raw, &list); err != nil {
+		t.Fatalf("decode list: %v", err)
+	}
+	want := map[string][]byte{idA: wantA, idB: wantB}
+	if len(list.Jobs) != len(want) {
+		t.Fatalf("listing holds %d jobs, want %d", len(list.Jobs), len(want))
+	}
+	for _, j := range list.Jobs {
+		if !bytes.Equal(j.Result, want[j.ID]) {
+			t.Fatalf("listed result of %s differs:\n got %s\nwant %s", j.ID, j.Result, want[j.ID])
+		}
+	}
+
+	memHits := srv.metrics.counter("tier_hits_memory_total")
+	if code, resp := postJob(t, ts, bodyA); code != http.StatusOK || !resp.Cached {
+		t.Fatalf("hit A again: status %d cached %v", code, resp.Cached)
+	}
+	if got := srv.metrics.counter("tier_hits_memory_total"); got != memHits+1 {
+		t.Fatalf("second hit on A came from disk: tier_hits_memory_total %d, want %d", got, memHits+1)
+	}
+	// B's completion demoted A and the first hit on A demoted B; the
+	// listing moved nothing.
+	if got := srv.metrics.counter("tier_promotions_total"); got != 1 {
+		t.Fatalf("tier_promotions_total = %d, want 1", got)
+	}
+	if got := srv.metrics.counter("tier_demotions_total"); got != 2 {
+		t.Fatalf("tier_demotions_total = %d, want 2", got)
+	}
+}
+
 // TestByteBudgetEviction bounds the corpus: when a second result would
 // exceed the byte budget, the least-recently-used entry is evicted
 // entirely — job, file, and catalog line — and resubmitting it

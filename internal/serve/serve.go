@@ -39,9 +39,12 @@ type Config struct {
 	// service-time estimate used before any job has finished. 0 keeps
 	// the historical behavior (no latency signal → never reject).
 	AssumedJobSeconds float64
-	// CacheEntries bounds how many finished jobs (and so cached results)
-	// are retained; the oldest finished job is evicted first. Queued and
-	// running jobs are never evicted (default 1024).
+	// CacheEntries bounds how many finished results are held in memory
+	// (default 1024). Past it the least recently used one is demoted to
+	// the disk tier or, without one, evicted with its job. It also bounds
+	// the job store: failed, cancelled and poisoned jobs are reaped,
+	// oldest first, once it holds more jobs than this. Queued and running
+	// jobs are never evicted.
 	CacheEntries int
 	// CacheIndexPath, when non-empty, receives a JSON index of the cache
 	// (key, job ID, kind, status, hit counts) when Drain completes, so an
@@ -54,13 +57,12 @@ type Config struct {
 	// lazily on boot — a restarted daemon, drained or killed, serves
 	// previously computed results byte-identically, with "cached":true,
 	// without recomputing. CacheDir/index.json keeps hit counts and LRU
-	// order; it is written at boot and at drain. Empty disables the tier
-	// (memory-only, the pre-disk behavior).
+	// order; it is written at boot and at drain. Empty turns the tier
+	// off: the same store keeps results in memory only.
 	CacheDir string
 	// CacheBudget bounds the total retained result bytes across both
 	// tiers (each entry counted once). Least-recently-used entries are
-	// evicted entirely when it is exceeded. 0 means unlimited. Only
-	// meaningful with CacheDir set.
+	// evicted entirely when it is exceeded. 0 means unlimited.
 	CacheBudget int64
 	// Clock injects time for tests (default time.Now). All job
 	// timestamps and latency observations go through it.
@@ -155,7 +157,7 @@ type Server struct {
 	memo *Memo
 
 	mu       sync.Mutex
-	store    *resultStore // disk tier bookkeeping; nil when CacheDir is empty
+	store    *resultStore // the only retention policy for done results
 	poisoned map[string]*poisonRecord
 	byKey    map[string]*job
 	byID     map[string]*job // the same jobs by public ID, for O(1) lookups
@@ -168,12 +170,13 @@ type Server struct {
 	workers sync.WaitGroup
 }
 
-// New builds a Server and starts its worker pool. With CacheDir set it
-// also opens the disk tier: stale temp files are swept, the index is
-// loaded (a mangled one resets the tier), files it does not list are
-// adopted from their headers (or removed when those do not parse), every
-// such result reappears as a done job whose body stays on disk until its
-// first hit, and the reconciled catalog is written back.
+// New builds a Server, opens its result store and starts its worker
+// pool. With CacheDir set the store's disk tier opens too: stale temp
+// files are swept, the index is loaded (a mangled one resets the tier),
+// files it does not list are adopted from their headers (or removed when
+// those do not parse), every such result reappears as a done job whose
+// body stays on disk until its first hit, and the reconciled catalog is
+// written back.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg.withDefaults(),
@@ -189,31 +192,23 @@ func New(cfg Config) (*Server, error) {
 	s.sched = sched
 	s.metrics = newMetrics(s.cfg, sched.Tenants())
 	s.notEmpty = sync.NewCond(&s.mu)
-	if s.cfg.CacheDir != "" {
-		brk := newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerProbe, s.cfg.Clock, s.metrics)
-		store, warm := newResultStore(s.cfg.CacheDir, s.cfg.CacheBudget, s.cfg.CacheEntries, s.cfg.FS, brk, s.metrics)
-		s.store = store
-		if brk.degraded() && s.cfg.ErrorLog != nil {
-			s.cfg.ErrorLog.Printf("serve: cache dir %s unusable at boot; disk tier degraded (memory-only)", s.cfg.CacheDir)
-		}
-		for _, e := range warm {
-			j := warmJob(e)
-			s.addJobLocked(j)
-			s.store.adopt(j, e)
-		}
-		// The budget may have shrunk since the catalog was written:
-		// trim the warm set LRU-first before serving anything.
-		for s.store.budget > 0 && s.store.total > s.store.budget {
-			victim := s.store.lru(nil, false)
-			if victim == nil {
-				break
-			}
-			s.store.dropEntry(victim)
-			s.metrics.cacheEvictions.Add(1)
-			s.removeJobLocked(victim.j)
-		}
-		s.store.flushIndex()
+	brk := newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerProbe, s.cfg.Clock, s.metrics)
+	store, warm := newResultStore(s.cfg.CacheDir, s.cfg.CacheBudget, s.cfg.CacheEntries, s.cfg.FS, brk, s.metrics)
+	s.store = store
+	if brk.degraded() && s.cfg.ErrorLog != nil {
+		s.cfg.ErrorLog.Printf("serve: cache dir %s unusable at boot; disk tier degraded (memory-only)", s.cfg.CacheDir)
 	}
+	for _, e := range warm {
+		j := warmJob(e)
+		s.addJobLocked(j)
+		s.store.adopt(j, e)
+	}
+	// The budget may have shrunk since the catalog was written: trim the
+	// warm set LRU-first before serving anything.
+	for _, j := range s.store.evictOverflow(nil) {
+		s.removeJobLocked(j)
+	}
+	s.store.flushIndex()
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -282,7 +277,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	if j, ok := s.byKey[key]; ok {
 		switch {
 		case j.status == StatusDone:
-			fromDisk := s.store != nil && j.result == nil
+			fromDisk := j.result == nil
 			if s.promoteLocked(j) {
 				if fromDisk {
 					s.metrics.tierHitsDisk.Add(1)
@@ -418,20 +413,13 @@ func (s *Server) poisonLocked(key string) {
 	rec.until = s.cfg.Clock().Add(s.cfg.PoisonTTL)
 }
 
-// promoteLocked ensures a done job's result bytes are in memory,
-// promoting from the disk tier when demoted. It reports false when the
-// result is lost — the disk copy missing or failing verification — in
-// which case the job is removed from the store entirely (like an
-// eviction) and the caller recomputes or 404s. Without a disk tier a
-// done job's bytes are always resident and this is a no-op. Callers
-// hold s.mu.
+// promoteLocked ensures a done job's result bytes are in memory and
+// marks them most recently used, promoting from the disk tier when
+// demoted. It reports false when the result is lost — the disk copy
+// missing or failing verification — in which case the job is removed
+// from the store entirely (like an eviction) and the caller recomputes
+// or 404s. Callers hold s.mu and looked j up under the same hold.
 func (s *Server) promoteLocked(j *job) bool {
-	if s.store == nil || j.result != nil {
-		if s.store != nil {
-			s.store.touch(j.key)
-		}
-		return true
-	}
 	if s.store.promote(j) {
 		return true
 	}
@@ -462,12 +450,12 @@ func (s *Server) removeJobLocked(j *job) {
 	}
 }
 
-// evictLocked drops the oldest finished jobs until the store fits the
-// configured bound; in-flight jobs are never evicted. With the disk
-// tier enabled, done jobs are exempt — their retention is the result
-// store's business (CacheEntries bounds resident bodies via demotion,
-// CacheBudget bounds total bytes via LRU eviction) — so only failed and
-// cancelled husks are reaped here. Callers hold s.mu.
+// evictLocked reaps husks — failed, cancelled and poisoned jobs —
+// oldest first, until the job store fits CacheEntries or none is left.
+// Done jobs are exempt: their retention is the result store's alone
+// (CacheEntries bounds resident bodies, CacheBudget total bytes, both
+// least recently used first). In-flight jobs are never evicted. Callers
+// hold s.mu.
 func (s *Server) evictLocked() {
 	excess := len(s.byKey) - s.cfg.CacheEntries
 	if excess <= 0 {
@@ -476,7 +464,7 @@ func (s *Server) evictLocked() {
 	kept := s.order[:0]
 	for _, key := range s.order {
 		j := s.byKey[key]
-		evictable := j != nil && j.terminal() && (s.store == nil || j.status != StatusDone)
+		evictable := j != nil && j.terminal() && j.status != StatusDone
 		if excess > 0 && evictable {
 			delete(s.byKey, key)
 			delete(s.byID, j.id)
@@ -554,16 +542,13 @@ func (s *Server) runJob(j *job) {
 	switch {
 	case err == nil:
 		j.status = StatusDone
-		if s.store != nil {
-			// Write-through: the body lands on disk (crash-safely) in the
-			// same critical section that flips the status, so any client
-			// that observes "done" can rely on the entry surviving a
-			// crash. The byte budget may evict older entries entirely.
-			for _, ej := range s.store.put(j, result) {
-				s.removeJobLocked(ej)
-			}
-		} else {
-			j.result = result
+		// Write-through: with a disk tier the body lands on disk
+		// (crash-safely) in the same critical section that flips the
+		// status, so any client that observes "done" can rely on the
+		// entry surviving a crash. The bounds may evict older entries
+		// entirely.
+		for _, ej := range s.store.put(j, result) {
+			s.removeJobLocked(ej)
 		}
 		j.doneBodyLocked() // marshal the prefix now, not on the first poll
 	case errors.As(err, &pe):
@@ -674,14 +659,6 @@ func (s *Server) execute(j *job) (json.RawMessage, error) {
 	return nil, fmt.Errorf("unknown job kind %q", j.kind)
 }
 
-// lookup returns the job with the given public ID.
-func (s *Server) lookup(id string) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.byID[id]
-	return j, ok
-}
-
 // snapshotByID returns the public snapshot of the job with the given
 // ID, promoting its result from the disk tier first when demoted — a
 // disk hit must be indistinguishable from a memory hit at the HTTP
@@ -756,23 +733,29 @@ func (s *Server) cancelJob(id string) (Job, bool) {
 }
 
 // jobs lists snapshots in submission order. Snapshots carry result
-// bodies inline, so demoted entries are promoted on the way out (and
-// entries that fail verification vanish from the listing, like
-// evictions); listing is deliberately a full read of the cache.
+// bodies inline, so demoted bodies are read back for the listing without
+// being made resident, and resident ones keep their LRU position: a
+// listing leaves the memory tier as it found it. Entries that fail
+// verification vanish from the listing, like evictions; listing is
+// deliberately a full read of the cache.
 func (s *Server) jobs() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := append([]string(nil), s.order...) // promotion failures mutate s.order
+	keys := append([]string(nil), s.order...) // lost results mutate s.order
 	out := make([]Job, 0, len(keys))
 	for _, key := range keys {
 		j, ok := s.byKey[key]
 		if !ok {
 			continue
 		}
-		if j.status == StatusDone && !s.promoteLocked(j) {
-			continue
+		snap := j.snapshot()
+		if j.status == StatusDone {
+			if snap.Result = s.store.peek(j); snap.Result == nil {
+				s.removeJobLocked(j)
+				continue
+			}
 		}
-		out = append(out, j.snapshot())
+		out = append(out, snap)
 	}
 	return out
 }
@@ -782,7 +765,7 @@ func (s *Server) jobs() []Job {
 // open, memory-only). Callers hold s.mu.
 func (s *Server) diskStateLocked() string {
 	switch {
-	case s.store == nil:
+	case s.store.dir == "":
 		return "off"
 	case s.store.brk.degraded():
 		return "degraded"
@@ -847,24 +830,16 @@ func (s *Server) Drain(ctx context.Context) error {
 // path — there is exactly one way an index reaches disk.
 func (s *Server) flushCacheIndex() error {
 	s.mu.Lock()
-	if s.store != nil {
-		s.store.flushIndex()
-	}
+	s.store.flushIndex()
 	if s.cfg.CacheIndexPath == "" {
 		s.mu.Unlock()
 		return nil
 	}
 	f := indexFile{Version: indexVersion}
 	for _, key := range s.order {
-		j, ok := s.byKey[key]
-		if !ok {
-			continue
+		if j, ok := s.byKey[key]; ok {
+			f.Entries = append(f.Entries, auditEntry(j))
 		}
-		var e *storeEntry
-		if s.store != nil {
-			e = s.store.entries[key]
-		}
-		f.Entries = append(f.Entries, auditEntry(j, e))
 	}
 	s.mu.Unlock()
 	b, err := encodeIndex(f)

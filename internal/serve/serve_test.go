@@ -610,7 +610,7 @@ func TestDrain(t *testing.T) {
 }
 
 // TestEviction bounds the store: with CacheEntries=2, finishing a third
-// job evicts the oldest finished one.
+// job evicts the least recently used one, here the oldest.
 func TestEviction(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, CacheEntries: 2})
 	ids := make([]string, 3)
@@ -630,6 +630,40 @@ func TestEviction(t *testing.T) {
 	if got := srv.metrics.counter("cache_evictions_total"); got != 1 {
 		t.Fatalf("cache_evictions_total = %d, want 1", got)
 	}
+}
+
+// TestEvictionKeepsHotResult pins the retention policy of a daemon
+// without a disk tier: with CacheEntries=2, a result hit three times
+// outlives one never hit, because eviction goes least recently used
+// first, not in submission order.
+func TestEvictionKeepsHotResult(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, CacheEntries: 2})
+	body := func(seed int) string { return fmt.Sprintf(`{"config":{"nodes":3,"rounds":30,"seed":%d}}`, seed) }
+	ids := make([]string, 3)
+	for i := range ids[:2] {
+		_, sub := postJob(t, ts, body(60+i))
+		ids[i] = sub.Job.ID
+		waitStatus(t, ts, sub.Job.ID, StatusDone)
+	}
+	for i := 0; i < 3; i++ {
+		if code, resp := postJob(t, ts, body(60)); code != http.StatusOK || !resp.Cached {
+			t.Fatalf("hit %d on A: status %d cached %v", i, code, resp.Cached)
+		}
+	}
+	_, sub := postJob(t, ts, body(62))
+	ids[2] = sub.Job.ID
+	waitStatus(t, ts, sub.Job.ID, StatusDone)
+
+	if code, _ := getBody(t, ts, "/v1/jobs/"+ids[0]); code != http.StatusOK {
+		t.Fatalf("hot job A evicted: status %d, want 200", code)
+	}
+	if code, _ := getBody(t, ts, "/v1/jobs/"+ids[1]); code != http.StatusNotFound {
+		t.Fatalf("cold job B kept: status %d, want 404", code)
+	}
+	if got := srv.metrics.counter("cache_evictions_total"); got != 1 {
+		t.Fatalf("cache_evictions_total = %d, want 1", got)
+	}
+	checkJobMaps(t, srv)
 }
 
 // TestHealthz sanity-checks the health body fields.

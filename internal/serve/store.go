@@ -40,9 +40,13 @@ const indexFileName = "index.json"
 
 // resultStore places done-result bodies across two tiers: the memory
 // tier (job.result, the bytes served verbatim) and the disk tier
-// (CacheDir/<key> files written through on completion). The store is a
-// bookkeeping layer, not a lock domain: every method is called with the
-// owning Server's mutex held, so fields need no locking of their own.
+// (CacheDir/<key> files written through on completion). With no
+// directory the disk tier is off and the memory tier holds the only
+// copy, so a body pushed past either bound is evicted with its job. The
+// store's record of a result — its size, body hash, on-disk flag and LRU
+// stamp — lives on the job. The store is a bookkeeping layer, not a lock
+// domain: every method is called with the owning Server's mutex held, so
+// fields need no locking of their own.
 //
 // Tier invariants:
 //
@@ -58,6 +62,8 @@ const indexFileName = "index.json"
 //     copy, promotion reads it back and verifies it against the SHA-256
 //     recorded at write time — corrupt or truncated files are discarded
 //     and their jobs recomputed, never served;
+//   - without a disk tier there is nothing to demote to: past the memory
+//     bound the least-recently-used entry is evicted with its job;
 //   - the byte budget spans both tiers, counting each entry once (the
 //     durable copy); when exceeded, least-recently-used entries are
 //     evicted entirely — file, RAM copy, and job — except the entry
@@ -68,15 +74,15 @@ const indexFileName = "index.json"
 //     skipped (degraded, memory-only, still serving), and a successful
 //     half-open probe closes it again and re-persists the backlog.
 type resultStore struct {
-	dir      string // result files + index live here
+	dir      string // result files + index live here; empty turns the disk tier off
 	budget   int64  // total retained bytes across tiers; 0 = unlimited
 	memLimit int    // max memory-resident bodies before demotion
 	fs       FS
 	brk      *breaker
 	metrics  *metrics
 
-	seq       int64 // LRU clock; monotone per store use
-	entries   map[string]*storeEntry
+	seq       int64           // LRU clock; monotone per store use
+	entries   map[string]*job // every retained done job, by key
 	memCount  int
 	memBytes  int64
 	diskBytes int64
@@ -92,18 +98,6 @@ type resultStore struct {
 // errInjectedCrash marks a crashHook abort: a simulated process death,
 // not a disk fault, so it must not feed the circuit breaker.
 var errInjectedCrash = errors.New("serve: injected crash before rename")
-
-// storeEntry is the placement record for one done job's result.
-type storeEntry struct {
-	j        *job
-	size     int64
-	sum      string // hex SHA-256 of the body, fixed at put time
-	onDisk   bool
-	lastUsed int64
-}
-
-// inMemory reports whether the entry's bytes are RAM-resident.
-func (e *storeEntry) inMemory() bool { return e.j.result != nil }
 
 // newResultStore opens (or creates) the disk tier at dir and returns the
 // store plus the warm entries to serve: the index's entries whose files
@@ -122,11 +116,15 @@ func (e *storeEntry) inMemory() bool { return e.j.result != nil }
 // Boot never fails the daemon: a cache directory that cannot even be
 // created or listed trips the breaker immediately and the store opens
 // cold and degraded — the service runs memory-only and the breaker's
-// probes keep trying the disk.
+// probes keep trying the disk. An empty dir opens the store with its
+// disk tier off: nothing is read, and nothing is ever written.
 func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker, m *metrics) (*resultStore, []indexEntry) {
 	rs := &resultStore{
 		dir: dir, budget: budget, memLimit: memLimit, fs: fs, brk: brk, metrics: m,
-		entries: map[string]*storeEntry{},
+		entries: map[string]*job{},
+	}
+	if dir == "" {
+		return rs, nil
 	}
 	if err := fs.MkdirAll(dir); err != nil {
 		brk.trip()
@@ -232,9 +230,8 @@ var knownKinds = map[string]bool{KindSimulate: true, KindFleet: true, KindExperi
 // adopt registers a warm-boot job against its index entry; bodies stay
 // on disk until first use.
 func (rs *resultStore) adopt(j *job, e indexEntry) {
-	rs.entries[j.key] = &storeEntry{
-		j: j, size: e.Size, sum: e.BodySHA256, onDisk: true, lastUsed: e.LastUsed,
-	}
+	j.size, j.sum, j.onDisk, j.lastUsed = e.Size, e.BodySHA256, true, e.LastUsed
+	rs.entries[j.key] = j
 	rs.diskBytes += e.Size
 	rs.total += e.Size
 }
@@ -244,102 +241,112 @@ func (rs *resultStore) tick() int64 {
 	return rs.seq
 }
 
-// touch refreshes a key's LRU position.
-func (rs *resultStore) touch(key string) {
-	if e, ok := rs.entries[key]; ok {
-		e.lastUsed = rs.tick()
-	}
-}
-
 // resultPath is the body file for a key.
 func (rs *resultStore) resultPath(key string) string { return filepath.Join(rs.dir, key) }
 
 // put retains a just-completed job's result: bytes into the memory tier,
-// written through to disk, accounted against the budget. It returns the
-// jobs whose entries the byte budget evicted entirely (never j itself);
-// the caller drops them from its own store.
-func (rs *resultStore) put(j *job, body []byte) (evicted []*job) {
+// and with a disk tier hashed, written through and demoted past the
+// memory bound. It returns the jobs evictOverflow evicted (never j
+// itself); the caller forgets them.
+func (rs *resultStore) put(j *job, body []byte) []*job {
 	if old, ok := rs.entries[j.key]; ok {
 		rs.dropEntry(old) // a recompute replaces whatever stale entry remained
 	}
-	sum := sha256.Sum256(body)
-	e := &storeEntry{
-		j:        j,
-		size:     int64(len(body)),
-		sum:      hex.EncodeToString(sum[:]),
-		lastUsed: rs.tick(),
-	}
-	j.result = body
-	rs.entries[j.key] = e
+	j.result, j.size, j.lastUsed = body, int64(len(body)), rs.tick()
+	rs.entries[j.key] = j
 	rs.memCount++
-	rs.memBytes += e.size
-	rs.total += e.size
-
-	switch err := rs.writeResult(e); {
-	case err == nil:
-		e.onDisk = true
-		rs.diskBytes += e.size
-	case errors.Is(err, errDiskDegraded):
-		// Skipped, not failed: counted by the breaker path already.
-	default:
-		rs.metrics.diskWriteErrors.Add(1)
+	rs.memBytes += j.size
+	rs.total += j.size
+	if rs.dir != "" {
+		sum := sha256.Sum256(body)
+		j.sum = hex.EncodeToString(sum[:])
+		rs.persist(j)
+		rs.demoteOverflow(j)
 	}
-
-	rs.demoteOverflow(e)
-	for rs.budget > 0 && rs.total > rs.budget {
-		victim := rs.lru(e, false)
-		if victim == nil {
-			break // only the fresh entry remains; it survives until the next put
-		}
-		rs.dropEntry(victim)
-		rs.metrics.cacheEvictions.Add(1)
-		evicted = append(evicted, victim.j)
-	}
+	evicted := rs.evictOverflow(j)
 	rs.sweepRecovered()
 	return evicted
 }
 
-// promote makes j's result RAM-resident, reading it back from disk and
-// verifying it if demoted. It reports false when the entry is lost —
-// missing, failing verification, or unreachable behind an open breaker —
-// in which case the entry (and its file, when reachable) are already
-// discarded and the caller must recompute; bad bytes are never returned.
+// evictOverflow evicts entries entirely — file, RAM copy and job — least
+// recently used first, while the byte budget is exceeded or, with no disk
+// tier to demote to, the memory bound is; it returns their jobs. keep is
+// never evicted: a fresh entry survives until the next put even if
+// oversized.
+func (rs *resultStore) evictOverflow(keep *job) (evicted []*job) {
+	for (rs.budget > 0 && rs.total > rs.budget) || (rs.dir == "" && rs.memCount > rs.memLimit) {
+		victim := rs.lru(keep, false)
+		if victim == nil {
+			break
+		}
+		rs.dropEntry(victim)
+		rs.metrics.cacheEvictions.Add(1)
+		evicted = append(evicted, victim)
+	}
+	return evicted
+}
+
+// promote makes j's result RAM-resident and most recently used, reading
+// it back from disk and verifying it if demoted. It reports false when
+// the result is lost (see load); the caller must recompute. A job the
+// store no longer holds is a stale pointer to a dropped entry: it is
+// neither read back nor dropped again, which would subtract its bytes a
+// second time.
 func (rs *resultStore) promote(j *job) bool {
-	e, ok := rs.entries[j.key]
-	if !ok {
+	if rs.entries[j.key] != j {
 		return j.result != nil
 	}
-	e.lastUsed = rs.tick()
-	if e.inMemory() {
+	j.lastUsed = rs.tick()
+	if j.result != nil {
 		return true
 	}
-	body, err := rs.readResult(j.key, e.sum, e.size)
+	if j.result = rs.load(j); j.result == nil {
+		return false
+	}
+	rs.memCount++
+	rs.memBytes += j.size
+	rs.metrics.tierPromotions.Add(1)
+	rs.demoteOverflow(j)
+	rs.sweepRecovered()
+	return true
+}
+
+// peek returns j's result for a listing without moving it between tiers
+// or along the LRU order: the resident bytes, or a demoted body read back
+// and verified but not kept. nil means the result was lost and dropped.
+func (rs *resultStore) peek(j *job) []byte {
+	if j.result != nil || rs.entries[j.key] != j {
+		return j.result
+	}
+	return rs.load(j)
+}
+
+// load reads j's demoted body back and verifies it. A lost body —
+// missing, failing verification, or unreachable behind an open breaker —
+// is dropped with its entry (and its file, when reachable) and load
+// returns nil; bad bytes are never returned.
+func (rs *resultStore) load(j *job) []byte {
+	body, err := rs.readResult(j)
 	if err != nil {
 		rs.metrics.tierMissesDisk.Add(1)
 		if !os.IsNotExist(err) && !errors.Is(err, errDiskDegraded) {
 			rs.metrics.diskCorrupt.Add(1)
 		}
-		rs.dropEntry(e)
-		return false
+		rs.dropEntry(j)
 	}
-	j.result = body
-	rs.memCount++
-	rs.memBytes += e.size
-	rs.metrics.tierPromotions.Add(1)
-	rs.demoteOverflow(e)
-	rs.sweepRecovered()
-	return true
+	return body
 }
 
 // demoteOverflow drops RAM copies, least recently used first, until the
-// memory tier fits its bound. keep (the entry being served right now) is
-// never demoted. An entry that never made it to disk is given one more
-// persist attempt; if that fails too it stays resident — an overshoot
-// bounded by the number of failing writes — because dropping its only
-// copy would violate "never lose a verified entry". With the breaker
-// open demotion stops entirely: nothing can be safely written out, so
-// the memory tier overshoots its bound for the outage's duration.
-func (rs *resultStore) demoteOverflow(keep *storeEntry) {
+// memory tier fits its bound; only a disk tier demotes. keep (the entry
+// being served right now) is never demoted. An entry that never made it
+// to disk is given one more persist attempt; if that fails too it stays
+// resident — an overshoot bounded by the number of failing writes —
+// because dropping its only copy would violate "never lose a verified
+// entry". With the breaker open demotion stops entirely: nothing can be
+// safely written out, so the memory tier overshoots its bound for the
+// outage's duration.
+func (rs *resultStore) demoteOverflow(keep *job) {
 	guard := len(rs.entries)
 	for rs.memCount > rs.memLimit && guard > 0 {
 		guard--
@@ -348,20 +355,15 @@ func (rs *resultStore) demoteOverflow(keep *storeEntry) {
 			return
 		}
 		if !victim.onDisk {
-			switch err := rs.writeResult(victim); {
-			case err == nil:
-				victim.onDisk = true
-				rs.diskBytes += victim.size
-			case errors.Is(err, errDiskDegraded):
+			if err := rs.persist(victim); errors.Is(err, errDiskDegraded) {
 				return // breaker open: stop demoting, overshoot until recovery
-			default:
-				rs.metrics.diskWriteErrors.Add(1)
+			} else if err != nil {
 				victim.lastUsed = rs.tick() // stop reselecting the same unpersistable entry
 				continue
 			}
 		}
-		victim.j.result = nil
-		victim.j.prefix = nil // rebuilt at first use after promotion, as for a warm-boot job
+		victim.result = nil
+		victim.prefix = nil // rebuilt at first use after promotion, as for a warm-boot job
 		rs.memCount--
 		rs.memBytes -= victim.size
 		rs.metrics.tierDemotions.Add(1)
@@ -377,50 +379,59 @@ func (rs *resultStore) sweepRecovered() {
 	if !rs.brk.takeRecovered() {
 		return
 	}
-	for _, e := range rs.entries {
-		if e.onDisk || !e.inMemory() {
+	for _, j := range rs.entries {
+		if j.onDisk || j.result == nil {
 			continue
 		}
-		if err := rs.writeResult(e); err != nil {
-			if errors.Is(err, errDiskDegraded) {
-				break // re-tripped mid-sweep
-			}
-			rs.metrics.diskWriteErrors.Add(1)
-			continue
+		if errors.Is(rs.persist(j), errDiskDegraded) {
+			break // re-tripped mid-sweep
 		}
-		e.onDisk = true
-		rs.diskBytes += e.size
 	}
+}
+
+// persist writes a resident entry through to the disk tier and records
+// the outcome: on success the entry is on disk; a failed write (not one
+// the open breaker skipped, which it counts itself) is counted.
+func (rs *resultStore) persist(j *job) error {
+	err := rs.writeResult(j)
+	switch {
+	case err == nil:
+		j.onDisk = true
+		rs.diskBytes += j.size
+	case !errors.Is(err, errDiskDegraded):
+		rs.metrics.diskWriteErrors.Add(1)
+	}
+	return err
 }
 
 // lru returns the least-recently-used entry other than keep, optionally
 // restricted to RAM-resident entries; nil when no candidate exists.
-func (rs *resultStore) lru(keep *storeEntry, memoryOnly bool) *storeEntry {
-	var victim *storeEntry
-	for _, e := range rs.entries {
-		if e == keep || (memoryOnly && !e.inMemory()) {
+func (rs *resultStore) lru(keep *job, memoryOnly bool) *job {
+	var victim *job
+	for _, j := range rs.entries {
+		if j == keep || (memoryOnly && j.result == nil) {
 			continue
 		}
-		if victim == nil || e.lastUsed < victim.lastUsed {
-			victim = e
+		if victim == nil || j.lastUsed < victim.lastUsed {
+			victim = j
 		}
 	}
 	return victim
 }
 
 // dropEntry removes an entry from both tiers and the accounting.
-func (rs *resultStore) dropEntry(e *storeEntry) {
-	if e.inMemory() {
-		e.j.result = nil
+func (rs *resultStore) dropEntry(j *job) {
+	if j.result != nil {
+		j.result = nil
 		rs.memCount--
-		rs.memBytes -= e.size
+		rs.memBytes -= j.size
 	}
-	if e.onDisk {
-		rs.removeFile(rs.resultPath(e.j.key))
-		rs.diskBytes -= e.size
+	if j.onDisk {
+		rs.removeFile(rs.resultPath(j.key))
+		rs.diskBytes -= j.size
 	}
-	rs.total -= e.size
-	delete(rs.entries, e.j.key)
+	rs.total -= j.size
+	delete(rs.entries, j.key)
 }
 
 // removeFile deletes one file under the breaker's guard; a missing file
@@ -443,13 +454,12 @@ func (rs *resultStore) removeFile(path string) {
 // operation runs under the breaker: skipped outright while open, and its
 // outcome (crash-hook aborts excepted — those simulate process death,
 // not disk failure) feeds the breaker's failure streak.
-func (rs *resultStore) writeResult(e *storeEntry) error {
+func (rs *resultStore) writeResult(j *job) error {
 	if !rs.brk.allow() {
 		rs.metrics.breakerSkipped.Add(1)
 		return errDiskDegraded
 	}
-	j := e.j
-	data := fmt.Appendf(nil, "%s %s %s %d %s %s %s %s\n", resultFileMagic, j.key, e.sum, e.size, j.kind,
+	data := fmt.Appendf(nil, "%s %s %s %d %s %s %s %s\n", resultFileMagic, j.key, j.sum, j.size, j.kind,
 		j.submittedAt.Format(time.RFC3339Nano), j.startedAt.Format(time.RFC3339Nano), j.finishedAt.Format(time.RFC3339Nano))
 	data = append(data, j.result...)
 	err := commitFile(rs.fs, rs.resultPath(j.key), data, rs.crashHook)
@@ -494,7 +504,7 @@ func parseResultFile(raw []byte) (indexEntry, []byte, error) {
 	return e, raw[nl+1:], nil
 }
 
-// readResult reads one body back and verifies it end to end: the
+// readResult reads j's body back and verifies it end to end: the
 // header's shape, its embedded key against the filename, the embedded
 // and cataloged lengths, and the body's SHA-256 against both the
 // header's copy and the catalog's copy. v1 and v2 headers both pass, so
@@ -502,7 +512,8 @@ func parseResultFile(raw []byte) (indexEntry, []byte, error) {
 // is one error; the caller discards the entry. Only the I/O feeds the
 // breaker — a verification failure means the disk answered fine and the
 // content was bad, which is corruption, not unavailability.
-func (rs *resultStore) readResult(key, wantSum string, wantSize int64) ([]byte, error) {
+func (rs *resultStore) readResult(j *job) ([]byte, error) {
+	key := j.key
 	if !rs.brk.allow() {
 		rs.metrics.breakerSkipped.Add(1)
 		return nil, errDiskDegraded
@@ -523,13 +534,13 @@ func (rs *resultStore) readResult(key, wantSum string, wantSize int64) ([]byte, 
 	if h.Key != key {
 		return nil, fmt.Errorf("serve: result %s: header names key %s", key, h.Key)
 	}
-	if h.Size != int64(len(body)) || h.Size != wantSize {
+	if h.Size != int64(len(body)) || h.Size != j.size {
 		return nil, fmt.Errorf("serve: result %s: length mismatch (header %d, body %d, index %d)",
-			key, h.Size, len(body), wantSize)
+			key, h.Size, len(body), j.size)
 	}
 	sum := sha256.Sum256(body)
 	got := hex.EncodeToString(sum[:])
-	if got != h.BodySHA256 || got != wantSum {
+	if got != h.BodySHA256 || got != j.sum {
 		return nil, fmt.Errorf("serve: result %s: body hash mismatch", key)
 	}
 	return body, nil
@@ -540,11 +551,11 @@ func (rs *resultStore) readResult(key, wantSum string, wantSize int64) ([]byte, 
 // re-listed in after a restart).
 func (rs *resultStore) indexSnapshot() indexFile {
 	entries := make([]indexEntry, 0, len(rs.entries))
-	for _, e := range rs.entries {
-		if !e.onDisk {
+	for _, j := range rs.entries {
+		if !j.onDisk {
 			continue // memory-only entries die with the process; cataloging them would lie
 		}
-		entries = append(entries, indexEntryFor(e.j, e.size, e.sum, e.lastUsed))
+		entries = append(entries, indexEntryFor(j))
 	}
 	sort.Slice(entries, func(i, k int) bool { return entries[i].LastUsed < entries[k].LastUsed })
 	return indexFile{Version: indexVersion, Entries: entries}
@@ -556,8 +567,11 @@ func (rs *resultStore) indexSnapshot() indexFile {
 // their own records and the next boot adopts them; entries dropped since
 // are skipped because their files are gone. It records hits and LRU
 // positions, which the file headers do not. Skipped entirely while the
-// breaker is open.
+// breaker is open, and there is nothing to write without a disk tier.
 func (rs *resultStore) flushIndex() {
+	if rs.dir == "" {
+		return
+	}
 	if !rs.brk.allow() {
 		rs.metrics.breakerSkipped.Add(1)
 		return
@@ -576,33 +590,31 @@ func (rs *resultStore) flushIndex() {
 }
 
 // indexEntryFor builds the persistent record of one job.
-func indexEntryFor(j *job, size int64, sum string, lastUsed int64) indexEntry {
+func indexEntryFor(j *job) indexEntry {
 	return indexEntry{
 		Key:         j.key,
 		ID:          j.id,
 		Kind:        j.kind,
 		Status:      j.status,
 		Hits:        j.hits,
-		Size:        size,
-		BodySHA256:  sum,
+		Size:        j.size,
+		BodySHA256:  j.sum,
 		SubmittedAt: j.submittedAt,
 		StartedAt:   j.startedAt,
 		FinishedAt:  j.finishedAt,
-		LastUsed:    lastUsed,
+		LastUsed:    j.lastUsed,
 	}
 }
 
-// auditEntry is indexEntryFor for the drain-time audit dump, covering
-// jobs in any state (and computing the body hash for memory-only
-// results so the dump is self-consistent with the disk tier's records).
-func auditEntry(j *job, e *storeEntry) indexEntry {
-	switch {
-	case e != nil:
-		return indexEntryFor(j, e.size, e.sum, e.lastUsed)
-	case j.result != nil:
+// auditEntry is indexEntryFor for the drain-time audit dump, which
+// covers jobs in any state. A result held without a disk tier was never
+// hashed; it is hashed here, so the dump is self-consistent with the
+// disk tier's records.
+func auditEntry(j *job) indexEntry {
+	e := indexEntryFor(j)
+	if e.BodySHA256 == "" && j.result != nil {
 		sum := sha256.Sum256(j.result)
-		return indexEntryFor(j, int64(len(j.result)), hex.EncodeToString(sum[:]), 0)
-	default:
-		return indexEntryFor(j, 0, "", 0)
+		e.BodySHA256 = hex.EncodeToString(sum[:])
 	}
+	return e
 }

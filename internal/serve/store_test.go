@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -41,25 +42,25 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 	t.Helper()
 	var mem, disk, total int64
 	var memCount int
-	for key, e := range rs.entries {
-		if key != e.j.key {
-			t.Fatalf("entry keyed %s wraps job %s", key, e.j.key)
+	for key, j := range rs.entries {
+		if key != j.key {
+			t.Fatalf("entry keyed %s wraps job %s", key, j.key)
 		}
-		total += e.size
-		if e.inMemory() {
-			mem += e.size
+		total += j.size
+		if j.result != nil {
+			mem += j.size
 			memCount++
-			if int64(len(e.j.result)) != e.size {
-				t.Fatalf("entry %s: resident %d bytes, accounted %d", key, len(e.j.result), e.size)
+			if int64(len(j.result)) != j.size {
+				t.Fatalf("entry %s: resident %d bytes, accounted %d", key, len(j.result), j.size)
 			}
 		}
-		if e.onDisk {
-			disk += e.size
+		if j.onDisk {
+			disk += j.size
 			if _, err := os.Stat(rs.resultPath(key)); err != nil {
 				t.Fatalf("entry %s claims onDisk but: %v", key, err)
 			}
 		}
-		if !e.inMemory() && !e.onDisk {
+		if j.result == nil && !j.onDisk {
 			t.Fatalf("entry %s is in neither tier — a lost verified entry", key)
 		}
 	}
@@ -75,6 +76,9 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 	if rs.memCount > rs.memLimit {
 		t.Fatalf("memory tier holds %d bodies, limit %d", rs.memCount, rs.memLimit)
 	}
+	if rs.dir == "" {
+		return // no disk tier, no directory to scan
+	}
 	// No stray files: everything in the dir is the index or a cataloged
 	// entry (temp files may only exist transiently inside a write).
 	des, err := os.ReadDir(rs.dir)
@@ -89,7 +93,7 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 		if !isHexKey(name) {
 			t.Fatalf("stray file %s in cache dir", name)
 		}
-		if e, ok := rs.entries[name]; !ok || !e.onDisk {
+		if j, ok := rs.entries[name]; !ok || !j.onDisk {
 			t.Fatalf("file %s exists but is not a cataloged disk entry", name)
 		}
 	}
@@ -100,23 +104,38 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 // and asserts after every operation that the budget is never exceeded
 // and no verified entry is ever lost: every key the store did not
 // explicitly evict remains retrievable with its exact original bytes —
-// including across a full store reopen.
+// including across a full store reopen. The shapes without a disk tier
+// have nothing to reopen; there every eviction must come back from put,
+// and the store must make no filesystem call at all.
 func TestStoreRandomOpsProperty(t *testing.T) {
 	shapes := []struct {
 		budget   int64
 		memLimit int
+		noDisk   bool
 	}{
-		{0, 4},    // unlimited bytes, tight memory: demotion pressure
-		{6000, 2}, // both bounds active
-		{2500, 1}, // aggressive eviction, single resident body
-		{100, 3},  // budget smaller than most bodies: constant turnover
+		{0, 4, false},    // unlimited bytes, tight memory: demotion pressure
+		{6000, 2, false}, // both bounds active
+		{2500, 1, false}, // aggressive eviction, single resident body
+		{100, 3, false},  // budget smaller than most bodies: constant turnover
+		{0, 3, true},     // no disk tier, count bound only: LRU eviction
+		{2500, 4, true},  // no disk tier, the byte budget binds first
 	}
 	for si, shape := range shapes {
-		t.Run(fmt.Sprintf("budget=%d,mem=%d", shape.budget, shape.memLimit), func(t *testing.T) {
+		name := fmt.Sprintf("budget=%d,mem=%d", shape.budget, shape.memLimit)
+		if shape.noDisk {
+			name += ",disk=off"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
+			var fs FS = OSFS()
+			noFS := NewFaultFS(OSFS(), 1) // counts the calls a store without a disk tier makes
+			if shape.noDisk {
+				dir, fs = "", noFS
+				noFS.FailNext(math.MaxInt)
+			}
 			rng := rand.New(rand.NewSource(int64(si)*101 + 17))
 			m := newMetrics(Config{}, nil)
-			rs, warm := newResultStore(dir, shape.budget, shape.memLimit, OSFS(), newBreaker(3, time.Minute, time.Now, m), m)
+			rs, warm := newResultStore(dir, shape.budget, shape.memLimit, fs, newBreaker(3, time.Minute, time.Now, m), m)
 			if len(warm) != 0 {
 				t.Fatalf("cold dir produced %d warm entries", len(warm))
 			}
@@ -155,7 +174,7 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 						bodies[j.key] = body
 						lastPut = int64(len(body))
 					}
-				case r < 8: // promote (read) a random live entry
+				case r < 8 || shape.noDisk: // promote (read) a random live entry
 					j := randLive()
 					if j == nil {
 						continue
@@ -204,7 +223,7 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 							break
 						}
 						reopened.dropEntry(v)
-						delete(adopted, v.j.key)
+						delete(adopted, v.key)
 					}
 					reopened.flushIndex()
 					jobs = adopted
@@ -217,6 +236,19 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 					lastPut = 0
 				}
 				checkStoreInvariants(t, rs, lastPut)
+				// The store holds exactly the live set: nothing it dropped
+				// went unreported by put.
+				if len(rs.entries) != len(jobs) {
+					t.Fatalf("op %d: store holds %d entries, %d live", op, len(rs.entries), len(jobs))
+				}
+				for key, j := range jobs {
+					if rs.entries[key] != j {
+						t.Fatalf("op %d: live entry %s dropped without being returned", op, key)
+					}
+				}
+				if ops, _ := noFS.Stats(); ops != 0 {
+					t.Fatalf("op %d: a store without a disk tier made %d filesystem calls", op, ops)
+				}
 			}
 
 			// Endgame: every surviving entry must still verify and match.
