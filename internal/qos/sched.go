@@ -2,6 +2,7 @@ package qos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -23,7 +24,7 @@ import (
 // section can resolve, admit, and enqueue without a second lock.
 // Scheduler is NOT internally synchronized: callers serialize access
 // (the serve layer holds its server mutex across every call).
-type Scheduler[T any] struct {
+type Scheduler[T comparable] struct {
 	flows  []*flow[T] // name-sorted; iteration order is the tie-break
 	byName map[string]*flow[T]
 	vtime  [numClasses]float64
@@ -32,7 +33,7 @@ type Scheduler[T any] struct {
 
 // flow is one tenant's scheduler state: a FIFO subqueue plus virtual
 // start/finish tags per class, and the tenant's admission state.
-type flow[T any] struct {
+type flow[T comparable] struct {
 	cfg    TenantConfig
 	queues [numClasses][]T
 	start  [numClasses]float64
@@ -47,7 +48,7 @@ type flow[T any] struct {
 // lands somewhere. An empty config set therefore degenerates to one
 // unlimited flow, where WFQ over a single flow is plain FIFO: the
 // pre-QoS behavior, byte for byte.
-func NewScheduler[T any](tenants []TenantConfig) (*Scheduler[T], error) {
+func NewScheduler[T comparable](tenants []TenantConfig) (*Scheduler[T], error) {
 	s := &Scheduler[T]{byName: map[string]*flow[T]{}}
 	add := func(cfg TenantConfig) error {
 		if err := cfg.validate(); err != nil {
@@ -201,14 +202,46 @@ func (s *Scheduler[T]) Pop() (T, bool) {
 			best.start[class] = best.finish[class]
 			best.finish[class] = best.start[class] + 1/best.cfg.Weight
 		}
-		if s.total == 0 {
-			s.vtime = [numClasses]float64{}
-			for _, f := range s.flows {
-				f.start = [numClasses]float64{}
-				f.finish = [numClasses]float64{}
-			}
-		}
+		s.resetIfEmpty()
 		return v, true
 	}
 	return zero, false
+}
+
+// Remove takes v out of a resolved tenant's class queue before it is
+// dispatched: it frees v's slot in Len, in the tenant's depth cap and in
+// TenantLen, and the items left keep their dispatch order. It reports
+// false when v is not queued there (already popped, say). The flow is
+// charged nothing for v: the items behind it keep its tags, and a flow
+// it leaves idle re-arrives as if v had never been pushed. Removing the
+// last queued item resets every tag, as Pop does.
+func (s *Scheduler[T]) Remove(tenant string, class Class, v T) bool {
+	f := s.byName[s.Resolve(tenant)]
+	q := &f.queues[class]
+	i := slices.Index(*q, v)
+	if i < 0 {
+		return false
+	}
+	*q = slices.Delete(*q, i, i+1) // zeroes the vacated tail slot
+	if len(*q) == 0 {
+		f.finish[class] = f.start[class]
+	}
+	f.queued--
+	s.total--
+	s.resetIfEmpty()
+	return true
+}
+
+// resetIfEmpty zeroes both virtual clocks and every tag once nothing is
+// queued: virtual time is bounded by the busy period, and identical
+// traces replay identically.
+func (s *Scheduler[T]) resetIfEmpty() {
+	if s.total != 0 {
+		return
+	}
+	s.vtime = [numClasses]float64{}
+	for _, f := range s.flows {
+		f.start = [numClasses]float64{}
+		f.finish = [numClasses]float64{}
+	}
 }

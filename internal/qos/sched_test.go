@@ -314,3 +314,103 @@ func TestInteractiveNeverBehindBulk(t *testing.T) {
 		}
 	}
 }
+
+// TestRemove takes items out before they are dispatched. The items left
+// dispatch exactly as a scheduler that never held the removed ones
+// would dispatch them, whether the removal takes a flow's head, a middle
+// item, its tail or its whole queue (and the emptied flow then
+// re-arrives). A removal frees the tenant's depth; removing the last
+// queued item resets every tag; an item already popped is not found.
+func TestRemove(t *testing.T) {
+	cfg := []TenantConfig{{Name: "gold", Weight: 3}, {Name: "bronze", Weight: 1}}
+	type item struct {
+		tenant string
+		class  Class
+		v      string
+	}
+	var trace []item
+	add := func(tenant string, class Class, n int) {
+		plane := map[Class]string{Interactive: "int", Bulk: "bulk"}[class]
+		for i := 1; i <= n; i++ {
+			trace = append(trace, item{tenant, class, fmt.Sprintf("%s/%s/%d", tenant, plane, i)})
+		}
+	}
+	add("gold", Interactive, 4)
+	add("bronze", Interactive, 3)
+	add("gold", Bulk, 5)
+	add("bronze", Bulk, 2)
+	removed := map[string]bool{
+		"gold/int/1": true, "bronze/int/2": true, "gold/bulk/5": true, // head, middle, tail
+		"bronze/bulk/1": true, "bronze/bulk/2": true, // a whole queue
+	}
+	with, err := NewScheduler[string](cfg)
+	if err != nil {
+		t.Fatalf("NewScheduler: %v", err)
+	}
+	without, err := NewScheduler[string](cfg)
+	if err != nil {
+		t.Fatalf("NewScheduler: %v", err)
+	}
+	for _, it := range trace {
+		with.Push(it.tenant, it.class, it.v)
+		if !removed[it.v] {
+			without.Push(it.tenant, it.class, it.v)
+		}
+	}
+	for _, it := range trace {
+		if removed[it.v] && !with.Remove(it.tenant, it.class, it.v) {
+			t.Fatalf("Remove(%s) found nothing", it.v)
+		}
+	}
+	if with.Len() != without.Len() || with.TenantLen("bronze") != without.TenantLen("bronze") {
+		t.Fatalf("counts after Remove: %d queued (bronze %d), want %d (bronze %d)",
+			with.Len(), with.TenantLen("bronze"), without.Len(), without.TenantLen("bronze"))
+	}
+	with.Push("bronze", Bulk, "bronze/bulk/3")
+	without.Push("bronze", Bulk, "bronze/bulk/3")
+	drain := func(s *Scheduler[string]) []string {
+		var out []string
+		for v, ok := s.Pop(); ok; v, ok = s.Pop() {
+			out = append(out, v)
+		}
+		return out
+	}
+	if got, want := drain(with), drain(without); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch after Remove:\n got %v\nwant %v", got, want)
+	}
+
+	capped, err := NewScheduler[string]([]TenantConfig{{Name: "capped", Depth: 1}, {Name: "busy"}})
+	if err != nil {
+		t.Fatalf("NewScheduler: %v", err)
+	}
+	for _, v := range []string{"b1", "b2", "b3"} {
+		capped.Push("busy", Interactive, v)
+	}
+	capped.Push("capped", Interactive, "c1")
+	if res, _ := capped.Admit("capped", t0); res != RejectedDepth {
+		t.Fatalf("full tenant admitted: %v", res)
+	}
+	if v, _ := capped.Pop(); v != "b1" || capped.Remove("busy", Interactive, "b1") {
+		t.Fatalf("popped %s, then Remove found b1 again", v)
+	}
+	if !capped.Remove("capped", Interactive, "c1") {
+		t.Fatal("Remove(c1) found nothing")
+	}
+	if res, _ := capped.Admit("capped", t0); res != Admitted || capped.TenantLen("capped") != 0 || capped.Len() != 2 {
+		t.Fatalf("after Remove: admission %v, capped holds %d, %d queued", res, capped.TenantLen("capped"), capped.Len())
+	}
+	if v, _ := capped.Pop(); v != "b2" {
+		t.Fatalf("popped %s, want b2", v)
+	}
+	if !capped.Remove("busy", Interactive, "b3") {
+		t.Fatal("Remove(b3) found nothing")
+	}
+	if capped.Len() != 0 || capped.vtime != [numClasses]float64{} {
+		t.Fatalf("emptied by Remove: %d queued, virtual clocks %v", capped.Len(), capped.vtime)
+	}
+	for _, f := range capped.flows {
+		if f.start != [numClasses]float64{} || f.finish != [numClasses]float64{} {
+			t.Fatalf("emptied by Remove: tenant %s keeps tags %v/%v", f.cfg.Name, f.start, f.finish)
+		}
+	}
+}

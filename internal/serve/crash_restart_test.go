@@ -139,7 +139,7 @@ func TestCrashRestartAdoptsResultFiles(t *testing.T) {
 	}
 	checkJobMaps(t, srv2)
 	srv2.mu.Lock()
-	warm := len(srv2.byKey)
+	warm := len(srv2.table)
 	srv2.mu.Unlock()
 	if warm != len(mixedWorkload) {
 		t.Fatalf("warm boot holds %d jobs, want %d", warm, len(mixedWorkload))

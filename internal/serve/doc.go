@@ -90,7 +90,7 @@
 // API summary (all request and response bodies are JSON):
 //
 //	POST   /v1/jobs              submit {kind, config|experiment, ...}
-//	GET    /v1/jobs              list jobs in submission order
+//	GET    /v1/jobs              list jobs, oldest submitted_at first
 //	GET    /v1/jobs/{id}         one job's status (result inline when done)
 //	GET    /v1/jobs/{id}/result  the raw result body alone
 //	GET    /v1/jobs/{id}/stream  SSE: status, span, sample, ..., result

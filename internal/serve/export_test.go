@@ -52,6 +52,6 @@ func DiskStateForTest(s *Server) string {
 func (s *Server) lookup(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.byID[id]
+	j, ok := s.table[id]
 	return j, ok
 }

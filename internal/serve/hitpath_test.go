@@ -89,7 +89,7 @@ func TestEnvelopeMatchesMarshal(t *testing.T) {
 		}
 		id := checkSpliced(t, srv, ts, tc.body)
 		srv.mu.Lock()
-		srv.byID[id].hits = 1 << 62
+		srv.table[id].hits = 1 << 62
 		srv.mu.Unlock()
 		checkSpliced(t, srv, ts, tc.body)
 		ids = append(ids, id)
@@ -103,7 +103,7 @@ func TestEnvelopeMatchesMarshal(t *testing.T) {
 	warm, wts := newTestServer(t, Config{Workers: 1, CacheDir: dir, CacheEntries: 1, Clock: time.Now})
 	for _, id := range ids {
 		warm.mu.Lock()
-		j := warm.byID[id]
+		j := warm.table[id]
 		onDisk := j != nil && j.result == nil && j.prefix == nil
 		warm.mu.Unlock()
 		if !onDisk {
@@ -128,7 +128,7 @@ func TestEnvelopeMatchesMarshal(t *testing.T) {
 		}
 		warm.mu.Lock()
 		resident := 0
-		for _, j := range warm.byID {
+		for _, j := range warm.table {
 			if j.prefix != nil && j.result == nil {
 				t.Errorf("job %s keeps its prefix with its result on disk", j.id)
 			}

@@ -102,8 +102,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // because a stored result is already what json.Marshal makes of it,
 // compact and HTML-escaped: every result is json.Marshal's output, and
 // the disk tier hands back only bytes whose hash it recorded when it
-// wrote them.
+// wrote them. Without a prefix the snapshot did not encode, so it answers
+// writeJSON's encoding failure.
 func writeDone(w http.ResponseWriter, d doneBody, cached bool) {
+	if d.prefix == nil {
+		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
+		return
+	}
 	b := make([]byte, 0, len(d.prefix)+len(d.result)+64) // 64 holds the rest, hits included
 	if cached {
 		b = append(b, `{"job":`...)
@@ -296,10 +301,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity,
 			"job key quarantined after repeated panics; retry after %ds", ceilSeconds(retryAfter))
 	case outcomeCached:
-		if done.prefix == nil {
-			writeJSON(w, http.StatusOK, SubmitResponse{Job: snap, Cached: true})
-			return
-		}
 		writeDone(w, done, true)
 	case outcomeDeduped:
 		writeJSON(w, http.StatusAccepted, SubmitResponse{Job: snap, Deduped: true})
@@ -319,7 +320,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !ok:
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-	case done.prefix != nil:
+	case done.result != nil:
 		writeDone(w, done, false)
 	default:
 		writeJSON(w, http.StatusOK, snap)
@@ -513,14 +514,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics
 	s.mu.Lock()
 	var diskEntries float64
-	for _, j := range s.store.entries {
+	for _, j := range s.table {
 		if j.onDisk {
 			diskEntries++
 		}
 	}
 	m.queueDepth.Set(float64(s.sched.Len()))
 	m.jobsRunning.Set(float64(s.running))
-	m.cacheEntries.Set(float64(len(s.byKey)))
+	m.cacheEntries.Set(float64(len(s.table)))
 	m.cacheBytesMemory.Set(float64(s.store.memBytes))
 	m.cacheBytesDisk.Set(float64(s.store.diskBytes))
 	m.diskEntries.Set(diskEntries)

@@ -378,6 +378,10 @@ func (j *job) terminal() bool {
 	return false
 }
 
+// husk reports whether j ended without a result: failed, cancelled or
+// poisoned. Husks are what evictLocked reaps.
+func (j *job) husk() bool { return j.terminal() && j.status != StatusDone }
+
 // experimentResult is the result body of experiment jobs.
 type experimentResult struct {
 	Experiment string `json:"experiment"`

@@ -5,49 +5,45 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
-// checkJobMaps requires byKey, byID, order and the result store to
-// describe the same jobs: every job filed under its own key and its own
-// ID, every key listed once in submission order, and every done job held
-// by the store as the very job byKey files under its key.
+// checkJobMaps requires the job table and what is kept beside it to
+// agree: every job filed under its own key's job ID, the result store
+// sharing the very same map, the husk count equal to the husks the table
+// files, and every done job's result held in a tier.
 func checkJobMaps(t *testing.T, s *Server) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.byID) != len(s.byKey) || len(s.order) != len(s.byKey) {
-		t.Fatalf("maps disagree: %d by key, %d by ID, %d in order", len(s.byKey), len(s.byID), len(s.order))
+	if reflect.ValueOf(s.store.table).UnsafePointer() != reflect.ValueOf(s.table).UnsafePointer() {
+		t.Fatal("the result store holds a map other than the job table")
 	}
-	for key, j := range s.byKey {
-		if j.key != key {
-			t.Fatalf("job %s filed under key %s", j.key, key)
+	husks := 0
+	for id, j := range s.table {
+		if id != jobID(j.key) {
+			t.Fatalf("job %s (%s) filed under ID %s", j.id, j.key, id)
 		}
-		if s.byID[j.id] != j {
-			t.Fatalf("job %s (%s) missing from byID", j.id, j.key)
+		if j.husk() {
+			husks++
 		}
-	}
-	for _, key := range s.order {
-		if _, ok := s.byKey[key]; !ok {
-			t.Fatalf("order lists %s, which byKey does not hold", key)
-		}
-	}
-	for key, j := range s.store.entries {
-		if s.byKey[key] != j {
-			t.Fatalf("store holds %s, which byKey does not file as that job", key)
+		if j.status == StatusDone && j.result == nil && !j.onDisk {
+			t.Fatalf("done job %s holds its result in neither tier", id)
 		}
 	}
-	for key, j := range s.byKey {
-		if j.status == StatusDone && s.store.entries[key] != j {
-			t.Fatalf("done job %s is not held by the store", key)
-		}
+	if husks != s.husks {
+		t.Fatalf("husk count %d, table files %d husks", s.husks, husks)
 	}
 }
 
 // TestJobMapsAgree drives every site that files or forgets a job —
-// submits, husk evictions, promotion failures on a poll and a stream,
-// and a warm boot — and checks after each that the ID index agrees with
-// the key index, and that ID lookups see exactly what it holds.
+// submits, husk evictions, promotion failures on a poll and a stream, a
+// warm boot, and every way a job becomes a husk or stops being one — and
+// checks after each that the job table and its husk count agree, and
+// that ID lookups see exactly what the table holds.
 func TestJobMapsAgree(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, QueueDepth: 16, CacheDir: dir, CacheEntries: 2}
@@ -91,7 +87,7 @@ func TestJobMapsAgree(t *testing.T) {
 	}
 	checkJobMaps(t, srv)
 	srv.mu.Lock()
-	demoted := srv.byID[ids[0]]
+	demoted := srv.table[ids[0]]
 	resident := demoted.result != nil
 	srv.mu.Unlock()
 	if resident {
@@ -118,7 +114,7 @@ func TestJobMapsAgree(t *testing.T) {
 	demoted = nil
 	var survivors []string
 	for _, id := range ids[3:] {
-		if j := srv.byID[id]; j.result == nil {
+		if j := srv.table[id]; j.result == nil {
 			demoted = j
 		} else {
 			survivors = append(survivors, id)
@@ -151,6 +147,64 @@ func TestJobMapsAgree(t *testing.T) {
 	if n := len(srv2.jobs()); n != 2 {
 		t.Fatalf("warm boot holds %d jobs, want 2", n)
 	}
+
+	// Husks on a fresh daemon: a poisoned run, a queued job whose
+	// deadline lapses before pickup, and a cancelled job whose retry
+	// replaces its husk.
+	srv3, ts3 := newTestServer(t, Config{Workers: 1, QueueDepth: 16, Clock: time.Now})
+	pill := mustKey(t, body(20))
+	gate := make(chan struct{})
+	defer func() {
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	}()
+	srv3.mu.Lock()
+	srv3.cfg.ExecHook = func(key string) {
+		if key == pill {
+			panic("injected: poison pill")
+		}
+		<-gate
+	}
+	srv3.mu.Unlock()
+	_, sub = postJob(t, ts3, body(20))
+	if j := waitTerminal(t, ts3, sub.Job.ID); j.Status != StatusPoisoned {
+		t.Fatalf("pill ended %s, want poisoned", j.Status)
+	}
+	checkJobMaps(t, srv3)
+
+	_, parked := postJob(t, ts3, body(21))
+	waitStatus(t, ts3, parked.Job.ID, StatusRunning)
+	code, raw := postPath(t, ts3, "/v1/jobs?deadline=30ms", body(22))
+	if code != http.StatusAccepted {
+		t.Fatalf("deadlined submit: status %d: %s", code, raw)
+	}
+	_, cancelled := postJob(t, ts3, body(23))
+	if _, ok := srv3.cancelJob(cancelled.Job.ID); !ok {
+		t.Fatal("cancel: job not found")
+	}
+	checkJobMaps(t, srv3)
+	if code, retry := postJob(t, ts3, body(23)); code != http.StatusAccepted || retry.Job.Status != StatusQueued {
+		t.Fatalf("retry of the cancelled job: status %d, job %s", code, retry.Job.Status)
+	}
+	checkJobMaps(t, srv3)
+
+	time.Sleep(50 * time.Millisecond) // the 30ms budget lapses in the queue
+	close(gate)
+	deadlined := jobID(mustKey(t, body(22)))
+	if j := waitTerminal(t, ts3, deadlined); j.Status != StatusCancelled || !strings.Contains(j.Error, "deadline") {
+		t.Fatalf("deadlined job ended %s (%q), want cancelled by its deadline", j.Status, j.Error)
+	}
+	waitStatus(t, ts3, cancelled.Job.ID, StatusDone)
+	checkJobMaps(t, srv3)
+	srv3.mu.Lock()
+	husks := srv3.husks
+	srv3.mu.Unlock()
+	if husks != 2 {
+		t.Fatalf("%d husks, want 2: the poisoned run and the lapsed deadline", husks)
+	}
 }
 
 // BenchmarkSnapshotByID times one ID lookup — what every poll, result
@@ -169,7 +223,7 @@ func BenchmarkSnapshotByID(b *testing.B) {
 			for i := range ids {
 				j := fakeDoneJob(i)
 				j.result = []byte(`{}`)
-				srv.addJobLocked(j)
+				srv.table[j.id] = j
 				ids[i] = j.id
 			}
 			srv.mu.Unlock()
@@ -179,6 +233,37 @@ func BenchmarkSnapshotByID(b *testing.B) {
 				if _, ok := srv.snapshotByID(ids[i%n]); !ok {
 					b.Fatal("job not found")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkEvictOverBound times evictLocked — what every new submission
+// pays under the server mutex — on job tables of 1k and 50k done jobs,
+// CacheEntries below both and no husk among them. With no husk to reap
+// it touches no job, so both sizes cost the same.
+func BenchmarkEvictOverBound(b *testing.B) {
+	for _, n := range []int{1000, 50000} {
+		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
+			srv, err := New(Config{Workers: 1, CacheEntries: 100})
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			for i := 0; i < n; i++ {
+				j := fakeDoneJob(i)
+				j.result = []byte(`{}`)
+				srv.table[j.id] = j
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.evictLocked()
+			}
+			b.StopTimer()
+			if len(srv.table) != n {
+				b.Fatalf("evictLocked reaped %d done jobs", n-len(srv.table))
 			}
 		})
 	}

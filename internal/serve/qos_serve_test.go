@@ -252,6 +252,64 @@ func TestTenantDepthCap(t *testing.T) {
 	}
 }
 
+// TestCancelFreesQueueSlot cancels queued jobs and requires their slots
+// back at once, before any worker pops them: in the shared queue (two
+// cancelled jobs of a full QueueDepth 2 leave room for the next submit,
+// and /healthz counts only it) and in a tenant's depth cap.
+func TestCancelFreesQueueSlot(t *testing.T) {
+	cancel := func(t *testing.T, ts *httptest.Server, id string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE %s: %v", id, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s: status %d", id, resp.StatusCode)
+		}
+	}
+	t.Run("queue", func(t *testing.T) {
+		_, ts, release := gateServer(t, Config{Workers: 1, QueueDepth: 2})
+		defer release()
+		_, parked := postJob(t, ts, simSeedBody(150))
+		waitStatus(t, ts, parked.Job.ID, StatusRunning)
+		for _, seed := range []int64{151, 152} {
+			code, sub := postJob(t, ts, simSeedBody(seed))
+			if code != http.StatusAccepted {
+				t.Fatalf("seed %d: status %d", seed, code)
+			}
+			cancel(t, ts, sub.Job.ID)
+		}
+		if resp, body := postRaw(t, ts, "/v1/jobs", simSeedBody(153)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit after two cancels: status %d body %s", resp.StatusCode, body)
+		}
+		code, raw := getBody(t, ts, "/healthz")
+		var h healthBody
+		if err := json.Unmarshal(raw, &h); code != http.StatusOK || err != nil {
+			t.Fatalf("healthz: status %d, %v", code, err)
+		}
+		if h.Queue.Depth != 1 || h.Queue.Capacity != 2 {
+			t.Fatalf("queue depth %d of %d, want 1 of 2", h.Queue.Depth, h.Queue.Capacity)
+		}
+	})
+	t.Run("tenant", func(t *testing.T) {
+		_, ts, release := gateServer(t, Config{Workers: 1, Tenants: []qos.TenantConfig{{Name: "capped", Depth: 1}}})
+		defer release()
+		_, parked := postJob(t, ts, simSeedBody(160))
+		waitStatus(t, ts, parked.Job.ID, StatusRunning)
+		resp, body := postRaw(t, ts, "/v1/jobs?tenant=capped", simSeedBody(161))
+		var sub SubmitResponse
+		if err := json.Unmarshal(body, &sub); resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("capped submit: status %d body %s", resp.StatusCode, body)
+		}
+		cancel(t, ts, sub.Job.ID)
+		if resp, body := postRaw(t, ts, "/v1/jobs?tenant=capped", simSeedBody(162)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("capped submit after cancel: status %d body %s", resp.StatusCode, body)
+		}
+	})
+}
+
 // TestTenantRateLimit drains one tenant's token bucket on the fixed
 // clock and asserts the rate-scoped 429 with an exact per-tenant
 // Retry-After — while dedup hits bypass the bucket entirely (attaching
@@ -495,7 +553,7 @@ func TestMatrixDisconnectReleasesWorkers(t *testing.T) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		done := 0
-		for _, j := range srv.byKey {
+		for _, j := range srv.table {
 			if j.status == StatusDone {
 				done++
 			}

@@ -362,7 +362,7 @@ func TestTierDemotionPromotion(t *testing.T) {
 
 	// Completing B (and then reading it) pushed A out of the memory tier.
 	srv.mu.Lock()
-	jA, jB := srv.byKey[srv.jobKeyByID(idA)], srv.byKey[srv.jobKeyByID(idB)]
+	jA, jB := srv.table[idA], srv.table[idB]
 	aResident, bResident := jA.result != nil, jB.result != nil
 	srv.mu.Unlock()
 	if aResident || !bResident {
@@ -498,16 +498,6 @@ func TestByteBudgetEviction(t *testing.T) {
 	if !bytes.Equal(again, resA) {
 		t.Fatalf("recomputed result differs from original")
 	}
-}
-
-// jobKeyByID maps a public job ID back to its cache key; test helper.
-func (s *Server) jobKeyByID(id string) string {
-	for key, j := range s.byKey {
-		if j.id == id {
-			return key
-		}
-	}
-	return ""
 }
 
 // TestWarmStreamReplay proves the SSE surface survives a restart: a

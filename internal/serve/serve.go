@@ -10,6 +10,8 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,9 +44,9 @@ type Config struct {
 	// CacheEntries bounds how many finished results are held in memory
 	// (default 1024). Past it the least recently used one is demoted to
 	// the disk tier or, without one, evicted with its job. It also bounds
-	// the job store: failed, cancelled and poisoned jobs are reaped,
-	// oldest first, once it holds more jobs than this. Queued and running
-	// jobs are never evicted.
+	// the job table: failed, cancelled and poisoned jobs are reaped,
+	// oldest submission first, once it holds more jobs than this. Queued
+	// and running jobs are never evicted.
 	CacheEntries int
 	// CacheIndexPath, when non-empty, receives a JSON index of the cache
 	// (key, job ID, kind, status, hit counts) when Drain completes, so an
@@ -159,9 +161,11 @@ type Server struct {
 	mu       sync.Mutex
 	store    *resultStore // the only retention policy for done results
 	poisoned map[string]*poisonRecord
-	byKey    map[string]*job
-	byID     map[string]*job // the same jobs by public ID, for O(1) lookups
-	order    []string        // submission order of keys, for listing and eviction
+	// table files every job the daemon answers for under its public ID.
+	// The store shares it: a done job in it is a retained result, and
+	// dropping the result drops the job.
+	table    map[string]*job
+	husks    int // the failed, cancelled and poisoned jobs table files
 	sched    *qos.Scheduler[*job]
 	notEmpty *sync.Cond // signals workers on push and on drain start
 	running  int
@@ -180,8 +184,7 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg.withDefaults(),
-		byKey:    map[string]*job{},
-		byID:     map[string]*job{},
+		table:    map[string]*job{},
 		poisoned: map[string]*poisonRecord{},
 	}
 	s.memo = NewMemo(s.cfg.CacheEntries)
@@ -193,21 +196,17 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newMetrics(s.cfg, sched.Tenants())
 	s.notEmpty = sync.NewCond(&s.mu)
 	brk := newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerProbe, s.cfg.Clock, s.metrics)
-	store, warm := newResultStore(s.cfg.CacheDir, s.cfg.CacheBudget, s.cfg.CacheEntries, s.cfg.FS, brk, s.metrics)
+	store, warm := newResultStore(s.cfg.CacheDir, s.cfg.CacheBudget, s.cfg.CacheEntries, s.table, s.cfg.FS, brk, s.metrics)
 	s.store = store
 	if brk.degraded() && s.cfg.ErrorLog != nil {
 		s.cfg.ErrorLog.Printf("serve: cache dir %s unusable at boot; disk tier degraded (memory-only)", s.cfg.CacheDir)
 	}
 	for _, e := range warm {
-		j := warmJob(e)
-		s.addJobLocked(j)
-		s.store.adopt(j, e)
+		s.store.adopt(warmJob(e), e)
 	}
 	// The budget may have shrunk since the catalog was written: trim the
 	// warm set LRU-first before serving anything.
-	for _, j := range s.store.evictOverflow(nil) {
-		s.removeJobLocked(j)
-	}
+	s.store.evictOverflow(nil)
 	s.store.flushIndex()
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -236,9 +235,9 @@ const (
 // run. The whole decision is one critical section, which is what makes
 // the deduplication single-flight — two identical concurrent
 // submissions cannot both observe "no such job". A cache answer returns
-// the job's done body for the handler to splice, and then a snapshot
-// holding only the job's ID; a cache answer without a done body returns
-// the whole snapshot, for the handler to marshal. deadline is the
+// the job's done body for the handler to splice and a snapshot holding
+// only the job's ID; every other answer returns the job's whole snapshot,
+// if it has one, and no done body. deadline is the
 // client's time budget (0 = none); tenant is the submission's resolved
 // QoS identity and class its scheduling class; the retryAfter return,
 // when positive, is the server's hint for when a rejected submission is
@@ -258,6 +257,8 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	s.metrics.tenantSubmitted.Add(1, tenant)
 	now := s.cfg.Clock()
 
+	j, filed := s.byKeyLocked(key)
+
 	// Quarantine gate: a key whose runs keep panicking is rejected until
 	// its TTL lapses; below the retry cap a resubmission re-runs it (the
 	// panic may have been environmental).
@@ -267,18 +268,18 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		} else if rec.count >= s.cfg.PoisonRetries {
 			s.metrics.rejectedPoisoned.Add(1)
 			var snap Job
-			if j, ok := s.byKey[key]; ok {
+			if filed {
 				snap = j.snapshot()
 			}
 			return nil, snap, doneBody{}, outcomePoisoned, rec.until.Sub(now)
 		}
 	}
 
-	if j, ok := s.byKey[key]; ok {
+	if filed {
 		switch {
 		case j.status == StatusDone:
 			fromDisk := j.result == nil
-			if s.promoteLocked(j) {
+			if s.store.promote(j) {
 				if fromDisk {
 					s.metrics.tierHitsDisk.Add(1)
 				} else {
@@ -286,22 +287,18 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 				}
 				j.hits++
 				s.metrics.cacheHits.Add(1)
-				if done := j.doneBodyLocked(); done.prefix != nil {
-					return j, Job{ID: j.id}, done, outcomeCached, 0
-				}
-				return j, j.snapshot(), doneBody{}, outcomeCached, 0
+				return j, Job{ID: j.id}, j.doneBodyLocked(), outcomeCached, 0
 			}
 			// The persisted result failed verification and was discarded
-			// (promoteLocked already removed the job): recompute under the
-			// same key — a corrupt entry must never serve bad bytes.
+			// with its job: recompute under the same key — a corrupt entry
+			// must never serve bad bytes.
 		case !j.terminal():
 			j.hits++
 			s.metrics.dedupHits.Add(1)
 			return j, j.snapshot(), doneBody{}, outcomeDeduped, 0
 		}
 		// failed, cancelled, or poisoned-below-cap: fall through and retry
-		// with a fresh run, reusing the key's slot (and so its
-		// deterministic job ID).
+		// with a fresh run under the same deterministic job ID.
 	}
 
 	// Deadline-aware admission: enqueueing a job whose predicted queue
@@ -348,7 +345,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		dl = now.Add(deadline)
 		ctx, cancel = context.WithDeadline(context.Background(), dl)
 	}
-	j := &job{
+	j = &job{
 		id:          jobID(key),
 		key:         key,
 		kind:        req.Kind,
@@ -365,7 +362,10 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 	}
 	s.sched.Push(tenant, class, j)
 	s.notEmpty.Signal()
-	s.addJobLocked(j)
+	if old := s.table[j.id]; old != nil && old.husk() {
+		s.husks-- // the retry replaces its husk
+	}
+	s.table[j.id] = j
 	s.metrics.cacheMisses.Add(1)
 	s.evictLocked()
 	return j, j.snapshot(), doneBody{}, outcomeNew, 0
@@ -413,68 +413,53 @@ func (s *Server) poisonLocked(key string) {
 	rec.until = s.cfg.Clock().Add(s.cfg.PoisonTTL)
 }
 
-// promoteLocked ensures a done job's result bytes are in memory and
-// marks them most recently used, promoting from the disk tier when
-// demoted. It reports false when the result is lost — the disk copy
-// missing or failing verification — in which case the job is removed
-// from the store entirely (like an eviction) and the caller recomputes
-// or 404s. Callers hold s.mu and looked j up under the same hold.
-func (s *Server) promoteLocked(j *job) bool {
-	if s.store.promote(j) {
-		return true
-	}
-	s.removeJobLocked(j)
-	return false
+// byKeyLocked returns the job filed for key: the one the table files
+// under key's job ID, if it is key's. The ID is built on the stack, so a
+// lookup allocates nothing. Callers hold s.mu.
+func (s *Server) byKeyLocked(key string) (*job, bool) {
+	var id [18]byte
+	copy(id[:], "j-")
+	copy(id[2:], key)
+	j, ok := s.table[string(id[:])]
+	return j, ok && j.key == key
 }
 
-// addJobLocked files j under its key and ID, replacing any earlier job
-// for the same key in place (the key keeps its submission-order slot).
-// Callers hold s.mu.
-func (s *Server) addJobLocked(j *job) {
-	if _, existed := s.byKey[j.key]; !existed {
-		s.order = append(s.order, j.key)
-	}
-	s.byKey[j.key] = j
-	s.byID[j.id] = j
-}
-
-// removeJobLocked forgets a job entirely. Callers hold s.mu.
-func (s *Server) removeJobLocked(j *job) {
-	delete(s.byKey, j.key)
-	delete(s.byID, j.id)
-	for i, key := range s.order {
-		if key == j.key {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+// submittedLocked returns the table's jobs that match (every job when
+// match is nil), oldest submission first, the key breaking ties. Callers
+// hold s.mu.
+func (s *Server) submittedLocked(match func(*job) bool) []*job {
+	out := make([]*job, 0, len(s.table))
+	for _, j := range s.table {
+		if match == nil || match(j) {
+			out = append(out, j)
 		}
 	}
+	slices.SortFunc(out, func(a, b *job) int {
+		if c := a.submittedAt.Compare(b.submittedAt); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	return out
 }
 
-// evictLocked reaps husks — failed, cancelled and poisoned jobs —
-// oldest first, until the job store fits CacheEntries or none is left.
-// Done jobs are exempt: their retention is the result store's alone
-// (CacheEntries bounds resident bodies, CacheBudget total bytes, both
-// least recently used first). In-flight jobs are never evicted. Callers
-// hold s.mu.
+// evictLocked reaps husks — failed, cancelled and poisoned jobs — oldest
+// submission first, until the job table fits CacheEntries or none is
+// left. With no husk it returns at once. Done jobs are exempt: their
+// retention is the result store's alone (CacheEntries bounds resident
+// bodies, CacheBudget total bytes, both least recently used first).
+// In-flight jobs are never evicted. Callers hold s.mu.
 func (s *Server) evictLocked() {
-	excess := len(s.byKey) - s.cfg.CacheEntries
-	if excess <= 0 {
+	excess := len(s.table) - s.cfg.CacheEntries
+	if excess <= 0 || s.husks == 0 {
 		return
 	}
-	kept := s.order[:0]
-	for _, key := range s.order {
-		j := s.byKey[key]
-		evictable := j != nil && j.terminal() && j.status != StatusDone
-		if excess > 0 && evictable {
-			delete(s.byKey, key)
-			delete(s.byID, j.id)
-			s.metrics.cacheEvictions.Add(1)
-			excess--
-			continue
-		}
-		kept = append(kept, key)
+	husks := s.submittedLocked((*job).husk)
+	for _, j := range husks[:min(excess, len(husks))] {
+		delete(s.table, j.id)
+		s.husks--
+		s.metrics.cacheEvictions.Add(1)
 	}
-	s.order = kept
 }
 
 // worker pops scheduler dispatches until Drain empties the queue. The
@@ -508,7 +493,7 @@ func (s *Server) worker() {
 // fresh responses byte-identical.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
-	if j.status != StatusQueued { // cancelled while queued
+	if j.status != StatusQueued { // cancelled between its pop and here
 		s.mu.Unlock()
 		return
 	}
@@ -547,9 +532,7 @@ func (s *Server) runJob(j *job) {
 		// status, so any client that observes "done" can rely on the
 		// entry surviving a crash. The bounds may evict older entries
 		// entirely.
-		for _, ej := range s.store.put(j, result) {
-			s.removeJobLocked(ej)
-		}
+		s.store.put(j, result)
 		j.doneBodyLocked() // marshal the prefix now, not on the first poll
 	case errors.As(err, &pe):
 		// A panic is quarantined, not just failed: the key is marked
@@ -573,6 +556,9 @@ func (s *Server) runJob(j *job) {
 		j.status = StatusFailed
 		j.err = err
 		s.metrics.jobsFailed.Add(1)
+	}
+	if j.husk() && s.table[j.id] == j {
+		s.husks++
 	}
 	snap := j.snapshot()
 	s.mu.Unlock()
@@ -685,9 +671,7 @@ func (s *Server) pollByID(id string) (Job, doneBody, bool) {
 		return Job{}, doneBody{}, false
 	}
 	if j.status == StatusDone {
-		if done := j.doneBodyLocked(); done.prefix != nil {
-			return Job{}, done, true
-		}
+		return Job{}, j.doneBodyLocked(), true
 	}
 	return j.snapshot(), doneBody{}, true
 }
@@ -696,25 +680,28 @@ func (s *Server) pollByID(id string) (Job, doneBody, bool) {
 // the disk tier when it is done; a done job whose result is lost is
 // discarded and not found. Callers hold s.mu.
 func (s *Server) findLocked(id string) (*job, bool) {
-	j, ok := s.byID[id]
-	if !ok || (j.status == StatusDone && !s.promoteLocked(j)) {
+	j, ok := s.table[id]
+	if !ok || (j.status == StatusDone && !s.store.promote(j)) {
 		return nil, false
 	}
 	return j, true
 }
 
 // cancelJob cancels a job by ID, best-effort: a queued job is struck
-// before it runs; a running experiment stops at its next sweep point; a
-// running simulation completes (single runs are not interruptible) and
-// still caches its result.
+// before it runs and gives its queue slot back at once; a running
+// experiment stops at its next sweep point; a running simulation
+// completes (single runs are not interruptible) and still caches its
+// result.
 func (s *Server) cancelJob(id string) (Job, bool) {
 	s.mu.Lock()
-	target, ok := s.byID[id]
+	target, ok := s.table[id]
 	if !ok {
 		s.mu.Unlock()
 		return Job{}, false
 	}
 	if target.status == StatusQueued {
+		s.sched.Remove(target.tenant, target.class, target)
+		s.husks++
 		target.status = StatusCancelled
 		target.finishedAt = s.cfg.Clock()
 		target.err = context.Canceled
@@ -741,18 +728,13 @@ func (s *Server) cancelJob(id string) (Job, bool) {
 func (s *Server) jobs() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := append([]string(nil), s.order...) // lost results mutate s.order
-	out := make([]Job, 0, len(keys))
-	for _, key := range keys {
-		j, ok := s.byKey[key]
-		if !ok {
-			continue
-		}
+	all := s.submittedLocked(nil)
+	out := make([]Job, 0, len(all))
+	for _, j := range all {
 		snap := j.snapshot()
 		if j.status == StatusDone {
 			if snap.Result = s.store.peek(j); snap.Result == nil {
-				s.removeJobLocked(j)
-				continue
+				continue // lost: peek dropped it with its job
 			}
 		}
 		out = append(out, snap)
@@ -777,7 +759,7 @@ func (s *Server) diskStateLocked() string {
 // counts tallies jobs by status; callers hold s.mu.
 func (s *Server) countsLocked() map[string]int {
 	c := map[string]int{}
-	for _, j := range s.byKey {
+	for _, j := range s.table {
 		c[j.status]++
 	}
 	return c
@@ -811,7 +793,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		drainErr = ctx.Err()
 		s.mu.Lock()
-		for _, j := range s.byKey {
+		for _, j := range s.table {
 			j.cancel()
 		}
 		s.mu.Unlock()
@@ -836,10 +818,8 @@ func (s *Server) flushCacheIndex() error {
 		return nil
 	}
 	f := indexFile{Version: indexVersion}
-	for _, key := range s.order {
-		if j, ok := s.byKey[key]; ok {
-			f.Entries = append(f.Entries, auditEntry(j))
-		}
+	for _, j := range s.submittedLocked(nil) {
+		f.Entries = append(f.Entries, auditEntry(j))
 	}
 	s.mu.Unlock()
 	b, err := encodeIndex(f)

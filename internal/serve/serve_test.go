@@ -326,6 +326,49 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitStatus(t, ts, again.Job.ID, StatusDone)
 }
 
+// TestListingInSubmissionOrder lists jobs oldest submission first, and
+// a key retried after its job was cancelled lists at its retry, not at
+// its first submission.
+func TestListingInSubmissionOrder(t *testing.T) {
+	clk := newAdjustableClock()
+	srv, ts, release := gateServer(t, Config{Workers: 1, QueueDepth: 8, Clock: clk.Now})
+	defer release()
+	ids := map[string]string{}
+	for _, name := range []string{"parked", "a", "b", "c"} {
+		_, sub := postJob(t, ts, fmt.Sprintf(`{"config":{"nodes":3,"rounds":30,"seed":%d}}`, 70+len(ids)))
+		ids[name] = sub.Job.ID
+		if name == "parked" {
+			waitStatus(t, ts, sub.Job.ID, StatusRunning)
+		}
+		clk.Advance(time.Second)
+	}
+	if _, ok := srv.cancelJob(ids["a"]); !ok {
+		t.Fatal("cancel a: not found")
+	}
+	if code, _ := postJob(t, ts, `{"config":{"nodes":3,"rounds":30,"seed":71}}`); code != http.StatusAccepted {
+		t.Fatalf("retry a: status %d", code)
+	}
+
+	code, raw := getBody(t, ts, "/v1/jobs")
+	var list struct {
+		Jobs []Job `json:"jobs"`
+	}
+	if err := json.Unmarshal(raw, &list); code != http.StatusOK || err != nil {
+		t.Fatalf("list: status %d, %v", code, err)
+	}
+	var got []string
+	for i, j := range list.Jobs {
+		got = append(got, j.ID)
+		if i > 0 && !j.SubmittedAt.After(list.Jobs[i-1].SubmittedAt) {
+			t.Fatalf("job %s submitted at %s lists after one submitted at %s", j.ID, j.SubmittedAt, list.Jobs[i-1].SubmittedAt)
+		}
+	}
+	want := []string{ids["parked"], ids["b"], ids["c"], ids["a"]}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("listing order %v, want %v (parked, b, c, then a at its retry)", got, want)
+	}
+}
+
 // TestExperimentJob serves a table artifact and compares its output to
 // the direct facade call.
 func TestExperimentJob(t *testing.T) {

@@ -43,10 +43,13 @@ const indexFileName = "index.json"
 // (CacheDir/<key> files written through on completion). With no
 // directory the disk tier is off and the memory tier holds the only
 // copy, so a body pushed past either bound is evicted with its job. The
-// store's record of a result — its size, body hash, on-disk flag and LRU
-// stamp — lives on the job. The store is a bookkeeping layer, not a lock
-// domain: every method is called with the owning Server's mutex held, so
-// fields need no locking of their own.
+// store keeps no map of its own: it shares the owning Server's job table,
+// where every done job is a retained result, and dropping a result
+// deletes its job from the table. The store's record of a result — its
+// size, body hash, on-disk flag and LRU stamp — lives on the job. The
+// store is a bookkeeping layer, not a lock domain: every method is called
+// with the owning Server's mutex held, so fields need no locking of their
+// own.
 //
 // Tier invariants:
 //
@@ -82,7 +85,7 @@ type resultStore struct {
 	metrics  *metrics
 
 	seq       int64           // LRU clock; monotone per store use
-	entries   map[string]*job // every retained done job, by key
+	table     map[string]*job // the Server's job table, by ID; its done jobs are the entries
 	memCount  int
 	memBytes  int64
 	diskBytes int64
@@ -117,11 +120,11 @@ var errInjectedCrash = errors.New("serve: injected crash before rename")
 // created or listed trips the breaker immediately and the store opens
 // cold and degraded — the service runs memory-only and the breaker's
 // probes keep trying the disk. An empty dir opens the store with its
-// disk tier off: nothing is read, and nothing is ever written.
-func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker, m *metrics) (*resultStore, []indexEntry) {
+// disk tier off: nothing is read, and nothing is ever written. table is
+// the job table the store shares with its Server.
+func newResultStore(dir string, budget int64, memLimit int, table map[string]*job, fs FS, brk *breaker, m *metrics) (*resultStore, []indexEntry) {
 	rs := &resultStore{
-		dir: dir, budget: budget, memLimit: memLimit, fs: fs, brk: brk, metrics: m,
-		entries: map[string]*job{},
+		dir: dir, budget: budget, memLimit: memLimit, table: table, fs: fs, brk: brk, metrics: m,
 	}
 	if dir == "" {
 		return rs, nil
@@ -227,11 +230,11 @@ func newResultStore(dir string, budget int64, memLimit int, fs FS, brk *breaker,
 // knownKinds are the job kinds a result file may name.
 var knownKinds = map[string]bool{KindSimulate: true, KindFleet: true, KindExperiment: true}
 
-// adopt registers a warm-boot job against its index entry; bodies stay
-// on disk until first use.
+// adopt files a warm-boot job in the table against its index entry;
+// bodies stay on disk until first use.
 func (rs *resultStore) adopt(j *job, e indexEntry) {
 	j.size, j.sum, j.onDisk, j.lastUsed = e.Size, e.BodySHA256, true, e.LastUsed
-	rs.entries[j.key] = j
+	rs.table[j.id] = j
 	rs.diskBytes += e.Size
 	rs.total += e.Size
 }
@@ -246,14 +249,11 @@ func (rs *resultStore) resultPath(key string) string { return filepath.Join(rs.d
 
 // put retains a just-completed job's result: bytes into the memory tier,
 // and with a disk tier hashed, written through and demoted past the
-// memory bound. It returns the jobs evictOverflow evicted (never j
-// itself); the caller forgets them.
-func (rs *resultStore) put(j *job, body []byte) []*job {
-	if old, ok := rs.entries[j.key]; ok {
-		rs.dropEntry(old) // a recompute replaces whatever stale entry remained
-	}
+// memory bound. The bounds may evict other entries, which leave the
+// table with their results; j itself stays.
+func (rs *resultStore) put(j *job, body []byte) {
 	j.result, j.size, j.lastUsed = body, int64(len(body)), rs.tick()
-	rs.entries[j.key] = j
+	rs.table[j.id] = j
 	rs.memCount++
 	rs.memBytes += j.size
 	rs.total += j.size
@@ -263,17 +263,15 @@ func (rs *resultStore) put(j *job, body []byte) []*job {
 		rs.persist(j)
 		rs.demoteOverflow(j)
 	}
-	evicted := rs.evictOverflow(j)
+	rs.evictOverflow(j)
 	rs.sweepRecovered()
-	return evicted
 }
 
 // evictOverflow evicts entries entirely — file, RAM copy and job — least
 // recently used first, while the byte budget is exceeded or, with no disk
-// tier to demote to, the memory bound is; it returns their jobs. keep is
-// never evicted: a fresh entry survives until the next put even if
-// oversized.
-func (rs *resultStore) evictOverflow(keep *job) (evicted []*job) {
+// tier to demote to, the memory bound is. keep is never evicted: a fresh
+// entry survives until the next put even if oversized.
+func (rs *resultStore) evictOverflow(keep *job) {
 	for (rs.budget > 0 && rs.total > rs.budget) || (rs.dir == "" && rs.memCount > rs.memLimit) {
 		victim := rs.lru(keep, false)
 		if victim == nil {
@@ -281,19 +279,17 @@ func (rs *resultStore) evictOverflow(keep *job) (evicted []*job) {
 		}
 		rs.dropEntry(victim)
 		rs.metrics.cacheEvictions.Add(1)
-		evicted = append(evicted, victim)
 	}
-	return evicted
 }
 
 // promote makes j's result RAM-resident and most recently used, reading
 // it back from disk and verifying it if demoted. It reports false when
 // the result is lost (see load); the caller must recompute. A job the
-// store no longer holds is a stale pointer to a dropped entry: it is
+// table no longer files is a stale pointer to a dropped entry: it is
 // neither read back nor dropped again, which would subtract its bytes a
 // second time.
 func (rs *resultStore) promote(j *job) bool {
-	if rs.entries[j.key] != j {
+	if rs.table[j.id] != j {
 		return j.result != nil
 	}
 	j.lastUsed = rs.tick()
@@ -315,7 +311,7 @@ func (rs *resultStore) promote(j *job) bool {
 // or along the LRU order: the resident bytes, or a demoted body read back
 // and verified but not kept. nil means the result was lost and dropped.
 func (rs *resultStore) peek(j *job) []byte {
-	if j.result != nil || rs.entries[j.key] != j {
+	if j.result != nil || rs.table[j.id] != j {
 		return j.result
 	}
 	return rs.load(j)
@@ -323,7 +319,7 @@ func (rs *resultStore) peek(j *job) []byte {
 
 // load reads j's demoted body back and verifies it. A lost body —
 // missing, failing verification, or unreachable behind an open breaker —
-// is dropped with its entry (and its file, when reachable) and load
+// is dropped with its job (and its file, when reachable) and load
 // returns nil; bad bytes are never returned.
 func (rs *resultStore) load(j *job) []byte {
 	body, err := rs.readResult(j)
@@ -347,7 +343,7 @@ func (rs *resultStore) load(j *job) []byte {
 // safely written out, so the memory tier overshoots its bound for the
 // outage's duration.
 func (rs *resultStore) demoteOverflow(keep *job) {
-	guard := len(rs.entries)
+	guard := len(rs.table)
 	for rs.memCount > rs.memLimit && guard > 0 {
 		guard--
 		victim := rs.lru(keep, true)
@@ -379,7 +375,7 @@ func (rs *resultStore) sweepRecovered() {
 	if !rs.brk.takeRecovered() {
 		return
 	}
-	for _, j := range rs.entries {
+	for _, j := range rs.table {
 		if j.onDisk || j.result == nil {
 			continue
 		}
@@ -405,11 +401,12 @@ func (rs *resultStore) persist(j *job) error {
 }
 
 // lru returns the least-recently-used entry other than keep, optionally
-// restricted to RAM-resident entries; nil when no candidate exists.
+// restricted to RAM-resident entries; nil when no candidate exists. A
+// job that is not done holds no entry.
 func (rs *resultStore) lru(keep *job, memoryOnly bool) *job {
 	var victim *job
-	for _, j := range rs.entries {
-		if j == keep || (memoryOnly && j.result == nil) {
+	for _, j := range rs.table {
+		if j == keep || j.status != StatusDone || (memoryOnly && j.result == nil) {
 			continue
 		}
 		if victim == nil || j.lastUsed < victim.lastUsed {
@@ -419,7 +416,8 @@ func (rs *resultStore) lru(keep *job, memoryOnly bool) *job {
 	return victim
 }
 
-// dropEntry removes an entry from both tiers and the accounting.
+// dropEntry removes an entry from both tiers and the accounting, and
+// its job from the table.
 func (rs *resultStore) dropEntry(j *job) {
 	if j.result != nil {
 		j.result = nil
@@ -431,7 +429,7 @@ func (rs *resultStore) dropEntry(j *job) {
 		rs.diskBytes -= j.size
 	}
 	rs.total -= j.size
-	delete(rs.entries, j.key)
+	delete(rs.table, j.id)
 }
 
 // removeFile deletes one file under the breaker's guard; a missing file
@@ -550,8 +548,8 @@ func (rs *resultStore) readResult(j *job) ([]byte, error) {
 // in LRU order (stable across encode/decode, and the order warm jobs are
 // re-listed in after a restart).
 func (rs *resultStore) indexSnapshot() indexFile {
-	entries := make([]indexEntry, 0, len(rs.entries))
-	for _, j := range rs.entries {
+	entries := make([]indexEntry, 0, len(rs.table))
+	for _, j := range rs.table {
 		if !j.onDisk {
 			continue // memory-only entries die with the process; cataloging them would lie
 		}

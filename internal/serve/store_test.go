@@ -42,9 +42,10 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 	t.Helper()
 	var mem, disk, total int64
 	var memCount int
-	for key, j := range rs.entries {
-		if key != j.key {
-			t.Fatalf("entry keyed %s wraps job %s", key, j.key)
+	for id, j := range rs.table {
+		key := j.key
+		if id != jobID(key) {
+			t.Fatalf("entry filed as %s wraps job %s", id, key)
 		}
 		total += j.size
 		if j.result != nil {
@@ -70,8 +71,8 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 	}
 	// The budget binds always, with one sanctioned exception: the entry
 	// just written survives until the next put even if oversized.
-	if rs.budget > 0 && rs.total > rs.budget && !(len(rs.entries) == 1 && lastPutSize > rs.budget) {
-		t.Fatalf("total %d exceeds budget %d with %d entries", rs.total, rs.budget, len(rs.entries))
+	if rs.budget > 0 && rs.total > rs.budget && !(len(rs.table) == 1 && lastPutSize > rs.budget) {
+		t.Fatalf("total %d exceeds budget %d with %d entries", rs.total, rs.budget, len(rs.table))
 	}
 	if rs.memCount > rs.memLimit {
 		t.Fatalf("memory tier holds %d bodies, limit %d", rs.memCount, rs.memLimit)
@@ -93,7 +94,7 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 		if !isHexKey(name) {
 			t.Fatalf("stray file %s in cache dir", name)
 		}
-		if j, ok := rs.entries[name]; !ok || !j.onDisk {
+		if j, ok := rs.table[jobID(name)]; !ok || j.key != name || !j.onDisk {
 			t.Fatalf("file %s exists but is not a cataloged disk entry", name)
 		}
 	}
@@ -104,9 +105,10 @@ func checkStoreInvariants(t *testing.T, rs *resultStore, lastPutSize int64) {
 // and asserts after every operation that the budget is never exceeded
 // and no verified entry is ever lost: every key the store did not
 // explicitly evict remains retrievable with its exact original bytes —
-// including across a full store reopen. The shapes without a disk tier
-// have nothing to reopen; there every eviction must come back from put,
-// and the store must make no filesystem call at all.
+// including across a full store reopen. An entry leaves the job table
+// only as an eviction that cache_evictions_total counts. The shapes
+// without a disk tier have nothing to reopen, and there the store must
+// make no filesystem call at all.
 func TestStoreRandomOpsProperty(t *testing.T) {
 	shapes := []struct {
 		budget   int64
@@ -135,7 +137,8 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(si)*101 + 17))
 			m := newMetrics(Config{}, nil)
-			rs, warm := newResultStore(dir, shape.budget, shape.memLimit, fs, newBreaker(3, time.Minute, time.Now, m), m)
+			table := map[string]*job{}
+			rs, warm := newResultStore(dir, shape.budget, shape.memLimit, table, fs, newBreaker(3, time.Minute, time.Now, m), m)
 			if len(warm) != 0 {
 				t.Fatalf("cold dir produced %d warm entries", len(warm))
 			}
@@ -145,15 +148,6 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 			var lastPut int64
 			nextID := 0
 
-			dropEvicted := func(evicted []*job) {
-				for _, j := range evicted {
-					if _, ok := bodies[j.key]; !ok {
-						t.Fatalf("store evicted unknown key %s", j.key)
-					}
-					delete(bodies, j.key)
-					delete(jobs, j.key)
-				}
-			}
 			randLive := func() *job {
 				for _, j := range jobs {
 					return j
@@ -163,17 +157,16 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 
 			const ops = 300
 			for op := 0; op < ops; op++ {
+				evictedBefore := m.counter("cache_evictions_total")
 				switch r := rng.Intn(10); {
 				case r < 5: // put a fresh entry
 					j := fakeDoneJob(nextID)
 					body := fakeBody(rng, nextID)
 					nextID++
-					dropEvicted(rs.put(j, body))
-					if _, stillThere := rs.entries[j.key]; stillThere {
-						jobs[j.key] = j
-						bodies[j.key] = body
-						lastPut = int64(len(body))
-					}
+					rs.put(j, body)
+					jobs[j.key] = j
+					bodies[j.key] = body
+					lastPut = int64(len(body))
 				case r < 8 || shape.noDisk: // promote (read) a random live entry
 					j := randLive()
 					if j == nil {
@@ -186,8 +179,8 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 						t.Fatalf("op %d: promoted bytes differ for %s", op, j.key)
 					}
 				default: // restart: reopen the store from disk
-					rm := newMetrics(Config{}, nil)
-					reopened, warm := newResultStore(dir, shape.budget, shape.memLimit, OSFS(), newBreaker(3, time.Minute, time.Now, rm), rm)
+					m, table, evictedBefore = newMetrics(Config{}, nil), map[string]*job{}, 0
+					reopened, warm := newResultStore(dir, shape.budget, shape.memLimit, table, OSFS(), newBreaker(3, time.Minute, time.Now, m), m)
 					seen := map[string]bool{}
 					adopted := map[string]*job{}
 					for _, e := range warm {
@@ -206,45 +199,41 @@ func TestStoreRandomOpsProperty(t *testing.T) {
 					// Every durable entry must have survived into the warm
 					// set; memory-only entries cannot exist here because no
 					// writes fail in this test.
-					for key, e := range rs.entries {
+					for _, e := range rs.table {
 						if !e.onDisk {
-							t.Fatalf("op %d: unexpected memory-only entry %s", op, key)
+							t.Fatalf("op %d: unexpected memory-only entry %s", op, e.key)
 						}
-						if !seen[key] {
-							t.Fatalf("op %d: durable entry %s lost across restart", op, key)
+						if !seen[e.key] {
+							t.Fatalf("op %d: durable entry %s lost across restart", op, e.key)
 						}
 					}
 					// The budget may bind tighter than the persisted set (an
 					// oversized final put is durable but over budget); trim
 					// LRU-first exactly as Server.New does on warm boot.
-					for reopened.budget > 0 && reopened.total > reopened.budget {
-						v := reopened.lru(nil, false)
-						if v == nil {
-							break
-						}
-						reopened.dropEntry(v)
-						delete(adopted, v.key)
-					}
+					reopened.evictOverflow(nil)
 					reopened.flushIndex()
 					jobs = adopted
-					for key := range bodies {
-						if _, ok := adopted[key]; !ok {
-							delete(bodies, key)
-						}
-					}
 					rs = reopened
 					lastPut = 0
 				}
-				checkStoreInvariants(t, rs, lastPut)
-				// The store holds exactly the live set: nothing it dropped
-				// went unreported by put.
-				if len(rs.entries) != len(jobs) {
-					t.Fatalf("op %d: store holds %d entries, %d live", op, len(rs.entries), len(jobs))
-				}
+				// Every live job the table no longer files was evicted, and
+				// each eviction was counted.
+				evicted := int64(0)
 				for key, j := range jobs {
-					if rs.entries[key] != j {
-						t.Fatalf("op %d: live entry %s dropped without being returned", op, key)
+					if table[j.id] != j {
+						evicted++
+						delete(jobs, key)
+						delete(bodies, key)
 					}
+				}
+				if got := m.counter("cache_evictions_total") - evictedBefore; got != evicted {
+					t.Fatalf("op %d: %d jobs left the table, cache_evictions_total rose by %d", op, evicted, got)
+				}
+				checkStoreInvariants(t, rs, lastPut)
+				// The table holds exactly the live set: nothing entered it
+				// that the test did not put or adopt.
+				if len(table) != len(jobs) {
+					t.Fatalf("op %d: table holds %d jobs, %d live", op, len(table), len(jobs))
 				}
 				if ops, _ := noFS.Stats(); ops != 0 {
 					t.Fatalf("op %d: a store without a disk tier made %d filesystem calls", op, ops)
