@@ -280,23 +280,6 @@ func (rt *Router) Handler() http.Handler {
 	return rt.instrument(mux)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
-}
-
 // hopByHop are the headers a proxy must not forward (RFC 9110 §7.6.1).
 var hopByHop = map[string]bool{
 	"Connection": true, "Keep-Alive": true, "Proxy-Authenticate": true,
@@ -441,7 +424,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	}
 	body, err := serve.ReadBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return nil, false
 	}
 	return body, true
@@ -487,7 +470,7 @@ func (rt *Router) submitTo(w http.ResponseWriter, r *http.Request, rkey string, 
 		}
 	}
 	rt.metrics.noShard.Add(1)
-	writeError(w, http.StatusBadGateway, "no shard reachable for this request")
+	serve.WriteError(w, http.StatusBadGateway, "no shard reachable for this request")
 	return 0
 }
 
@@ -525,7 +508,7 @@ func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.metrics.noShard.Add(1)
-	writeError(w, http.StatusBadGateway, "no shard reachable for job %q", r.PathValue("id"))
+	serve.WriteError(w, http.StatusBadGateway, "no shard reachable for job %q", r.PathValue("id"))
 }
 
 // handleExperiments forwards to the first reachable shard — the artifact
@@ -537,7 +520,7 @@ func (rt *Router) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.metrics.noShard.Add(1)
-	writeError(w, http.StatusBadGateway, "no shard reachable")
+	serve.WriteError(w, http.StatusBadGateway, "no shard reachable")
 }
 
 // handleList fans GET /v1/jobs in from every reachable shard and merges
@@ -563,10 +546,10 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	if !reached {
 		rt.metrics.noShard.Add(1)
-		writeError(w, http.StatusBadGateway, "no shard reachable")
+		serve.WriteError(w, http.StatusBadGateway, "no shard reachable")
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}{merged})
 }
@@ -625,7 +608,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if out.Status != "ok" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, out)
+	serve.WriteJSON(w, status, out)
 }
 
 // handleReadyz reports the router ready while any shard is healthy: a
@@ -633,13 +616,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	for i := range rt.healthy {
 		if rt.healthy[i].Load() {
-			writeJSON(w, http.StatusOK, struct {
+			serve.WriteJSON(w, http.StatusOK, struct {
 				Ready bool `json:"ready"`
 			}{true})
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, struct {
+	serve.WriteJSON(w, http.StatusServiceUnavailable, struct {
 		Ready  bool   `json:"ready"`
 		Reason string `json:"reason"`
 	}{false, "no healthy shard"})

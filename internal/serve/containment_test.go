@@ -147,7 +147,8 @@ func TestDeadlineParsing(t *testing.T) {
 }
 
 // A job whose deadline lapses while it waits in the queue is cancelled
-// at pickup — no worker time is burned on it.
+// when its budget lapses, while the only worker is still parked — no
+// worker time is burned on it.
 func TestDeadlineExpiredInQueue(t *testing.T) {
 	srv, ts, release := gateServer(t, Config{Workers: 1, QueueDepth: 8, Clock: time.Now})
 	defer release()
@@ -173,10 +174,8 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 		t.Fatal("accepted deadlined job carries no deadline in its snapshot")
 	}
 
-	time.Sleep(50 * time.Millisecond) // let the 30ms budget lapse in-queue
+	j := waitTerminal(t, ts, sub.Job.ID) // the 30ms budget lapses in-queue
 	release()
-
-	j := waitTerminal(t, ts, sub.Job.ID)
 	if j.Status != StatusCancelled {
 		t.Fatalf("expired job status %q, want cancelled", j.Status)
 	}

@@ -31,7 +31,7 @@
 //     collector (neofog.NewStreamingTelemetry) whose spans and per-node
 //     samples are broadcast to SSE subscribers as the simulation records
 //     them, with the final result as the terminal event; nothing is kept
-//     once forwarded;
+//     once forwarded (a finished job's stream replays the job itself);
 //   - persist results across restarts: with Config.CacheDir the result
 //     store's disk tier is on — bodies are written through crash-safely
 //     (temp + fsync + rename, one self-describing file per result whose
@@ -54,7 +54,9 @@
 //
 //   - deadlines: a submission may carry a budget (?deadline= or the
 //     X-Neofog-Deadline header; Config.DefaultDeadline/MaxDeadline set
-//     policy) that becomes the job context's deadline, and admission is
+//     policy) that becomes the job context's timeout; when the context
+//     ends (a lapsed budget, a DELETE, a drain past its deadline) a
+//     queued job leaves the queue cancelled at once. Admission is
 //     deadline-aware — when the predicted queue wait (from the live
 //     latency histograms) already exceeds the budget, the submit is
 //     rejected with 429 and a Retry-After hint instead of queuing

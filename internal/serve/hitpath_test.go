@@ -145,7 +145,7 @@ func TestEnvelopeMatchesMarshal(t *testing.T) {
 
 // FuzzEnvelope splices done jobs whose results hold arbitrary text, at
 // any hit count and time, with and without a deadline, and holds each
-// spliced hit and poll to what writeJSON writes for them: status,
+// spliced hit and poll to what WriteJSON writes for them: status,
 // Content-Type and every byte.
 func FuzzEnvelope(f *testing.F) {
 	f.Add("plain", int64(0), false, int64(0))
@@ -172,7 +172,7 @@ func FuzzEnvelope(f *testing.F) {
 				v = SubmitResponse{Job: j.snapshot(), Cached: true}
 			}
 			want := httptest.NewRecorder()
-			writeJSON(want, http.StatusOK, v)
+			WriteJSON(want, http.StatusOK, v)
 			done := j.doneBodyLocked()
 			if done.prefix == nil {
 				t.Fatalf("no prefix for %+v", j.snapshot())
@@ -181,7 +181,7 @@ func FuzzEnvelope(f *testing.F) {
 			writeDone(got, done, cached)
 			if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
 				!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-				t.Fatalf("cached %v: spliced %d %q\n%s\nwriteJSON %d %q\n%s", cached,
+				t.Fatalf("cached %v: spliced %d %q\n%s\nWriteJSON %d %q\n%s", cached,
 					got.Code, got.Header().Get("Content-Type"), got.Body.Bytes(),
 					want.Code, want.Header().Get("Content-Type"), want.Body.Bytes())
 			}

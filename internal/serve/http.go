@@ -82,9 +82,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes v with the given status. Bodies end in one newline so
-// curl output reads cleanly.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v with the given status. Bodies end in one newline so
+// curl output reads cleanly. The router writes through it and WriteError.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
@@ -95,15 +95,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(b, '\n'))
 }
 
-// writeDone writes a done job as writeJSON writes its snapshot or, with
+// writeDone writes a done job as WriteJSON writes its snapshot or, with
 // cached set, its SubmitResponse with Cached true: the fixed prefix, the
 // stored result, the hit count when it is not zero and the closing
-// braces, spliced without encoding anything. The bytes are writeJSON's
+// braces, spliced without encoding anything. The bytes are WriteJSON's
 // because a stored result is already what json.Marshal makes of it,
 // compact and HTML-escaped: every result is json.Marshal's output, and
 // the disk tier hands back only bytes whose hash it recorded when it
 // wrote them. Without a prefix the snapshot did not encode, so it answers
-// writeJSON's encoding failure.
+// WriteJSON's encoding failure.
 func writeDone(w http.ResponseWriter, d doneBody, cached bool) {
 	if d.prefix == nil {
 		http.Error(w, `{"error":"encoding failure"}`, http.StatusInternalServerError)
@@ -133,8 +133,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the formatted message as {"error": ...}.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // parseDeadline extracts the client's time budget from ?deadline= in the
@@ -237,35 +238,35 @@ func decodePost(w http.ResponseWriter, r *http.Request, v any) error {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if mt, ok := NegotiateContentType(r); !ok {
-		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
+		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
 	body, err := ReadBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	norm, key, memoized := s.memo.Lookup(body)
 	if !memoized {
 		var req Request
 		if err := DecodeBody(bytes.NewReader(body), &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
 		if norm, key, err = normalizeRequest(req); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	q := r.URL.Query()
 	deadline, err := s.parseDeadline(q, r.Header)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tenant, class, err := s.parseTenantClass(q, r.Header, qos.Interactive)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set(TenantHeader, tenant)
@@ -278,39 +279,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	switch outcome {
 	case outcomeDraining:
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+		WriteError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
 	case outcomeQueueFull:
 		setRetryAfter(w, retryAfter)
-		writeError(w, http.StatusTooManyRequests, "queue full (depth %d): retry later", s.cfg.QueueDepth)
+		WriteError(w, http.StatusTooManyRequests, "queue full (depth %d): retry later", s.cfg.QueueDepth)
 	case outcomeTenantDepth:
 		setRetryAfter(w, retryAfter)
-		writeError(w, http.StatusTooManyRequests,
+		WriteError(w, http.StatusTooManyRequests,
 			"tenant %q queue full (depth %d): retry later", tenant, s.sched.Tenant(tenant).Depth)
 	case outcomeTenantRate:
 		setRetryAfter(w, retryAfter)
-		writeError(w, http.StatusTooManyRequests,
+		WriteError(w, http.StatusTooManyRequests,
 			"tenant %q rate limited: retry after %ds", tenant, ceilSeconds(retryAfter))
 	case outcomeDeadline:
 		setRetryAfter(w, retryAfter)
-		writeError(w, http.StatusTooManyRequests,
+		WriteError(w, http.StatusTooManyRequests,
 			"deadline %s shorter than predicted queue wait %s: retry later", deadline, retryAfter.Round(time.Millisecond))
 	case outcomePoisoned:
 		setRetryAfter(w, retryAfter)
 		// Ceil, not Round: a 0.4s quarantine remainder must read "1s",
 		// matching the header — Round would render "0s".
-		writeError(w, http.StatusUnprocessableEntity,
+		WriteError(w, http.StatusUnprocessableEntity,
 			"job key quarantined after repeated panics; retry after %ds", ceilSeconds(retryAfter))
 	case outcomeCached:
 		writeDone(w, done, true)
 	case outcomeDeduped:
-		writeJSON(w, http.StatusAccepted, SubmitResponse{Job: snap, Deduped: true})
+		WriteJSON(w, http.StatusAccepted, SubmitResponse{Job: snap, Deduped: true})
 	default:
-		writeJSON(w, http.StatusAccepted, SubmitResponse{Job: snap})
+		WriteJSON(w, http.StatusAccepted, SubmitResponse{Job: snap})
 	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Jobs []Job `json:"jobs"`
 	}{s.jobs()})
 }
@@ -319,18 +320,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	snap, done, ok := s.pollByID(r.PathValue("id"))
 	switch {
 	case !ok:
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 	case done.result != nil:
 		writeDone(w, done, false)
 	default:
-		writeJSON(w, http.StatusOK, snap)
+		WriteJSON(w, http.StatusOK, snap)
 	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	snap, ok := s.snapshotByID(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	switch snap.Status {
@@ -340,25 +341,25 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(append(snap.Result, '\n'))
 	case StatusPoisoned:
-		writeError(w, http.StatusUnprocessableEntity, "job %s %s: %s", snap.ID, snap.Status, snap.Error)
+		WriteError(w, http.StatusUnprocessableEntity, "job %s %s: %s", snap.ID, snap.Status, snap.Error)
 	case StatusFailed, StatusCancelled:
-		writeError(w, http.StatusConflict, "job %s %s: %s", snap.ID, snap.Status, snap.Error)
+		WriteError(w, http.StatusConflict, "job %s %s: %s", snap.ID, snap.Status, snap.Error)
 	default:
-		writeError(w, http.StatusConflict, "job %s is %s; poll or stream until done", snap.ID, snap.Status)
+		WriteError(w, http.StatusConflict, "job %s is %s; poll or stream until done", snap.ID, snap.Status)
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	snap, ok := s.cancelJob(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Experiments []string `json:"experiments"`
 	}{neofog.ExperimentIDs()})
 }
@@ -368,24 +369,29 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // telemetry as it records, then exactly one terminal "result" (done,
 // snapshot with result inline) or "error" (failed/cancelled).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	// One hold finds the job and promotes its result, as snapshotByID
-	// does: a job dropped between two holds could leave a stale pointer
-	// to a job whose key and ID a resubmission has filed again.
+	// One hold finds the job, promotes its result and subscribes unless the
+	// job is terminal: two holds could leave a pointer to a job that was
+	// dropped and filed again, and a job turns terminal under s.mu before
+	// its event goes out, so a subscriber cannot miss it.
 	s.mu.Lock()
 	j, ok := s.findLocked(r.PathValue("id"))
-	var terminal bool
 	var snap Job
+	var ch chan sseMsg
 	if ok {
-		terminal, snap = j.terminal(), j.snapshot()
+		snap = j.snapshot()
+		if !j.terminal() {
+			ch = j.bcast.subscribe()
+			defer j.bcast.unsubscribe(ch)
+		}
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 
@@ -404,23 +410,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher.Flush()
 
-	// A finished job replays one terminal frame from the current
-	// snapshot — the same shape whether the job finished in this process
-	// or was warmed from the disk tier after a restart.
-	if terminal {
-		event := "error"
-		if snap.Status == StatusDone {
-			event = "result"
+	// A finished job replays one terminal frame from its snapshot — the
+	// same shape whether the job finished in this process or was warmed
+	// from the disk tier after a restart.
+	if ch == nil {
+		if writeSSE(w, terminalEvent(snap.Status), snap) == nil {
+			flusher.Flush()
 		}
-		if err := writeSSE(w, event, snap); err != nil {
-			return
-		}
-		flusher.Flush()
 		return
 	}
 
-	ch := j.bcast.subscribe()
-	defer j.bcast.unsubscribe(ch)
 	for {
 		select {
 		case msg, open := <-ch:
@@ -480,7 +479,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 // readyBody is the /readyz response.
@@ -500,11 +499,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	switch {
 	case draining:
-		writeJSON(w, http.StatusServiceUnavailable, readyBody{Ready: false, Reason: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, readyBody{Ready: false, Reason: "draining"})
 	case s.cfg.RequireDisk && disk == "degraded":
-		writeJSON(w, http.StatusServiceUnavailable, readyBody{Ready: false, Reason: "disk tier degraded"})
+		WriteJSON(w, http.StatusServiceUnavailable, readyBody{Ready: false, Reason: "disk tier degraded"})
 	default:
-		writeJSON(w, http.StatusOK, readyBody{Ready: true})
+		WriteJSON(w, http.StatusOK, readyBody{Ready: true})
 	}
 }
 
@@ -526,6 +525,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.cacheBytesDisk.Set(float64(s.store.diskBytes))
 	m.diskEntries.Set(diskEntries)
 	m.breakerState.Set(float64(s.store.brk.state))
+	s.forgetLapsedLocked()
 	m.poisonedKeys.Set(float64(len(s.poisoned)))
 	m.draining.Set(boolGauge(s.draining))
 	for _, tc := range s.sched.Tenants() {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -137,15 +136,6 @@ type MatrixDone struct {
 	Failed int `json:"failed"`
 }
 
-// experimentIDs is the servable-artifact set, computed once.
-var experimentIDs = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, id := range neofog.ExperimentIDs() {
-		m[id] = true
-	}
-	return m
-}()
-
 // normalizeRequest validates req, fills its defaults, and returns the
 // normalized request together with its content address — the hex SHA-256
 // of the normalized request's JSON encoding with Options.Parallel
@@ -190,17 +180,6 @@ func normalizeRequest(req Request) (Request, string, error) {
 			return Request{}, "", fmt.Errorf("config/chains are not valid for experiment jobs")
 		}
 		out.Experiment = strings.ToLower(out.Experiment)
-		if !experimentIDs[out.Experiment] {
-			ids := neofog.ExperimentIDs()
-			sort.Strings(ids)
-			return Request{}, "", fmt.Errorf("unknown experiment %q (have %s)", out.Experiment, strings.Join(ids, ", "))
-		}
-		if out.Format == "" {
-			out.Format = "table"
-		}
-		if out.Format != "table" && out.Format != "csv" {
-			return Request{}, "", fmt.Errorf("unknown format %q (table or csv)", out.Format)
-		}
 		var opts neofog.ExperimentOptions
 		if out.Options != nil {
 			opts = *out.Options
@@ -210,6 +189,12 @@ func normalizeRequest(req Request) (Request, string, error) {
 			return Request{}, "", err
 		}
 		out.Options = &o
+		if out.Format == "" {
+			out.Format = "table"
+		}
+		if out.Format != "table" && out.Format != "csv" {
+			return Request{}, "", fmt.Errorf("unknown format %q (table or csv)", out.Format)
+		}
 
 	default:
 		return Request{}, "", fmt.Errorf("unknown kind %q (simulate, fleet or experiment)", out.Kind)
@@ -243,9 +228,9 @@ func jobID(key string) string { return "j-" + key[:16] }
 func Normalize(req Request) (Request, string, error) { return normalizeRequest(req) }
 
 // Statuses of a job's lifecycle. queued → running → done | failed |
-// cancelled | poisoned; cancelled can also strike a job still in the
-// queue. Poisoned means the run panicked and the key is quarantined —
-// resubmitting retries it until the quarantine cap, then rejects.
+// cancelled | poisoned (set only by Server.finishLocked); a queued job is
+// cancelled when its context ends. Poisoned means the run panicked and the
+// key is quarantined — resubmitting retries it until the cap, then rejects.
 const (
 	StatusQueued    = "queued"
 	StatusRunning   = "running"
@@ -257,7 +242,7 @@ const (
 
 // job is the server-side state behind a Job snapshot. All fields are
 // guarded by the server's mutex except the broadcaster (which has its
-// own) and ctx/cancel (set once at creation).
+// own) and ctx/cancel/stop (set once at creation).
 type job struct {
 	id          string
 	key         string
@@ -282,8 +267,9 @@ type job struct {
 	onDisk   bool   // a durable copy is in the disk tier
 	lastUsed int64  // LRU stamp from the store's clock
 
-	ctx    context.Context
+	ctx    context.Context // the only cancel signal; its end strikes a queued job
 	cancel context.CancelFunc
+	stop   func() bool   // disarms the strike; nil on a warm job
 	done   chan struct{} // closed at terminal status
 	bcast  *broadcaster
 }

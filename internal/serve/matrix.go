@@ -83,20 +83,20 @@ func MatrixCells(m MatrixRequest) ([]Request, []string, string, error) {
 // completion order, one MatrixDone line.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if mt, ok := NegotiateContentType(r); !ok {
-		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
+		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
 	s.metrics.matrixRequests.Add(1)
 
 	var m MatrixRequest
 	if err := decodePost(w, r, &m); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	q := r.URL.Query()
 	deadline, err := s.parseDeadline(q, r.Header)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Matrix cells default to the bulk class: a sweep is throughput
@@ -104,13 +104,13 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	// in front of interactive submissions.
 	tenant, class, err := s.parseTenantClass(q, r.Header, qos.Bulk)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set(TenantHeader, tenant)
 	cells, keys, matrixKey, err := MatrixCells(m)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.metrics.matrixCells.Add(int64(len(cells)))

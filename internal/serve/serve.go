@@ -339,11 +339,13 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		return nil, Job{}, doneBody{}, outcomeTenantRate, retry
 	}
 
+	// The context times out on the wall clock; the displayed deadline is
+	// on Config.Clock, like every timestamp a job carries.
 	ctx, cancel := context.WithCancel(context.Background())
 	var dl time.Time
 	if deadline > 0 {
 		dl = now.Add(deadline)
-		ctx, cancel = context.WithDeadline(context.Background(), dl)
+		ctx, cancel = context.WithTimeout(context.Background(), deadline)
 	}
 	j = &job{
 		id:          jobID(key),
@@ -360,6 +362,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		done:        make(chan struct{}),
 		bcast:       newBroadcaster(),
 	}
+	j.stop = context.AfterFunc(ctx, func() { s.strike(j) })
 	s.sched.Push(tenant, class, j)
 	s.notEmpty.Signal()
 	if old := s.table[j.id]; old != nil && old.husk() {
@@ -401,9 +404,10 @@ func (s *Server) queuedWaitLocked(queued int) time.Duration {
 	return time.Duration(float64(batches) * mean * float64(time.Second))
 }
 
-// poisonLocked records one panicked run against a key. Callers hold
-// s.mu.
+// poisonLocked records one panicked run against a key and forgets lapsed
+// quarantines. Callers hold s.mu.
 func (s *Server) poisonLocked(key string) {
+	s.forgetLapsedLocked()
 	rec, ok := s.poisoned[key]
 	if !ok {
 		rec = &poisonRecord{}
@@ -411,6 +415,17 @@ func (s *Server) poisonLocked(key string) {
 	}
 	rec.count++
 	rec.until = s.cfg.Clock().Add(s.cfg.PoisonTTL)
+}
+
+// forgetLapsedLocked drops the quarantine records whose TTL has lapsed, so
+// s.poisoned and its gauge hold live quarantines only. Callers hold s.mu.
+func (s *Server) forgetLapsedLocked() {
+	now := s.cfg.Clock()
+	for key, rec := range s.poisoned {
+		if !now.Before(rec.until) {
+			delete(s.poisoned, key)
+		}
+	}
 }
 
 // byKeyLocked returns the job filed for key: the one the table files
@@ -465,8 +480,8 @@ func (s *Server) evictLocked() {
 // worker pops scheduler dispatches until Drain empties the queue. The
 // scheduler replaces the old queue channel: workers pull the next job
 // under the server mutex — which is what makes dispatch order exactly
-// the scheduler's WFQ order — and park on the condition variable when
-// nothing is queued.
+// the scheduler's WFQ order — start it in that same critical section,
+// and park on the condition variable when nothing is queued.
 func (s *Server) worker() {
 	defer s.workers.Done()
 	s.mu.Lock()
@@ -480,29 +495,22 @@ func (s *Server) worker() {
 			s.notEmpty.Wait()
 			continue
 		}
-		s.mu.Unlock()
 		s.runJob(j)
 		s.mu.Lock()
 	}
 }
 
 // runJob executes one job end to end: mark running, run the facade call
-// with a streaming telemetry attached, store the marshaled result, and
-// broadcast the terminal event. The result bytes are marshaled exactly
-// once and served verbatim afterwards, which is what makes cached and
-// fresh responses byte-identical.
+// with a streaming telemetry attached, and finish it with the marshaled
+// result, which is served verbatim ever after, so cached and fresh
+// answers are byte-identical. The worker calls it holding s.mu, in the
+// critical section that popped j, so j is still queued; runJob releases it.
 func (s *Server) runJob(j *job) {
-	s.mu.Lock()
-	if j.status != StatusQueued { // cancelled between its pop and here
-		s.mu.Unlock()
-		return
-	}
 	now := s.cfg.Clock()
 	s.metrics.queueWait.Observe(now.Sub(j.submittedAt).Seconds())
-	// A job whose deadline expired (or that was cancelled) while it sat
-	// in the queue skips execution — don't burn a worker on a result
-	// nobody can use — and goes straight to the terminal switch with its
-	// context error.
+	// A context can end before its strike has taken s.mu: such a job skips
+	// execution — don't burn a worker on a result nobody can use — and
+	// ends with its context error.
 	var result json.RawMessage
 	err := j.ctx.Err()
 	if err == nil {
@@ -522,6 +530,28 @@ func (s *Server) runJob(j *job) {
 		s.running--
 		s.metrics.jobSeconds.Observe(now.Sub(j.startedAt).Seconds(), j.kind)
 	}
+	s.finishLocked(j, now, result, err)
+}
+
+// strike ends j with its context's error if j is still queued, taking it
+// out of the scheduler so its queue slot, its tenant's depth and its share
+// of the predicted wait free at once. The end of j's context calls it;
+// DELETE also calls it directly, so its answer shows the strike.
+func (s *Server) strike(j *job) {
+	s.mu.Lock()
+	if j.status != StatusQueued {
+		s.mu.Unlock()
+		return
+	}
+	s.sched.Remove(j.tenant, j.class, j)
+	s.finishLocked(j, s.cfg.Clock(), nil, j.ctx.Err())
+}
+
+// finishLocked ends j at now with its result or the error that ended it,
+// the one place a job turns done, failed, cancelled or poisoned. It
+// releases s.mu, which the caller holds, then disarms j's strike, cancels
+// its context, closes done and sends its stream the terminal event.
+func (s *Server) finishLocked(j *job, now time.Time, result json.RawMessage, err error) {
 	j.finishedAt = now
 	var pe *panicError
 	switch {
@@ -563,13 +593,10 @@ func (s *Server) runJob(j *job) {
 	snap := j.snapshot()
 	s.mu.Unlock()
 
+	j.stop()
 	j.cancel()
 	close(j.done)
-	if snap.Status == StatusDone {
-		j.bcast.finish("result", snap)
-	} else {
-		j.bcast.finish("error", snap)
-	}
+	j.bcast.finish(terminalEvent(snap.Status), snap)
 }
 
 // executeGuarded runs the test hook and the facade call under a panic
@@ -695,28 +722,15 @@ func (s *Server) findLocked(id string) (*job, bool) {
 func (s *Server) cancelJob(id string) (Job, bool) {
 	s.mu.Lock()
 	target, ok := s.table[id]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return Job{}, false
 	}
-	if target.status == StatusQueued {
-		s.sched.Remove(target.tenant, target.class, target)
-		s.husks++
-		target.status = StatusCancelled
-		target.finishedAt = s.cfg.Clock()
-		target.err = context.Canceled
-		s.metrics.jobsCancelled.Add(1)
-		snap := target.snapshot()
-		s.mu.Unlock()
-		target.cancel()
-		close(target.done)
-		target.bcast.finish("error", snap)
-		return snap, true
-	}
-	snap := target.snapshot()
-	s.mu.Unlock()
-	target.cancel() // running: the job finishes on its own schedule
-	return snap, true
+	target.cancel()
+	s.strike(target)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return target.snapshot(), true
 }
 
 // jobs lists snapshots in submission order. Snapshots carry result
@@ -768,9 +782,9 @@ func (s *Server) countsLocked() map[string]int {
 // Drain gracefully shuts the service down: new submissions are rejected
 // with 503 immediately, queued and running jobs complete, workers exit,
 // and the disk tier's catalog and the audit index (when configured) are
-// flushed. If ctx expires first, every remaining job's context is
-// cancelled — experiments then stop at their next sweep point — and
-// Drain still waits for the workers before returning ctx's error.
+// flushed. If ctx expires first, every job's context is cancelled —
+// queued jobs are struck, experiments stop at their next sweep point —
+// and Drain still waits for the workers before returning ctx's error.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {

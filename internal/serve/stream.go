@@ -19,29 +19,25 @@ type sseMsg struct {
 // lock. Subscribers receive through buffered channels; a subscriber that
 // falls behind loses progress events (they are advisory), but never the
 // terminal event, which is delivered via closing the channel after a
-// final guaranteed send.
+// final guaranteed send. It keeps no event: streams subscribe under the
+// server mutex (taken before mu, never by publish or finish) only to jobs
+// not yet terminal, and replay finished ones from the job.
 type broadcaster struct {
 	subs  atomic.Int64
 	mu    sync.Mutex
 	chans map[chan sseMsg]struct{}
-	final *sseMsg // set once at terminal broadcast; replayed to late subscribers
 }
 
 func newBroadcaster() *broadcaster {
 	return &broadcaster{chans: map[chan sseMsg]struct{}{}}
 }
 
-// subscribe registers a new subscriber. If the job already finished, the
-// terminal event is delivered immediately and the channel closed.
+// subscribe registers a new subscriber. Callers hold the server mutex
+// and have seen the job is not terminal.
 func (b *broadcaster) subscribe() chan sseMsg {
 	ch := make(chan sseMsg, 256)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.final != nil {
-		ch <- *b.final
-		close(ch)
-		return ch
-	}
 	b.chans[ch] = struct{}{}
 	b.subs.Add(1)
 	return ch
@@ -84,8 +80,12 @@ func (b *broadcaster) publish(event string, v any) {
 
 // finish broadcasts the terminal event to every subscriber — blocking
 // until each has buffer room, so it is never lost — then closes all
-// channels and remembers the event for late subscribers.
+// channels. Nobody subscribes to a terminal job, so with no subscriber it
+// returns at once and marshals nothing.
 func (b *broadcaster) finish(event string, v any) {
+	if !b.active() {
+		return
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		data = []byte(`{"error":"marshal failure"}`)
@@ -93,7 +93,6 @@ func (b *broadcaster) finish(event string, v any) {
 	msg := sseMsg{event: event, data: data}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.final = &msg
 	for ch := range b.chans {
 		// Drain one slot if full so the guaranteed send cannot block
 		// forever on an abandoned subscriber.
@@ -110,6 +109,14 @@ func (b *broadcaster) finish(event string, v any) {
 		delete(b.chans, ch)
 		b.subs.Add(-1)
 	}
+}
+
+// terminalEvent names the terminal stream event of a job in status.
+func terminalEvent(status string) string {
+	if status == StatusDone {
+		return "result"
+	}
+	return "error"
 }
 
 // streamEvent is the SSE body for one telemetry span or instant; times
