@@ -641,7 +641,7 @@ func FairnessCheck(m Measured, weights map[string]float64, tol float64) []string
 }
 
 // FormatSummary renders the human-facing run report printed by
-// `neofog-bench -serve`.
+// `neofog-bench`.
 func FormatSummary(sum Summary) string {
 	m := sum.Measured
 	out := fmt.Sprintf(

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Position is a node location in metres.
@@ -55,15 +54,9 @@ func GreedyPath(nodes []Position, from, to int, radioRange float64) ([]int, erro
 	if from < 0 || to < 0 || from >= len(nodes) || to >= len(nodes) {
 		return nil, fmt.Errorf("mesh: path endpoints out of range")
 	}
-	// The hop sequence is built in a pooled scratch buffer (repeated
-	// topology sweeps route thousands of paths); the caller receives an
-	// exact-size copy, never pool memory.
-	bufp := pathPool.Get().(*[]int)
-	defer func() {
-		*bufp = (*bufp)[:0] // reset: no hops leak into the next route
-		pathPool.Put(bufp)
-	}()
-	path := (*bufp)[:0]
+	// Each hop is strictly closer to the target, so no node repeats and
+	// the path fits len(nodes)-1 hops.
+	path := make([]int, 0, len(nodes)-1)
 	cur := from
 	for cur != to {
 		target := nodes[to]
@@ -89,21 +82,13 @@ func GreedyPath(nodes []Position, from, to int, radioRange float64) ([]int, erro
 		}
 		path = append(path, next)
 		cur = next
+		// A NaN position can break the distance order.
 		if len(path) > 4*len(nodes) {
 			return nil, fmt.Errorf("mesh: routing loop detected")
 		}
 	}
-	*bufp = path // retain the grown buffer for the pool
-	out := make([]int, len(path))
-	copy(out, path)
-	return out, nil
+	return path, nil
 }
-
-// pathPool recycles GreedyPath's hop-sequence scratch buffers.
-var pathPool = sync.Pool{New: func() interface{} {
-	b := make([]int, 0, 64)
-	return &b
-}}
 
 // LineDeployment places n nodes evenly along a line of the given length —
 // the sparse chain of Fig. 7 (nodes 11, 21, …, 101).

@@ -1,6 +1,6 @@
 // Package client is the one HTTP client for the neofog-serve API, which
 // a daemon and a router answer alike. The open-loop load harness
-// (internal/loadgen, behind `neofog-bench -serve`) submits and polls
+// (internal/loadgen, behind `neofog-bench`) submits and polls
 // through it with retries off; the serve and router chaos batteries
 // drive Run.
 //

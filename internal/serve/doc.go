@@ -54,9 +54,11 @@
 //
 //   - deadlines: a submission may carry a budget (?deadline= or the
 //     X-Neofog-Deadline header; Config.DefaultDeadline/MaxDeadline set
-//     policy) that becomes the job context's timeout; when the context
-//     ends (a lapsed budget, a DELETE, a drain past its deadline) a
-//     queued job leaves the queue cancelled at once. Admission is
+//     policy) that a timer holds the job's context to. A job runs until
+//     the last budget among the submissions deduped onto it lapses, and
+//     a submission with none clears it. When the context ends (a lapsed
+//     budget, a DELETE, a drain past its deadline) a queued job leaves
+//     the queue cancelled at once. Admission is
 //     deadline-aware — when the predicted queue wait (from the live
 //     latency histograms) already exceeds the budget, the submit is
 //     rejected with 429 and a Retry-After hint instead of queuing

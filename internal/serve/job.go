@@ -59,8 +59,9 @@ type Job struct {
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	// Deadline is the absolute point by which the job must finish, when
-	// the submission carried one; past it the job is cancelled (queued or
-	// running) rather than left to run.
+	// it has one: the last budget among the submissions deduped onto it,
+	// and none once any of them carried none. Past it the job is cancelled
+	// (queued or running) rather than left to run.
 	Deadline *time.Time `json:"deadline,omitempty"`
 	Error    string     `json:"error,omitempty"`
 	// Result is the cached result body (present once Status is done).
@@ -254,7 +255,7 @@ type job struct {
 	submittedAt time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
-	deadline    time.Time // zero when the submission carried none
+	deadline    time.Time // when timer fires, on Config.Clock; zero while it is nil
 	err         error
 	result      json.RawMessage
 	hits        int64
@@ -268,10 +269,13 @@ type job struct {
 	lastUsed int64  // LRU stamp from the store's clock
 
 	ctx    context.Context // the only cancel signal; its end strikes a queued job
-	cancel context.CancelFunc
-	stop   func() bool   // disarms the strike; nil on a warm job
-	done   chan struct{} // closed at terminal status
-	bcast  *broadcaster
+	cancel context.CancelCauseFunc
+	// timer cancels ctx with context.DeadlineExceeded when the job's budget
+	// lapses; nil while it has none.
+	timer *time.Timer
+	stop  func() bool   // disarms the strike; nil on a warm job
+	done  chan struct{} // closed at terminal status
+	bcast *broadcaster
 }
 
 // warmJob materializes one disk-tier catalog entry as a done job: the
@@ -279,8 +283,8 @@ type job struct {
 // the result body left on disk until its first use. Lifecycle channels
 // are pre-closed — the job finished in a previous process.
 func warmJob(e indexEntry) *job {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already terminal; nothing will ever read this context
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(nil) // already terminal; nothing will ever read this context
 	done := make(chan struct{})
 	close(done)
 	return &job{
@@ -298,6 +302,26 @@ func warmJob(e indexEntry) *job {
 		done:        done,
 		bcast:       newBroadcaster(),
 	}
+}
+
+// extendDeadlineLocked applies a deduped submission's budget (0 = none)
+// at now. A job runs until the last budget among its submissions lapses:
+// no budget clears its deadline, a later one moves it, an earlier one
+// changes nothing. A timer that has already fired stays fired, and the
+// submission gets the job's end. Callers hold the server mutex.
+func (j *job) extendDeadlineLocked(now time.Time, budget time.Duration) {
+	if j.timer == nil || budget > 0 && !now.Add(budget).After(j.deadline) {
+		return
+	}
+	if !j.timer.Stop() {
+		return // fired: the job is ending by its deadline
+	}
+	if budget == 0 {
+		j.timer, j.deadline = nil, time.Time{}
+		return
+	}
+	j.timer.Reset(budget)
+	j.deadline = now.Add(budget)
 }
 
 // snapshot builds the public view; callers hold the server mutex.

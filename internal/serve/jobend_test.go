@@ -218,3 +218,114 @@ func TestLapsedQuarantineForgotten(t *testing.T) {
 	clk.Advance(time.Hour)
 	check(0) // a scrape forgets the last one
 }
+
+// submitSeed posts seed's body with ?deadline=budget (none when budget is
+// empty) and returns the 202 answer.
+func submitSeed(t *testing.T, ts *httptest.Server, budget string, seed int64) SubmitResponse {
+	t.Helper()
+	path := "/v1/jobs"
+	if budget != "" {
+		path += "?deadline=" + budget
+	}
+	resp, body := postRaw(t, ts, path, simSeedBody(seed))
+	var sub SubmitResponse
+	if err := json.Unmarshal(body, &sub); resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("submit seed %d deadline %q: status %d body %s", seed, budget, resp.StatusCode, body)
+	}
+	return sub
+}
+
+// TestDedupDeadline submits seed 301 twice while the only worker is
+// parked, the second time deduped onto the first: the job runs until the
+// last budget among its submissions lapses. A dedup with no budget clears
+// the deadline and a later budget moves it; an earlier budget changes
+// nothing, so it never ends the job sooner. The job then outlives every
+// 100 ms budget in the queue and finishes once the worker is let go.
+func TestDedupDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name, first, again string        // the submissions' ?deadline= ("" = none)
+		want               time.Duration // the job's budget after the dedup (0 = none)
+	}{
+		{"none clears", "100ms", "", 0},
+		{"later extends", "100ms", "10s", 10 * time.Second},
+		{"earlier than none", "", "100ms", 0},
+		{"earlier than later", "10s", "100ms", 10 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts, release := gateServer(t, Config{Workers: 1})
+			defer release()
+			_, parked := postJob(t, ts, simSeedBody(300))
+			waitStatus(t, ts, parked.Job.ID, StatusRunning)
+			first := submitSeed(t, ts, tc.first, 301)
+			again := submitSeed(t, ts, tc.again, 301)
+			if !again.Deduped || again.Job.ID != first.Job.ID {
+				t.Fatalf("second submission deduped=%v onto %s, want deduped onto %s", again.Deduped, again.Job.ID, first.Job.ID)
+			}
+			switch dl := again.Job.Deadline; {
+			case tc.want == 0 && dl != nil:
+				t.Fatalf("deduped snapshot shows deadline %v, want none", *dl)
+			case tc.want > 0 && (dl == nil || !dl.Equal(fixedTime.Add(tc.want))):
+				t.Fatalf("deduped snapshot shows deadline %v, want %v", dl, fixedTime.Add(tc.want))
+			}
+			time.Sleep(250 * time.Millisecond) // past every 100 ms budget
+			if snap, _ := srv.snapshotByID(first.Job.ID); snap.Status != StatusQueued {
+				t.Fatalf("job %s (%q) after its first budget, want still queued", snap.Status, snap.Error)
+			}
+			release()
+			waitStatus(t, ts, first.Job.ID, StatusDone)
+			if got := srv.metrics.counter("jobs_deadline_expired_total"); got != 0 {
+				t.Fatalf("jobs_deadline_expired_total = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestDedupDeadlineLapsesOnce extends a queued job's 100 ms budget to
+// 400 ms by a dedup, then dedups an earlier budget onto it: the job leaves
+// the queue no sooner than 400 ms after its first submission, cancelled
+// by its deadline, and the deadline counter counts it once.
+func TestDedupDeadlineLapsesOnce(t *testing.T) {
+	srv, ts, release := gateServer(t, Config{Workers: 1})
+	defer release()
+	_, parked := postJob(t, ts, simSeedBody(310))
+	waitStatus(t, ts, parked.Job.ID, StatusRunning)
+	start := time.Now()
+	sub := submitSeed(t, ts, "100ms", 311)
+	submitSeed(t, ts, "400ms", 311)
+	submitSeed(t, ts, "200ms", 311)
+	j := waitLeftQueue(t, srv, sub.Job.ID)
+	if took := time.Since(start); took < 400*time.Millisecond {
+		t.Fatalf("job left the queue after %v, before its 400ms budget", took)
+	}
+	if j.Status != StatusCancelled || j.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("lapsed job ended %s (%q), want cancelled by its deadline", j.Status, j.Error)
+	}
+	if j.Deadline == nil || !j.Deadline.Equal(fixedTime.Add(400*time.Millisecond)) {
+		t.Fatalf("lapsed job shows deadline %v, want %v", j.Deadline, fixedTime.Add(400*time.Millisecond))
+	}
+	for _, name := range []string{"jobs_deadline_expired_total", "jobs_cancelled_total"} {
+		if got := srv.metrics.counter(name); got != 1 {
+			t.Fatalf("%s = %d, want 1", name, got)
+		}
+	}
+}
+
+// TestDeadlineLapsesMidExperiment gives a sweep a budget shorter than its
+// first point. The sweep stops between points with its context's error,
+// which reads context.Canceled; the job still ends cancelled by its
+// deadline and counts as expired, because its end is classified by the
+// context's cause.
+func TestDeadlineLapsesMidExperiment(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postRaw(t, ts, "/v1/jobs?deadline=20ms", `{"experiment":"fig13","options":{"nodes":60}}`)
+	var sub SubmitResponse
+	if err := json.Unmarshal(body, &sub); resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
+	}
+	if j := waitTerminal(t, ts, sub.Job.ID); j.Status != StatusCancelled || j.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("job ended %s (%q), want cancelled by its deadline", j.Status, j.Error)
+	}
+	if got := srv.metrics.counter("jobs_deadline_expired_total"); got != 1 {
+		t.Fatalf("jobs_deadline_expired_total = %d, want 1", got)
+	}
+}

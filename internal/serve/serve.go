@@ -295,6 +295,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		case !j.terminal():
 			j.hits++
 			s.metrics.dedupHits.Add(1)
+			j.extendDeadlineLocked(now, deadline)
 			return j, j.snapshot(), doneBody{}, outcomeDeduped, 0
 		}
 		// failed, cancelled, or poisoned-below-cap: fall through and retry
@@ -339,14 +340,7 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		return nil, Job{}, doneBody{}, outcomeTenantRate, retry
 	}
 
-	// The context times out on the wall clock; the displayed deadline is
-	// on Config.Clock, like every timestamp a job carries.
-	ctx, cancel := context.WithCancel(context.Background())
-	var dl time.Time
-	if deadline > 0 {
-		dl = now.Add(deadline)
-		ctx, cancel = context.WithTimeout(context.Background(), deadline)
-	}
+	ctx, cancel := context.WithCancelCause(context.Background())
 	j = &job{
 		id:          jobID(key),
 		key:         key,
@@ -356,13 +350,18 @@ func (s *Server) submit(req Request, key string, deadline time.Duration, tenant 
 		class:       class,
 		status:      StatusQueued,
 		submittedAt: now,
-		deadline:    dl,
 		ctx:         ctx,
 		cancel:      cancel,
 		done:        make(chan struct{}),
 		bcast:       newBroadcaster(),
 	}
 	j.stop = context.AfterFunc(ctx, func() { s.strike(j) })
+	if deadline > 0 {
+		// The timer runs on the wall clock; the displayed deadline is on
+		// Config.Clock, like every timestamp a job carries.
+		j.deadline = now.Add(deadline)
+		j.timer = time.AfterFunc(deadline, func() { cancel(context.DeadlineExceeded) })
+	}
 	s.sched.Push(tenant, class, j)
 	s.notEmpty.Signal()
 	if old := s.table[j.id]; old != nil && old.husk() {
@@ -510,9 +509,9 @@ func (s *Server) runJob(j *job) {
 	s.metrics.queueWait.Observe(now.Sub(j.submittedAt).Seconds())
 	// A context can end before its strike has taken s.mu: such a job skips
 	// execution — don't burn a worker on a result nobody can use — and
-	// ends with its context error.
+	// ends with its context's cause.
 	var result json.RawMessage
-	err := j.ctx.Err()
+	err := context.Cause(j.ctx)
 	if err == nil {
 		j.status = StatusRunning
 		j.startedAt = now
@@ -544,13 +543,14 @@ func (s *Server) strike(j *job) {
 		return
 	}
 	s.sched.Remove(j.tenant, j.class, j)
-	s.finishLocked(j, s.cfg.Clock(), nil, j.ctx.Err())
+	s.finishLocked(j, s.cfg.Clock(), nil, context.Cause(j.ctx))
 }
 
 // finishLocked ends j at now with its result or the error that ended it,
 // the one place a job turns done, failed, cancelled or poisoned. It
-// releases s.mu, which the caller holds, then disarms j's strike, cancels
-// its context, closes done and sends its stream the terminal event.
+// stops j's deadline timer and releases s.mu, which the caller holds,
+// then disarms j's strike, cancels its context, closes done and sends its
+// stream the terminal event.
 func (s *Server) finishLocked(j *job, now time.Time, result json.RawMessage, err error) {
 	j.finishedAt = now
 	var pe *panicError
@@ -576,10 +576,12 @@ func (s *Server) finishLocked(j *job, now time.Time, result json.RawMessage, err
 			s.cfg.ErrorLog.Printf("serve: job %s (key %s) panicked: %v\n%s", j.id, j.key, pe.val, pe.stack)
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The job's context ended it. Its cause tells a lapsed budget
+		// (context.DeadlineExceeded, from the timer) from DELETE or a drain.
 		j.status = StatusCancelled
-		j.err = err
+		j.err = context.Cause(j.ctx)
 		s.metrics.jobsCancelled.Add(1)
-		if errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(j.err, context.DeadlineExceeded) {
 			s.metrics.jobsDeadlineExpired.Add(1)
 		}
 	default:
@@ -590,11 +592,14 @@ func (s *Server) finishLocked(j *job, now time.Time, result json.RawMessage, err
 	if j.husk() && s.table[j.id] == j {
 		s.husks++
 	}
+	if j.timer != nil {
+		j.timer.Stop()
+	}
 	snap := j.snapshot()
 	s.mu.Unlock()
 
 	j.stop()
-	j.cancel()
+	j.cancel(nil)
 	close(j.done)
 	j.bcast.finish(terminalEvent(snap.Status), snap)
 }
@@ -613,7 +618,7 @@ func (s *Server) executeGuarded(j *job, hook func(key string)) (result json.RawM
 	if hook != nil {
 		hook(j.key)
 	}
-	if cerr := j.ctx.Err(); cerr != nil {
+	if cerr := context.Cause(j.ctx); cerr != nil {
 		return nil, cerr // deadline expired between pickup and execution
 	}
 	return s.execute(j)
@@ -726,7 +731,7 @@ func (s *Server) cancelJob(id string) (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	target.cancel()
+	target.cancel(nil)
 	s.strike(target)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -808,7 +813,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		drainErr = ctx.Err()
 		s.mu.Lock()
 		for _, j := range s.table {
-			j.cancel()
+			j.cancel(nil)
 		}
 		s.mu.Unlock()
 		<-done

@@ -47,7 +47,6 @@ var reachAllowlist = map[string]string{
 	"neofog/internal/harvester.SuperCap.Delivered": "node tests bound a node's spent energy by " +
 		"what its cap delivered",
 	"neofog/internal/metrics.Table.Cell": "experiments tests read table cells by column name",
-	"neofog/internal/bench.Find":         "the root package's benchmarks look their cases up in the shared registry",
 	"neofog/internal/serve.Config.ExecHook": "lets a test run a hook on the worker before each execution, " +
 		"to park jobs at a deterministic point or inject a panic",
 	"neofog/internal/serve.Config.Clock": "lets a test substitute a fake clock for job timestamps, " +
